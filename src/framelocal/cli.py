@@ -44,8 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--plot", metavar="FILE.svg", default=None,
                         help="write an SVG overlay of all series")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker threads for the projection stage "
-                             "(output is identical for any N)")
+                        help="accepted for compatibility (N >= 1); processing "
+                             "is single-threaded and output does not depend on N")
     parser.add_argument("-v", "--verbose", action="count", default=0,
                         help="verbose diagnostics on stderr")
     return parser
@@ -76,7 +76,7 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
 
     try:
-        result = run(traces, frames, jobs=args.jobs)
+        result = run(traces, frames)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         layout = OutputLayout(out_dir=out_dir)

@@ -11,7 +11,6 @@ interpolated or invented.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import FrameLocalError, OutOfDomain
@@ -54,43 +53,33 @@ def project_series(points: tuple[GeoPoint, ...], frame: FrameLine,
 
 def run(traces: list[Trace],
         frames: list[tuple[FrameLine, list[EventInterval]]],
-        ellipsoid: Ellipsoid = WGS84,
-        jobs: int = 1) -> RunResult:
+        ellipsoid: Ellipsoid = WGS84) -> RunResult:
     """Process every (trace, frame, event) permutation.
 
-    Projection setup happens once per frame. Work may be spread over up to
-    ``jobs`` threads; the result is identical regardless: series are sorted
-    by (trace id, frame id, event label) and a failure in any permutation
-    aborts the run, reported for the first failing permutation in that
-    order. Projection errors carry the offending permutation and point.
+    Projection setup happens once per frame. Series are sorted by (trace id,
+    frame id, event label). A failure in any permutation aborts the run and
+    is reported for the first failing permutation in input order (traces,
+    then frames, then events). Projection errors carry the offending
+    permutation and point.
     """
     prepared = [(frame, events, hom_setup(ellipsoid, frame.origin_lat_deg,
                                           frame.origin_lon_deg, frame.azimuth_deg))
                 for frame, events in frames]
-    units = [(trace, frame, event, params)
-             for trace in traces
-             for frame, events, params in prepared
-             for event in events]
-
-    def process(unit: tuple[Trace, FrameLine, EventInterval, HomParams],
-                ) -> EventSeries | None:
-        trace, frame, event, params = unit
-        clipped = clip_to_event(trace, event)
-        if not clipped:
-            return None
-        try:
-            return project_series(clipped, frame, event, params, trace.id)
-        except FrameLocalError as exc:
-            raise type(exc)(
-                f"trace {trace.id!r}, frame {frame.id!r}, "
-                f"event {event.label!r}: {exc}") from exc
-
-    if jobs > 1 and len(units) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(process, units))
-    else:
-        outcomes = [process(unit) for unit in units]
-
-    series = sorted((s for s in outcomes if s is not None), key=lambda s: s.key)
-    return RunResult(series=tuple(series),
-                     skipped_empty=sum(1 for s in outcomes if s is None))
+    series: list[EventSeries] = []
+    skipped_empty = 0
+    for trace in traces:
+        for frame, events, params in prepared:
+            for event in events:
+                clipped = clip_to_event(trace, event)
+                if not clipped:
+                    skipped_empty += 1
+                    continue
+                try:
+                    series.append(project_series(clipped, frame, event, params,
+                                                 trace.id))
+                except FrameLocalError as exc:
+                    raise type(exc)(
+                        f"trace {trace.id!r}, frame {frame.id!r}, "
+                        f"event {event.label!r}: {exc}") from exc
+    series.sort(key=lambda s: s.key)
+    return RunResult(series=tuple(series), skipped_empty=skipped_empty)

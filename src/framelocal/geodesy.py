@@ -333,15 +333,6 @@ def hom_setup(ellipsoid: Ellipsoid, origin_lat_deg: float, origin_lon_deg: float
     return replace(params, u0_m=u0, v0_m=v0)
 
 
-def _central_angle_deg(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Spherical angular separation in degrees (domain guard only)."""
-    p1, p2 = math.radians(lat1), math.radians(lat2)
-    dlon = math.radians(normalize_longitude(lon2 - lon1))
-    h = (math.sin(0.5 * (p2 - p1)) ** 2
-         + math.cos(p1) * math.cos(p2) * math.sin(0.5 * dlon) ** 2)
-    return math.degrees(2.0 * math.asin(min(1.0, math.sqrt(h))))
-
-
 def hom_forward(params: HomParams, lat_deg: float, lon_deg: float) -> tuple[float, float]:
     """Project a point to frame-local (x, y) meters.
 
@@ -351,8 +342,14 @@ def hom_forward(params: HomParams, lat_deg: float, lon_deg: float) -> tuple[floa
     """
     if abs(lat_deg) > _POLE_LIMIT_DEG:
         raise OutOfDomain(f"latitude {lat_deg} is poleward of ±{_POLE_LIMIT_DEG}")
-    if _central_angle_deg(params.origin_lat_deg, params.origin_lon_deg,
-                          lat_deg, lon_deg) > 90.0:
+    # Within 90 degrees of arc of the origin means a non-negative spherical
+    # dot product. The reduction mod 360 turns an infinite longitude into
+    # NaN, and NaN fails the comparison, so non-finite input is rejected.
+    phi0 = math.radians(params.origin_lat_deg)
+    phi = math.radians(lat_deg)
+    dlam = math.radians((lon_deg - params.origin_lon_deg) % 360.0)
+    if not (math.sin(phi0) * math.sin(phi)
+            + math.cos(phi0) * math.cos(phi) * math.cos(dlam) >= 0.0):
         raise OutOfDomain("point lies in the hemisphere opposite the origin")
     u, v = _skew_uv(params, lat_deg, lon_deg)
     du = u - params.u0_m

@@ -20,6 +20,7 @@ a <time> child are consumed. GPX times are UTC by that format's definition.
 from __future__ import annotations
 
 import json
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -198,6 +199,9 @@ def parse_frames(geojson_text: str,
             raise BadLineString(
                 f"frame {feature_id!r}: LineString positions are not numeric "
                 "[lon, lat] pairs") from None
+        if not all(map(math.isfinite, (lon1, lat1, lon2, lat2))):
+            raise BadLineString(
+                f"frame {feature_id!r}: LineString positions must be finite")
         for lat in (lat1, lat2):
             if not -90.0 <= lat <= 90.0:
                 raise BadLineString(
@@ -227,20 +231,27 @@ def _local_name(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def parse_gpx(gpx_text: str, trace_id: str,
+def parse_gpx(gpx_text: str | bytes, trace_id: str,
               on_warning: WarnFn | None = None) -> Trace:
     """Parse GPX 1.0/1.1 text into a Trace.
 
     Track points from all tracks and segments are flattened in document
     order, then stably sorted by time. Points without a usable timestamp
     or position are skipped with a warning; a file with zero timed points
-    is an error.
+    is an error. Bytes input honours the XML encoding declaration.
     """
     warn = on_warning if on_warning is not None else (lambda message: None)
     try:
         root = ET.fromstring(gpx_text)
-    except ET.ParseError as exc:
-        raise MalformedXml(f"not well-formed XML: {exc}") from None
+    except (ET.ParseError, LookupError, ValueError) as exc:
+        if isinstance(gpx_text, str):
+            raise MalformedXml(f"not well-formed XML: {exc}") from None
+        # expat fails on a declared codec that is unknown, multi-byte (it has
+        # none) or wrong, but ignores the declaration of str input.
+        try:
+            root = ET.fromstring(gpx_text.decode("utf-8"))
+        except (ET.ParseError, ValueError):
+            raise MalformedXml(f"cannot parse XML: {exc}") from None
 
     points: list[GeoPoint] = []
     saw_trkpt = False
@@ -305,7 +316,7 @@ def load_inputs(frames_path: str | Path, traces_dir: str | Path,
 
     try:
         frames_text = frames_path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FramesFileUnreadable(f"cannot read frames file {frames_path}: {exc}") from None
     frames = parse_frames(
         frames_text, ellipsoid=ellipsoid,
@@ -324,9 +335,8 @@ def load_inputs(frames_path: str | Path, traces_dir: str | Path,
         seen[path.stem] = count
         trace_id = path.stem if count == 1 else f"{path.stem}_{count}"
         try:
-            text = path.read_text(encoding="utf-8")
             traces.append(parse_gpx(
-                text, trace_id,
+                path.read_bytes(), trace_id,
                 on_warning=lambda message, _p=path: report.warnings.append(
                     (str(_p), message))))
         except (OSError, MalformedXml, NoTimedPoints) as exc:

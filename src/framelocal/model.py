@@ -8,6 +8,7 @@ ingestion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -41,6 +42,8 @@ class GeoPoint:
     def __post_init__(self) -> None:
         if not -90.0 <= self.lat_deg <= 90.0:
             raise ValueError(f"latitude {self.lat_deg} outside [-90, 90]")
+        if not math.isfinite(self.lon_deg):
+            raise ValueError(f"longitude {self.lon_deg} is not finite")
         object.__setattr__(self, "lon_deg", normalize_longitude(self.lon_deg))
         object.__setattr__(self, "time_utc", _require_utc("time_utc", self.time_utc))
 

@@ -31,9 +31,7 @@ def _sanitize(part: str) -> str:
 
 def _format_number(value: float) -> str:
     # repr() is the shortest round-tripping form; integral values drop ".0"
-    if value == int(value) and abs(value) < 1e16:
-        return str(int(value))
-    return repr(value)
+    return repr(value).removesuffix(".0")
 
 
 @dataclass

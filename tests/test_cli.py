@@ -65,6 +65,26 @@ class TestExitCodes:
         assert code == 3
         assert "far" in captured.err
 
+    def test_non_utf8_frames_file_is_ingest_error(self, tmp_path, capsys):
+        frames_path, traces = _basic_inputs(tmp_path)
+        frames_path.write_bytes(
+            frames_path.read_bytes().replace(b'"f0"', b'"Z\xfcrich"'))
+        code = main(["--frames", str(frames_path), "--traces", str(traces),
+                     "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "cannot read frames file" in captured.err
+
+    def test_undecodable_trace_file_is_a_warning(self, tmp_path, capsys):
+        frames_path, traces = _basic_inputs(tmp_path)
+        (traces / "bad.gpx").write_bytes(
+            b"<gpx><trk><name>Z\xfcrich</name></trk></gpx>")
+        code = main(["--frames", str(frames_path), "--traces", str(traces),
+                     "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "bad.gpx: trace skipped" in captured.err
+
     def test_invalid_jobs(self, tmp_path, capsys):
         frames_path, traces = _basic_inputs(tmp_path)
         code = main(["--frames", str(frames_path), "--traces", str(traces),

@@ -158,18 +158,6 @@ class TestRun:
         with pytest.raises(OutOfDomain, match=r"nearby.*farframe.*e0"):
             run(traces, [(frame, [_interval(ts(5, 0), ts(5, 10))])])
 
-    def test_jobs_do_not_change_output(self):
-        frame_a = _frame("a", azimuth=10.0)
-        frame_b = _frame("b", azimuth=200.0)
-        walk = line_walk(ORIGIN, 10.0, ts(5, 0), 50)
-        traces = [_trace(walk, f"t{i}") for i in range(4)]
-        frames = [(frame_a, [_interval(ts(5, 0), ts(5, 0, 30), "e0"),
-                             _interval(ts(5, 0, 10), ts(5, 0, 40), "e1")]),
-                  (frame_b, [_interval(ts(5, 0, 5), ts(5, 0, 25), "e0")])]
-        solo = run(traces, frames, jobs=1)
-        pooled = run(traces, frames, jobs=8)
-        assert solo == pooled
-
     def test_frame_independence(self):
         frame_a = _frame("a", azimuth=10.0)
         frame_b = _frame("b", azimuth=75.0)

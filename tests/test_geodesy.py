@@ -180,6 +180,23 @@ class TestHomForward:
         with pytest.raises(OutOfDomain):
             hom_forward(params, 0.0, 170.0)
 
+    @pytest.mark.parametrize("azimuth", [0.0, 180.0])
+    def test_hemisphere_boundary_on_centerline(self, azimuth):
+        # both points lie on the centerline meridian, 89.9 and 90.1 degrees
+        # of arc from the origin, so the singular-axis check cannot be what
+        # rejects the farther one
+        params = hom_setup(WGS84, 30.0, 10.0, azimuth)
+        hom_forward(params, -59.9, 10.0)
+        with pytest.raises(OutOfDomain, match="hemisphere"):
+            hom_forward(params, -60.1, 10.0)
+
+    @pytest.mark.parametrize("lat, lon", [
+        (30.0, math.nan), (math.nan, 10.0), (30.0, math.inf), (30.0, -math.inf)])
+    def test_rejects_non_finite_point(self, lat, lon):
+        params = hom_setup(WGS84, 30.0, 10.0, 0.0)
+        with pytest.raises(OutOfDomain):
+            hom_forward(params, lat, lon)
+
     def test_rejects_polar_point(self):
         params = hom_setup(WGS84, 60.0, 0.0, 0.0)
         with pytest.raises(OutOfDomain):

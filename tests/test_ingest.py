@@ -1,6 +1,7 @@
 """Parsing tests: intervals, GeoJSON frames, GPX traces, directory loading."""
 
 import json
+import math
 from datetime import timezone
 
 import pytest
@@ -142,6 +143,15 @@ class TestParseFrames:
             "swapped", (145.0, -37.85), (145.001, -37.84),
             {"events": ["2017-06-10T05:00:00Z/2017-06-10T05:20:00Z"]})])
         with pytest.raises(BadLineString, match="swapped"):
+            parse_frames(doc)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_position_rejected(self, value):
+        # json.loads accepts the NaN and Infinity literals json.dumps writes
+        doc = frames_doc([frame_feature(
+            "nonfinite", (ORIGIN[0], value), TARGET,
+            {"events": ["2017-06-10T05:00:00Z/2017-06-10T05:20:00Z"]})])
+        with pytest.raises(BadLineString, match="nonfinite.*finite"):
             parse_frames(doc)
 
     def test_coincident_endpoints(self):
@@ -293,6 +303,14 @@ class TestParseGpx:
         assert len(trace.points) == 1
         assert len(warnings) == 1
 
+    @pytest.mark.parametrize("lon", [math.inf, -math.inf, math.nan])
+    def test_non_finite_longitude_skipped_with_warning(self, lon):
+        warnings = []
+        text = gpx_doc([(-37.85, lon, ts(5)), (-37.84, 145.0, ts(5, 1))])
+        trace = parse_gpx(text, "t", on_warning=warnings.append)
+        assert [p.lon_deg for p in trace.points] == [145.0]
+        assert len(warnings) == 1 and "not finite" in warnings[0]
+
 
 def _write_two_field_inputs(base):
     interval = "2017-06-10T05:00:00Z/2017-06-10T05:20:00Z"
@@ -341,6 +359,47 @@ class TestLoadInputs:
     def test_unreadable_frames_file(self, tmp_path):
         with pytest.raises(FramesFileUnreadable):
             load_inputs(tmp_path / "missing.geojson", tmp_path)
+
+    def test_gpx_encoding_declaration_honoured(self, tmp_path):
+        frames_path, traces = _write_two_field_inputs(tmp_path)
+        text = gpx_doc([(0.0, 0.0, ts(5))]).replace(
+            'encoding="UTF-8"', 'encoding="ISO-8859-1"').replace(
+            "<trk>", "<trk><name>Zürich</name>")
+        (traces / "latin1.gpx").write_bytes(text.encode("latin-1"))
+        _, traces_loaded, report = load_inputs(frames_path, traces)
+        assert [t.id for t in traces_loaded] == ["latin1"]
+        assert report.warnings == []
+
+    @pytest.mark.parametrize("codec", [
+        "Shift_JIS", "GB2312", "Big5", "EUC-JP", "UTF-16", "no-such-codec"])
+    def test_ascii_gpx_under_unsupported_declaration_loads(self, tmp_path,
+                                                           codec):
+        # expat cannot decode these declarations from bytes; the ASCII body
+        # still loads, as it does when the file is read as UTF-8 text.
+        frames_path, traces = _write_two_field_inputs(tmp_path)
+        text = gpx_doc([(0.0, 0.0, ts(5))]).replace(
+            'encoding="UTF-8"', f'encoding="{codec}"')
+        (traces / "a.gpx").write_bytes(text.encode("ascii"))
+        _, traces_loaded, report = load_inputs(frames_path, traces)
+        assert [t.id for t in traces_loaded] == ["a"]
+        assert report.warnings == []
+
+    @pytest.mark.parametrize("raw", [
+        b"<gpx><trk><name>Z\xfcrich</name></trk></gpx>",
+        b'<?xml version="1.0" encoding="no-such-codec"?><gpx/>',
+        b'<?xml version="1.0" encoding="Shift_JIS"?>'
+        b"<gpx><trk><name>\x93\x8c\x8b\x9e</name></trk></gpx>",
+        b'<?xml version="1.0" encoding="ISO-8859-1"?><gpx><trk>',
+    ], ids=["invalid-utf8", "unknown-encoding", "multibyte-non-utf8",
+            "latin1-malformed"])
+    def test_undecodable_gpx_isolated(self, tmp_path, raw):
+        frames_path, traces = _write_two_field_inputs(tmp_path)
+        (traces / "a.gpx").write_text(gpx_doc([(0.0, 0.0, ts(5))]))
+        (traces / "bad.gpx").write_bytes(raw)
+        _, traces_loaded, report = load_inputs(frames_path, traces)
+        assert [t.id for t in traces_loaded] == ["a"]
+        assert len(report.warnings) == 1
+        assert "bad.gpx" in report.warnings[0][0]
 
     def test_recursion_flag(self, tmp_path):
         frames_path, traces = _write_two_field_inputs(tmp_path)

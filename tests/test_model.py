@@ -1,5 +1,6 @@
 """Constructor enforcement for the shared domain types."""
 
+import math
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -22,6 +23,11 @@ class TestGeoPoint:
             GeoPoint(lat_deg=90.5, lon_deg=0.0, time_utc=ts(5))
         with pytest.raises(ValueError):
             GeoPoint(lat_deg=-91.0, lon_deg=0.0, time_utc=ts(5))
+
+    @pytest.mark.parametrize("lon", [math.inf, -math.inf, math.nan])
+    def test_non_finite_longitude_rejected(self, lon):
+        with pytest.raises(ValueError, match="not finite"):
+            GeoPoint(lat_deg=10.0, lon_deg=lon, time_utc=ts(5))
 
     def test_longitude_normalized(self):
         assert GeoPoint(10.0, 190.0, ts(5)).lon_deg == -170.0

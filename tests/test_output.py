@@ -1,9 +1,10 @@
 """CSV serialization and SVG overlay rendering."""
 
+import struct
 import xml.etree.ElementTree as ET
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framelocal.errors import NoSeries
@@ -56,6 +57,8 @@ class TestWriteCsv:
         st.floats(allow_nan=False, allow_infinity=False, width=64),
         st.floats(allow_nan=False, allow_infinity=False, width=64),
         st.floats(min_value=0.0, max_value=1e12)), min_size=1, max_size=20))
+    @example([(-0.0, 5e-324, 0.0)])
+    @example([(1e16, -1e16, 0.0), (-5e-324, -0.0, 1.0)])
     @settings(max_examples=80, deadline=None)
     def test_round_trip_bit_exact(self, tmp_path_factory, values):
         tmp = tmp_path_factory.mktemp("csv")
@@ -63,8 +66,15 @@ class TestWriteCsv:
         layout = OutputLayout(out_dir=tmp)
         path = write_csv(_series(values), layout)
         rows = path.read_text().splitlines()[1:]
-        parsed = [tuple(float(cell) for cell in row.split(",")) for row in rows]
-        assert parsed == [(x, y, t) for x, y, t in values]
+        # compare bit patterns: == would accept 0 for -0.0
+        parsed = [[struct.pack("<d", float(cell)) for cell in row.split(",")]
+                  for row in rows]
+        assert parsed == [[struct.pack("<d", v) for v in row] for row in values]
+
+    def test_negative_zero_keeps_its_sign(self, tmp_path):
+        layout = OutputLayout(out_dir=tmp_path)
+        path = write_csv(_series([(-0.0, 0.0, 0.0)]), layout)
+        assert path.read_bytes() == b"x,y,t\n-0,0,0\n"
 
 
 class TestRenderOverlaySvg:
