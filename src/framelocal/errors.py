@@ -58,7 +58,7 @@ class MalformedXml(IngestError):
 
 
 class NoTimedPoints(IngestError):
-    """A GPX file contains no timestamped track points."""
+    """A GPX file has no track point with a usable time and position."""
 
 
 class FramesFileUnreadable(IngestError):

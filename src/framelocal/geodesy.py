@@ -88,7 +88,7 @@ def _vincenty(ellipsoid: Ellipsoid, lat1: float, lon1: float,
     azimuth of the continuing line at point 2), azimuths in radians."""
     a = ellipsoid.semi_major_axis_m
     f = ellipsoid.flattening
-    b = a * (1.0 - f)
+    b = ellipsoid.semi_minor_axis_m
 
     phi1 = math.radians(lat1)
     phi2 = math.radians(lat2)
@@ -189,7 +189,8 @@ class HomParams:
 
     The public fields repeat the requested center and azimuth; the remaining
     fields are internals of the formulation: b_pow/a_m/e_num are the
-    aposphere constants, gamma0_rad the skew angle at the natural origin,
+    aposphere constants, e the ellipsoid's eccentricity, sin/cos_gamma0 the
+    skew angle at the natural origin, sin/cos_phi0 the center latitude,
     lon0_rad the natural-origin longitude, u0_m/v0_m the skew coordinates of
     the requested center (subtracted so the center maps to (0, 0)), and
     reversed_line marks frame azimuths in (90, 270) that are projected along
@@ -200,21 +201,24 @@ class HomParams:
     origin_lat_deg: float
     origin_lon_deg: float
     azimuth_deg: float
-    scale_at_center: float
     b_pow: float
     a_m: float
     e_num: float
-    gamma0_rad: float
+    e: float
+    sin_gamma0: float
+    cos_gamma0: float
+    sin_phi0: float
+    cos_phi0: float
     lon0_rad: float
     u0_m: float
     v0_m: float
     reversed_line: bool
 
 
-def _conformal_t(phi: float, e: float) -> float:
-    """Isometric colatitude factor t; decreases from 1 at the equator toward
-    0 at the north pole."""
-    s = e * math.sin(phi)
+def _conformal_t(phi: float, sin_phi: float, e: float) -> float:
+    """Isometric colatitude factor t of latitude phi (radians), given its
+    sine; decreases from 1 at the equator toward 0 at the north pole."""
+    s = e * sin_phi
     return math.tan(0.25 * math.pi - 0.5 * phi) * ((1.0 + s) / (1.0 - s)) ** (0.5 * e)
 
 
@@ -235,37 +239,8 @@ def _clamp(value: float, lo: float, hi: float) -> float:
     return lo if value < lo else hi if value > hi else value
 
 
-def _skew_uv(params: HomParams, lat_deg: float, lon_deg: float) -> tuple[float, float]:
-    """Forward transform to raw skew coordinates (u along the formulation
-    centerline, v perpendicular to it, right-positive)."""
-    e = math.sqrt(params.ellipsoid.eccentricity_sq)
-    phi = math.radians(lat_deg)
-    lam = math.radians(normalize_longitude(lon_deg))
-
-    t = _conformal_t(phi, e)
-    q = params.e_num / t ** params.b_pow
-    big_s = 0.5 * (q - 1.0 / q)
-    big_t = 0.5 * (q + 1.0 / q)
-    dlam = lam - params.lon0_rad
-    if dlam < -math.pi:
-        dlam += 2.0 * math.pi
-    elif dlam > math.pi:
-        dlam -= 2.0 * math.pi
-    bdl = params.b_pow * dlam
-    big_v = math.sin(bdl)
-    sin_g0 = math.sin(params.gamma0_rad)
-    cos_g0 = math.cos(params.gamma0_rad)
-    big_u = (-big_v * cos_g0 + big_s * sin_g0) / big_t
-    if abs(big_u) >= 1.0 - 1e-15:
-        raise OutOfDomain("point maps to the singular axis of the projection")
-    v = 0.5 * params.a_m * math.log((1.0 - big_u) / (1.0 + big_u)) / params.b_pow
-    u = params.a_m * math.atan2(big_s * cos_g0 + big_v * sin_g0,
-                                math.cos(bdl)) / params.b_pow
-    return u, v
-
-
 def hom_setup(ellipsoid: Ellipsoid, origin_lat_deg: float, origin_lon_deg: float,
-              azimuth_deg: float, scale_at_center: float = 1.0) -> HomParams:
+              azimuth_deg: float) -> HomParams:
     """Precompute projection constants for a center point and an azimuth.
 
     The returned parameters place the projection origin at the given point,
@@ -296,8 +271,8 @@ def hom_setup(ellipsoid: Ellipsoid, origin_lat_deg: float, origin_lon_deg: float
     con = 1.0 - e2 * sin_phi0 * sin_phi0
 
     b_pow = math.sqrt(1.0 + e2 * cos_phi0 ** 4 / (1.0 - e2))
-    a_m = a * b_pow * scale_at_center * math.sqrt(1.0 - e2) / con
-    t0 = _conformal_t(phi0, e)
+    a_m = a * b_pow * math.sqrt(1.0 - e2) / con
+    t0 = _conformal_t(phi0, sin_phi0, e)
     d = b_pow * math.sqrt(1.0 - e2) / (cos_phi0 * math.sqrt(con))
     d2m1 = max(d * d - 1.0, 0.0)  # rounding can push d below 1 at the equator
     f_num = d + math.sqrt(d2m1) if phi0 >= 0.0 else d - math.sqrt(d2m1)
@@ -317,20 +292,24 @@ def hom_setup(ellipsoid: Ellipsoid, origin_lat_deg: float, origin_lon_deg: float
         origin_lat_deg=origin_lat_deg,
         origin_lon_deg=lon_c,
         azimuth_deg=az,
-        scale_at_center=scale_at_center,
         b_pow=b_pow,
         a_m=a_m,
         e_num=e_num,
-        gamma0_rad=gamma0,
+        e=e,
+        sin_gamma0=math.sin(gamma0),
+        cos_gamma0=math.cos(gamma0),
+        sin_phi0=sin_phi0,
+        cos_phi0=cos_phi0,
         lon0_rad=lon0,
         u0_m=0.0,
         v0_m=0.0,
-        reversed_line=reversed_line,
+        reversed_line=False,
     )
-    # Anchor the output origin by projecting the center itself; this makes
-    # hom_forward(params, center) exactly (0, 0).
-    u0, v0 = _skew_uv(params, origin_lat_deg, lon_c)
-    return replace(params, u0_m=u0, v0_m=v0)
+    # Anchor the output origin by projecting the center itself with zero
+    # offsets and no mirroring, which returns its raw skew coordinates
+    # (v, u); this makes hom_forward(params, center) exactly (0, 0).
+    v0, u0 = hom_forward(params, origin_lat_deg, lon_c)
+    return replace(params, u0_m=u0, v0_m=v0, reversed_line=reversed_line)
 
 
 def hom_forward(params: HomParams, lat_deg: float, lon_deg: float) -> tuple[float, float]:
@@ -345,13 +324,33 @@ def hom_forward(params: HomParams, lat_deg: float, lon_deg: float) -> tuple[floa
     # Within 90 degrees of arc of the origin means a non-negative spherical
     # dot product. The reduction mod 360 turns an infinite longitude into
     # NaN, and NaN fails the comparison, so non-finite input is rejected.
-    phi0 = math.radians(params.origin_lat_deg)
     phi = math.radians(lat_deg)
-    dlam = math.radians((lon_deg - params.origin_lon_deg) % 360.0)
-    if not (math.sin(phi0) * math.sin(phi)
-            + math.cos(phi0) * math.cos(phi) * math.cos(dlam) >= 0.0):
+    sin_phi = math.sin(phi)
+    dlon = math.radians((lon_deg - params.origin_lon_deg) % 360.0)
+    if not (params.sin_phi0 * sin_phi
+            + params.cos_phi0 * math.cos(phi) * math.cos(dlon) >= 0.0):
         raise OutOfDomain("point lies in the hemisphere opposite the origin")
-    u, v = _skew_uv(params, lat_deg, lon_deg)
+
+    # Hotine skew coordinates: u along the formulation centerline, v
+    # perpendicular to it, right-positive.
+    sin_g0, cos_g0 = params.sin_gamma0, params.cos_gamma0
+    q = params.e_num / _conformal_t(phi, sin_phi, params.e) ** params.b_pow
+    big_s = 0.5 * (q - 1.0 / q)
+    big_t = 0.5 * (q + 1.0 / q)
+    dlam = math.radians(normalize_longitude(lon_deg)) - params.lon0_rad
+    if dlam < -math.pi:
+        dlam += 2.0 * math.pi
+    elif dlam > math.pi:
+        dlam -= 2.0 * math.pi
+    bdl = params.b_pow * dlam
+    big_v = math.sin(bdl)
+    big_u = (-big_v * cos_g0 + big_s * sin_g0) / big_t
+    if abs(big_u) >= 1.0 - 1e-15:
+        raise OutOfDomain("point maps to the singular axis of the projection")
+    v = 0.5 * params.a_m * math.log((1.0 - big_u) / (1.0 + big_u)) / params.b_pow
+    u = params.a_m * math.atan2(big_s * cos_g0 + big_v * sin_g0,
+                                math.cos(bdl)) / params.b_pow
+
     du = u - params.u0_m
     dv = v - params.v0_m
     if params.reversed_line:
@@ -373,22 +372,20 @@ def hom_inverse(params: HomParams, x_m: float, y_m: float) -> tuple[float, float
     u = du + params.u0_m
     v = dv + params.v0_m
 
-    e = math.sqrt(params.ellipsoid.eccentricity_sq)
+    sin_g0, cos_g0 = params.sin_gamma0, params.cos_gamma0
     try:
         q = math.exp(-params.b_pow * v / params.a_m)
         big_s = 0.5 * (q - 1.0 / q)
         big_t = 0.5 * (q + 1.0 / q)
         bua = params.b_pow * u / params.a_m
         big_v = math.sin(bua)
-        sin_g0 = math.sin(params.gamma0_rad)
-        cos_g0 = math.cos(params.gamma0_rad)
         big_u = (big_v * cos_g0 + big_s * sin_g0) / big_t
         if abs(big_u) >= 1.0:
             raise out_of_domain
         t = (params.e_num / math.sqrt((1.0 + big_u) / (1.0 - big_u))) ** (1.0 / params.b_pow)
     except (OverflowError, ZeroDivisionError, ValueError):
         raise out_of_domain from None
-    phi = _conformal_phi(t, e)
+    phi = _conformal_phi(t, params.e)
     lam = params.lon0_rad - math.atan2(big_s * cos_g0 - big_v * sin_g0,
                                        math.cos(bua)) / params.b_pow
     lat_deg = math.degrees(phi)

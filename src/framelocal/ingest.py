@@ -14,7 +14,8 @@ forms such as ``PT20M`` are rejected. Datetimes without a UTC offset are
 interpreted as UTC, with a warning.
 
 Traces are GPX 1.0/1.1; only trk/trkseg/trkpt with lat/lon attributes and
-a <time> child are consumed. GPX times are UTC by that format's definition.
+a <time> child are consumed, read in the root element's namespace. GPX
+times are UTC by that format's definition.
 """
 
 from __future__ import annotations
@@ -57,7 +58,9 @@ class IngestReport:
 
 
 def _parse_instant(text: str) -> tuple[datetime, bool]:
-    """Parse one ISO 8601 datetime; returns (instant in UTC, was_naive)."""
+    """Parse one ISO 8601 datetime; returns (aware instant, was_naive).
+    The instant keeps its parsed offset; GeoPoint and EventInterval
+    convert it to UTC."""
     cleaned = text.strip()
     if cleaned.endswith(("Z", "z")):
         cleaned = cleaned[:-1] + "+00:00"
@@ -67,7 +70,7 @@ def _parse_instant(text: str) -> tuple[datetime, bool]:
         raise MalformedInterval(f"bad datetime {text!r}: {exc}") from None
     if parsed.tzinfo is None:
         return parsed.replace(tzinfo=timezone.utc), True
-    return parsed.astimezone(timezone.utc), False
+    return parsed, False
 
 
 def parse_interval(text: str, label: str = "e0",
@@ -227,10 +230,6 @@ def parse_frames(geojson_text: str,
     return frames
 
 
-def _local_name(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
-
-
 def parse_gpx(gpx_text: str | bytes, trace_id: str,
               on_warning: WarnFn | None = None) -> Trace:
     """Parse GPX 1.0/1.1 text into a Trace.
@@ -253,17 +252,13 @@ def parse_gpx(gpx_text: str | bytes, trace_id: str,
         except (ET.ParseError, ValueError):
             raise MalformedXml(f"cannot parse XML: {exc}") from None
 
+    # "{uri}" of the root tag, or "" for a GPX 1.0 file without a namespace
+    ns = root.tag[:root.tag.rfind("}") + 1]
     points: list[GeoPoint] = []
     saw_trkpt = False
-    for elem in root.iter():
-        if _local_name(elem.tag) != "trkpt":
-            continue
+    for elem in root.iter(ns + "trkpt"):
         saw_trkpt = True
-        time_text = None
-        for child in elem:
-            if _local_name(child.tag) == "time":
-                time_text = child.text
-                break
+        time_text = elem.findtext(ns + "time")
         if time_text is None or not time_text.strip():
             warn("track point without <time> skipped")
             continue
@@ -285,7 +280,7 @@ def parse_gpx(gpx_text: str | bytes, trace_id: str,
             continue
 
     if not points:
-        detail = "no timestamped track points" if saw_trkpt else "no track points"
+        detail = "no usable track points" if saw_trkpt else "no track points"
         raise NoTimedPoints(f"{detail} in GPX input")
     points.sort(key=lambda p: p.time_utc)
     return Trace(id=trace_id, points=tuple(points))

@@ -1,0 +1,140 @@
+"""Fuzzing the command line with mutated GPX bytes and GeoJSON text: no input
+raises out of cli.main, the exit code is 0, 2 or 3, and every CSV written
+re-parses to the exact bits of the series the engine computes."""
+
+import json
+import struct
+from datetime import datetime, timezone
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fixtures import frame_feature, frames_doc, gpx_doc, iso, ts
+from framelocal.cli import main
+from framelocal.engine import run
+from framelocal.ingest import load_inputs
+from framelocal.output import OutputLayout
+
+ORIGIN = (-37.85, 145.0)
+TARGET = (-37.84, 145.001)
+INTERVAL = "2017-06-10T05:00:00Z/2017-06-10T05:20:00Z"
+
+_WEIRD_NUMBERS = ["", "nan", "inf", "-inf", "1e400", "-0", "abc", " 1.5 ",
+                  "90.0000001", "-180", "540"]
+
+
+def _mostly(usual: st.SearchStrategy, other: st.SearchStrategy) -> st.SearchStrategy:
+    """other in about one draw of four, so that most runs get as far as
+    writing CSVs; hypothesis favours small integers, so 3 picks other"""
+    return st.integers(0, 3).flatmap(lambda i: other if i == 3 else usual)
+
+
+def _number_text(near: float) -> st.SearchStrategy[str]:
+    return _mostly(st.floats(near - 0.01, near + 0.01).map(repr),
+                   st.one_of(st.sampled_from(_WEIRD_NUMBERS),
+                             st.floats().map(repr)))
+
+
+_TIMES = _mostly(
+    st.datetimes(min_value=datetime(2017, 6, 10, 5, 0),
+                 max_value=datetime(2017, 6, 10, 5, 25),
+                 timezones=st.just(timezone.utc)).map(iso),
+    st.one_of(st.none(), st.sampled_from([
+        "", "2017-06-10T05:01:00", "2017-06-10T15:01:00+10:00",
+        "2017-13-10T05:00:00Z", "yesterday", "2017-06-10T05:00:00.5Z"])))
+
+_TRKPTS = st.lists(st.tuples(_number_text(ORIGIN[0]), _number_text(ORIGIN[1]),
+                             _TIMES), min_size=1, max_size=12)
+
+# (offset, replacement): overwrite bytes at offset modulo the length; an
+# empty replacement truncates there
+_SPLICES = st.lists(st.tuples(st.integers(0, 1 << 16), st.binary(max_size=4)),
+                    min_size=1, max_size=2)
+
+
+def _splice(data: bytes, splices) -> bytes:
+    for offset, chunk in splices:
+        at = offset % (len(data) + 1)
+        data = data[:at] + chunk + (data[at + len(chunk):] if chunk else b"")
+    return data
+
+
+@st.composite
+def _gpx_bytes(draw) -> bytes:
+    rows = "".join(
+        f'<trkpt lat="{lat}" lon="{lon}">'
+        + ("" if when is None else f"<time>{when}</time>") + "</trkpt>"
+        for lat, lon, when in draw(_TRKPTS))
+    xmlns = draw(st.sampled_from(
+        ["", ' xmlns="http://www.topografix.com/GPX/1/0"',
+         ' xmlns="http://www.topografix.com/GPX/1/1"']))
+    text = (f'<?xml version="1.0" encoding="UTF-8"?><gpx version="1.1"{xmlns}>'
+            f"<trk><trkseg>{rows}</trkseg></trk></gpx>")
+    return _splice(text.encode("utf-8"), draw(_mostly(st.just([]), _SPLICES)))
+
+
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                          st.floats(), st.text(max_size=4))
+_POSITION_VALUES = st.one_of(
+    st.floats(-37.86, 145.01), st.sampled_from([float("nan"), float("inf")]),
+    _JSON_SCALARS)
+
+
+@st.composite
+def _frames_text(draw) -> bytes:
+    # at most one part is broken, so that half of the runs get past it
+    broken = draw(st.sampled_from(["", "", "", "", "positions", "events",
+                                   "geometry", "bytes"]))
+    positions = [[ORIGIN[1], ORIGIN[0]], [TARGET[1], TARGET[0]]]
+    if broken == "positions":
+        positions = draw(st.lists(st.one_of(
+            st.sampled_from(positions), st.lists(_POSITION_VALUES, max_size=3)),
+            max_size=3))
+    events = [INTERVAL]
+    if broken == "events":
+        events = draw(st.lists(st.one_of(st.just(INTERVAL), st.text(max_size=12),
+                                         _JSON_SCALARS), max_size=3))
+    feature = {"type": "Feature", "id": draw(st.sampled_from(["f0", "", None])),
+               "geometry": {"type": "Point" if broken == "geometry" else "LineString",
+                            "coordinates": positions},
+               "properties": {"events": events}}
+    text = json.dumps({"type": "FeatureCollection", "features": [feature]})
+    return _splice(text.encode("utf-8"), draw(_SPLICES) if broken == "bytes" else [])
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+@given(gpx=st.lists(_gpx_bytes(), min_size=1, max_size=2),
+       frames=_frames_text())
+@example(gpx=[gpx_doc([(*ORIGIN, ts(5, 1)), (*TARGET, ts(5, 2))]).encode()],
+         frames=frames_doc([frame_feature("f0", ORIGIN, TARGET,
+                                          {"events": [INTERVAL]})]).encode())
+@settings(max_examples=50, deadline=None)
+def test_cli_survives_mutated_input(tmp_path_factory, gpx, frames):
+    base = tmp_path_factory.mktemp("fuzz")
+    frames_path = base / "frames.geojson"
+    frames_path.write_bytes(frames)
+    traces_dir = base / "traces"
+    traces_dir.mkdir()
+    for i, data in enumerate(gpx):
+        (traces_dir / f"t{i}.gpx").write_bytes(data)
+    out_dir = base / "out"
+
+    code = main(["--frames", str(frames_path), "--traces", str(traces_dir),
+                 "--out", str(out_dir)])
+
+    assert code in (0, 2, 3)
+    if code != 0:
+        return
+    frame_list, traces, _ = load_inputs(frames_path, traces_dir)
+    layout = OutputLayout(out_dir=out_dir)
+    expected = {layout.path_for(series): series
+                for series in run(traces, frame_list).series}
+    assert set(out_dir.iterdir()) == set(expected)
+    for path, series in expected.items():
+        header, *rows = path.read_text(encoding="utf-8").split("\n")[:-1]
+        assert header == "x,y,t"
+        assert [[_bits(float(cell)) for cell in row.split(",")] for row in rows] == [
+            [_bits(p.x_m), _bits(p.y_m), _bits(p.t_s)] for p in series.points]

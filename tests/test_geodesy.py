@@ -159,8 +159,9 @@ class TestHomSetup:
 
 
 class TestHomForward:
-    def test_projection_center(self):
-        params = hom_setup(WGS84, 10.0, 20.0, 0.0)
+    @pytest.mark.parametrize("azimuth", [0.0, 45.0, 135.0, 200.0, 300.0])
+    def test_projection_center(self, azimuth):
+        params = hom_setup(WGS84, 10.0, 20.0, azimuth)
         assert hom_forward(params, 10.0, 20.0) == (0.0, 0.0)
 
     def test_east_is_right_when_facing_north(self):

@@ -269,6 +269,33 @@ class TestParseGpx:
                 '<time>2017-06-10T05:00:00Z</time></trkpt></trkseg></trk></gpx>')
         assert len(parse_gpx(text, "t").points) == 1
 
+    def test_gpx_10_without_namespace(self):
+        text = gpx_doc([(1.0, 2.0, ts(5)), (1.0, 2.1, None), (1.0, 2.2, ts(6))],
+                       version="1.0", namespace=False)
+        warnings = []
+        trace = parse_gpx(text, "t", on_warning=warnings.append)
+        assert [p.lon_deg for p in trace.points] == [2.0, 2.2]
+        assert warnings == ["track point without <time> skipped"]
+
+    def test_garmin_extensions_in_other_namespace(self):
+        ext = ('<extensions><gpxtpx:TrackPointExtension><gpxtpx:hr>{}</gpxtpx:hr>'
+               '</gpxtpx:TrackPointExtension></extensions>')
+        rows = "".join(
+            f'<trkpt lat="1.0" lon="2.{i}"><ele>31.{i}</ele>'
+            f'<time>2017-06-10T05:00:0{i}Z</time>{ext.format(140 + i)}</trkpt>'
+            for i in range(4))
+        text = ('<?xml version="1.0" encoding="UTF-8"?>'
+                '<gpx version="1.1" creator="Garmin Connect"'
+                ' xmlns="http://www.topografix.com/GPX/1/1"'
+                ' xmlns:gpxtpx="http://www.garmin.com/xmlschemas/TrackPointExtension/v1">'
+                '<metadata><time>2017-06-10T04:00:00Z</time></metadata>'
+                f'<trk><name>Run</name><trkseg>{rows}</trkseg></trk></gpx>')
+        warnings = []
+        trace = parse_gpx(text.encode("utf-8"), "t", on_warning=warnings.append)
+        assert [p.lon_deg for p in trace.points] == [2.0, 2.1, 2.2, 2.3]
+        assert trace.points[-1].time_utc == ts(5, 0, 3)
+        assert warnings == []
+
     def test_malformed_xml(self):
         with pytest.raises(MalformedXml):
             parse_gpx("<gpx><trk>", "t")
@@ -400,6 +427,17 @@ class TestLoadInputs:
         assert [t.id for t in traces_loaded] == ["a"]
         assert len(report.warnings) == 1
         assert "bad.gpx" in report.warnings[0][0]
+
+    def test_file_without_usable_points_says_so(self, tmp_path):
+        # the only point is timed; it is dropped for its coordinate
+        frames_path, traces = _write_two_field_inputs(tmp_path)
+        (traces / "a.gpx").write_text(gpx_doc([(0.0, 0.0, ts(5))]))
+        (traces / "bad.gpx").write_text(gpx_doc([(0.0, math.inf, ts(5))]))
+        _, traces_loaded, report = load_inputs(frames_path, traces)
+        assert [t.id for t in traces_loaded] == ["a"]
+        assert [message for _, message in report.warnings] == [
+            "track point skipped: longitude inf is not finite",
+            "trace skipped: no usable track points in GPX input"]
 
     def test_recursion_flag(self, tmp_path):
         frames_path, traces = _write_two_field_inputs(tmp_path)
