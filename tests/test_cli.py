@@ -1,11 +1,14 @@
 """Command-line behavior: flags, exit codes, summary line, determinism."""
 
+import gc
 import subprocess
 import sys
+from datetime import timedelta
 
 import pytest
 
 from fixtures import frame_feature, frames_doc, gpx_doc, ts, two_fields_dataset
+from framelocal import cli
 from framelocal.cli import main
 
 ORIGIN = (-37.85, 145.0)
@@ -93,6 +96,33 @@ class TestExitCodes:
 
 
 class TestBehavior:
+    def test_out_of_domain_fixes_dropped_with_one_warning(self, tmp_path, capsys):
+        frames_path, traces = _basic_inputs(tmp_path)
+        args = ["--frames", str(frames_path), "--traces", str(traces)]
+        assert main(args + ["--out", str(tmp_path / "clean")]) == 0
+        capsys.readouterr()
+        # null-island glitches inside the event, against a Melbourne frame
+        (traces / "glitch.gpx").write_text(gpx_doc(
+            [(ORIGIN[0], ORIGIN[1], ts(5, 1)), (0.0, 0.0, ts(5, 1, 30)),
+             (0.0, 0.0, ts(5, 1, 40)), (TARGET[0], TARGET[1], ts(5, 2))]))
+        out_dir = tmp_path / "out"
+        code = main(args + ["--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "glitch__f0__e0.csv", "walk__f0__e0.csv"]
+        assert ((out_dir / "walk__f0__e0.csv").read_bytes()
+                == (tmp_path / "clean" / "walk__f0__e0.csv").read_bytes())
+        glitch_rows = (out_dir / "glitch__f0__e0.csv").read_text().splitlines()
+        assert [row.rsplit(",", 1)[1] for row in glitch_rows] == ["t", "60", "120"]
+        assert captured.err == (
+            "framelocal: warning: trace 'glitch', frame 'f0', event 'e0': "
+            "2 of 4 in-window fixes skipped as out of the projection's domain; "
+            "first: point (0.0, 0.0) at 2017-06-10T05:01:30+00:00: "
+            "point lies in the hemisphere opposite the origin\n")
+        assert captured.out == ("2 series written, 0 permutations skipped "
+                                "(empty), 1 warnings\n")
+
     def test_out_dir_created_and_plot_written(self, tmp_path, capsys):
         frames_path, traces = _basic_inputs(tmp_path)
         out_dir = tmp_path / "deep" / "nested" / "out"
@@ -169,3 +199,84 @@ class TestBehavior:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip().endswith("0 warnings")
+
+
+def _inputs_exiting_with(base, code):
+    frames_path, traces = _basic_inputs(base)
+    if code == 2:
+        frames_path.write_text("{}")
+    elif code == 3:  # a frame on the other side of the planet
+        frames_path.write_text(frames_doc([frame_feature(
+            "far", (37.85, -35.0), (37.84, -35.001), {"events": [INTERVAL]})]))
+    return frames_path, traces
+
+
+def _corpus(base, copies):
+    """`copies` traces, each with untimed fixes and an out-of-domain fix, seen
+    by two events, plus one malformed GPX file"""
+    base.mkdir()
+    frames_path = base / "frames.geojson"
+    frames_path.write_text(frames_doc([frame_feature("f0", ORIGIN, TARGET, {"events": [
+        "2017-06-10T05:00:00Z/2017-06-10T05:10:00Z",
+        "2017-06-10T05:10:00Z/2017-06-10T05:20:00Z"]})]))
+    traces = base / "traces"
+    traces.mkdir()
+    for i in range(copies):
+        fixes = [(ORIGIN[0] + k * 1e-5, ORIGIN[1],
+                  None if k % 7 == 3 else ts(5) + timedelta(seconds=30 * k))
+                 for k in range(40)]
+        (traces / f"p{i}.gpx").write_text(gpx_doc(fixes + [(0.0, 0.0, ts(5, 19))]))
+    (traces / "broken.gpx").write_text("<gpx><trk>")
+    return frames_path, traces
+
+
+class TestCollectorPause:
+    """main pauses the cyclic collector around the pipeline, which is safe
+    only because the pipeline leaves no reference cycles that grow with its
+    input."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("expected", [0, 2, 3])
+    def test_state_restored_on_every_exit(self, tmp_path, capsys, monkeypatch,
+                                          enabled, expected):
+        frames_path, traces = _inputs_exiting_with(tmp_path, expected)
+        during = []
+        real_load_inputs = cli.load_inputs
+
+        def load_inputs(*args, **kwargs):
+            during.append(gc.isenabled())
+            return real_load_inputs(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_inputs", load_inputs)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code = main(["--frames", str(frames_path), "--traces", str(traces),
+                         "--out", str(tmp_path / "out")])
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert code == expected
+        assert during == [False]
+        assert after is enabled
+
+    def test_cyclic_garbage_does_not_grow_with_input(self, tmp_path, capsys):
+        found = {}
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            # the first run fills the caches that later runs reuse
+            for index, copies in enumerate((2, 2, 8)):
+                frames_path, traces = _corpus(tmp_path / f"in{index}", copies)
+                gc.collect()
+                code = main(["--frames", str(frames_path), "--traces", str(traces),
+                             "--out", str(tmp_path / f"out{index}")])
+                found[copies] = gc.collect()
+                assert code == 0
+                assert capsys.readouterr().out == (
+                    f"{2 * copies} series written, 0 permutations skipped "
+                    f"(empty), {7 * copies + 1} warnings\n")
+        finally:
+            if was:
+                gc.enable()
+        assert found[8] <= found[2]

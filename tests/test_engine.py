@@ -158,6 +158,18 @@ class TestRun:
         with pytest.raises(OutOfDomain, match=r"nearby.*farframe.*e0"):
             run(traces, [(frame, [_interval(ts(5, 0), ts(5, 10))])])
 
+    def test_out_of_domain_points_dropped_with_one_warning(self):
+        frame = _frame()
+        traces = [_trace([(*ORIGIN, ts(5, 1)), (0.0, 0.0, ts(5, 2)),
+                          (37.85, -35.0, ts(5, 3)), (*ORIGIN, ts(5, 4))], "glitchy")]
+        result = run(traces, [(frame, [_interval(ts(5, 0), ts(5, 10))])])
+        assert [p.t_s for p in result.series[0].points] == [60.0, 240.0]
+        assert result.warnings == (
+            "trace 'glitchy', frame 'f0', event 'e0': 2 of 4 in-window fixes "
+            "skipped as out of the projection's domain; first: point (0.0, 0.0) "
+            "at 2017-06-10T05:02:00+00:00: point lies in the hemisphere "
+            "opposite the origin",)
+
     def test_frame_independence(self):
         frame_a = _frame("a", azimuth=10.0)
         frame_b = _frame("b", azimuth=75.0)

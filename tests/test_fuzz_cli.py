@@ -1,17 +1,22 @@
 """Fuzzing the command line with mutated GPX bytes and GeoJSON text: no input
-raises out of cli.main, the exit code is 0, 2 or 3, and every CSV written
-re-parses to the exact bits of the series the engine computes."""
+raises out of cli.main, the exit code is 0, 2 or 3, every CSV written
+re-parses to the exact bits of the series the engine computes, and exit 3
+means the engine itself failed, e.g. on a permutation with no fix that
+projects, never that a far fix among good ones cost the run."""
 
 import json
 import struct
 from datetime import datetime, timezone
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fixtures import frame_feature, frames_doc, gpx_doc, iso, ts
 from framelocal.cli import main
-from framelocal.engine import run
+from framelocal.engine import clip_to_event, run
+from framelocal.errors import FrameLocalError, OutOfDomain
+from framelocal.geodesy import WGS84, hom_forward, hom_setup
 from framelocal.ingest import load_inputs
 from framelocal.output import OutputLayout
 
@@ -43,8 +48,15 @@ _TIMES = _mostly(
         "", "2017-06-10T05:01:00", "2017-06-10T15:01:00+10:00",
         "2017-13-10T05:00:00Z", "yesterday", "2017-06-10T05:00:00.5Z"])))
 
-_TRKPTS = st.lists(st.tuples(_number_text(ORIGIN[0]), _number_text(ORIGIN[1]),
-                             _TIMES), min_size=1, max_size=12)
+# fixes the projection cannot take from a Melbourne origin: null island, the
+# far hemisphere, poleward of its latitude limit
+_FAR_POSITIONS = st.sampled_from([("0", "0"), ("37.85", "-35.0"),
+                                  ("89.95", "145.0"), ("-90", "145.0")])
+
+_TRKPTS = st.lists(st.tuples(
+    _mostly(st.tuples(_number_text(ORIGIN[0]), _number_text(ORIGIN[1])),
+            _FAR_POSITIONS),
+    _TIMES), min_size=1, max_size=12)
 
 # (offset, replacement): overwrite bytes at offset modulo the length; an
 # empty replacement truncates there
@@ -64,7 +76,7 @@ def _gpx_bytes(draw) -> bytes:
     rows = "".join(
         f'<trkpt lat="{lat}" lon="{lon}">'
         + ("" if when is None else f"<time>{when}</time>") + "</trkpt>"
-        for lat, lon, when in draw(_TRKPTS))
+        for (lat, lon), when in draw(_TRKPTS))
     xmlns = draw(st.sampled_from(
         ["", ' xmlns="http://www.topografix.com/GPX/1/0"',
          ' xmlns="http://www.topografix.com/GPX/1/1"']))
@@ -102,6 +114,26 @@ def _frames_text(draw) -> bytes:
     return _splice(text.encode("utf-8"), draw(_SPLICES) if broken == "bytes" else [])
 
 
+def _projects(params, point) -> bool:
+    try:
+        hom_forward(params, point.lat_deg, point.lon_deg)
+    except OutOfDomain:
+        return False
+    return True
+
+
+def _some_permutation_projects_nothing(traces, frame_list) -> bool:
+    for frame, events in frame_list:
+        params = hom_setup(WGS84, frame.origin_lat_deg, frame.origin_lon_deg,
+                           frame.azimuth_deg)
+        for trace in traces:
+            for event in events:
+                clipped = clip_to_event(trace, event)
+                if clipped and not any(_projects(params, p) for p in clipped):
+                    return True
+    return False
+
+
 def _bits(value: float) -> bytes:
     return struct.pack("<d", value)
 
@@ -126,9 +158,15 @@ def test_cli_survives_mutated_input(tmp_path_factory, gpx, frames):
                  "--out", str(out_dir)])
 
     assert code in (0, 2, 3)
-    if code != 0:
+    if code == 2:
         return
     frame_list, traces, _ = load_inputs(frames_path, traces_dir)
+    if code == 3:
+        with pytest.raises(FrameLocalError) as failure:
+            run(traces, frame_list)
+        if isinstance(failure.value, OutOfDomain):
+            assert _some_permutation_projects_nothing(traces, frame_list)
+        return
     layout = OutputLayout(out_dir=out_dir)
     expected = {layout.path_for(series): series
                 for series in run(traces, frame_list).series}
