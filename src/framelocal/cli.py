@@ -94,6 +94,7 @@ def _pipeline(args: argparse.Namespace) -> int:
         result = run(traces, frames)
         for message in result.warnings:
             print(f"framelocal: warning: {message}", file=sys.stderr)
+        warnings = len(report.warnings) + len(result.warnings)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         layout = OutputLayout(out_dir=out_dir)
@@ -109,11 +110,11 @@ def _pipeline(args: argparse.Namespace) -> int:
             else:
                 print("framelocal: warning: no series to plot; skipped "
                       f"{args.plot}", file=sys.stderr)
+                warnings += 1
     except (FrameLocalError, OSError) as exc:
         print(f"framelocal: error: {exc}", file=sys.stderr)
         return 3
 
-    warnings = len(report.warnings) + len(result.warnings)
     print(f"{len(result.series)} series written, {result.skipped_empty} "
           f"permutations skipped (empty), {warnings} warnings")
     return 0

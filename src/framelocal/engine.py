@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import FrameLocalError, OutOfDomain
-from .geodesy import Ellipsoid, HomParams, WGS84, hom_forward, hom_setup
+from .geodesy import HomParams, WGS84, hom_forward, hom_setup
 from .ingest import WarnFn
 from .model import EventInterval, EventSeries, FrameLine, GeoPoint, LocalPoint, Trace
 
@@ -58,7 +58,7 @@ def project_series(points: tuple[GeoPoint, ...], frame: FrameLine,
             dropped += 1
             continue
         t = (point.time_utc - event.begin_utc).total_seconds()
-        locals_.append(LocalPoint(x_m=x, y_m=y, t_s=t))
+        locals_.append(LocalPoint(x, y, t))
     if dropped:
         if not locals_:
             raise OutOfDomain(first)
@@ -70,19 +70,18 @@ def project_series(points: tuple[GeoPoint, ...], frame: FrameLine,
 
 
 def run(traces: list[Trace],
-        frames: list[tuple[FrameLine, list[EventInterval]]],
-        ellipsoid: Ellipsoid = WGS84) -> RunResult:
+        frames: list[tuple[FrameLine, list[EventInterval]]]) -> RunResult:
     """Process every (trace, frame, event) permutation.
 
-    Projection setup happens once per frame. Series are sorted by (trace id,
-    frame id, event label). Samples dropped as out of domain become one
-    warning per permutation, in input order (traces, then frames, then
-    events). A failure in any permutation, including one in which no sample
+    Projection setup happens once per frame, on WGS84 like the frame's
+    azimuth. Series are sorted by (trace id, frame id, event label).
+    Samples dropped as out of domain become one warning per permutation, in
+    input order (traces, then frames, then events). A failure in any permutation, including one in which no sample
     projects, aborts the run and is reported for the first failing
     permutation in that order. Projection errors carry the offending
     permutation and point.
     """
-    prepared = [(frame, events, hom_setup(ellipsoid, frame.origin_lat_deg,
+    prepared = [(frame, events, hom_setup(WGS84, frame.origin_lat_deg,
                                           frame.origin_lon_deg, frame.azimuth_deg))
                 for frame, events in frames]
     series: list[EventSeries] = []

@@ -42,7 +42,7 @@ from .errors import (
     NoTraces,
     ReversedInterval,
 )
-from .model import EventInterval, FrameLine, GeoPoint, Trace
+from .model import EventInterval, FrameLine, GeoPoint, Trace, unique_name
 
 WarnFn = Callable[[str], None]
 
@@ -106,10 +106,9 @@ def format_interval(interval: EventInterval) -> str:
 
 
 def build_frame_line(frame_id: str, origin_lat_deg: float, origin_lon_deg: float,
-                     target_lat_deg: float, target_lon_deg: float,
-                     ellipsoid: geodesy.Ellipsoid = geodesy.WGS84) -> FrameLine:
-    """Derive azimuth and length for a two-point frame line."""
-    solution = geodesy.geodesic_inverse(ellipsoid, origin_lat_deg, origin_lon_deg,
+                     target_lat_deg: float, target_lon_deg: float) -> FrameLine:
+    """Derive azimuth and length on WGS84 for a two-point frame line."""
+    solution = geodesy.geodesic_inverse(geodesy.WGS84, origin_lat_deg, origin_lon_deg,
                                         target_lat_deg, target_lon_deg)
     return FrameLine(
         id=frame_id,
@@ -158,9 +157,7 @@ def _feature_events(feature_id: str, properties: dict,
     return events
 
 
-def parse_frames(geojson_text: str,
-                 ellipsoid: geodesy.Ellipsoid = geodesy.WGS84,
-                 on_warning: WarnFn | None = None,
+def parse_frames(geojson_text: str, on_warning: WarnFn | None = None
                  ) -> list[tuple[FrameLine, list[EventInterval]]]:
     """Parse a GeoJSON FeatureCollection of frame lines with event intervals.
 
@@ -215,7 +212,7 @@ def parse_frames(geojson_text: str,
             warn(f"frame {_fid!r}: {message}")
 
         try:
-            frame = build_frame_line(feature_id, lat1, lon1, lat2, lon2, ellipsoid)
+            frame = build_frame_line(feature_id, lat1, lon1, lat2, lon2)
         except (CoincidentPoints, NearAntipodal) as exc:
             raise type(exc)(f"frame {feature_id!r}: {exc}") from None
         events = _feature_events(feature_id, feature.get("properties") or {},
@@ -294,16 +291,15 @@ def _gpx_files(traces_dir: Path, recurse: bool) -> list[Path]:
 
 
 def load_inputs(frames_path: str | Path, traces_dir: str | Path,
-                recurse: bool = False,
-                ellipsoid: geodesy.Ellipsoid = geodesy.WGS84,
+                recurse: bool = False
                 ) -> tuple[list[tuple[FrameLine, list[EventInterval]]],
                            list[Trace], IngestReport]:
     """Load a frames file and a directory of .gpx traces.
 
     Frame parsing errors abort the load; per-trace-file failures become
-    warnings. Duplicate trace ids (same file stem) get numeric suffixes.
-    The result is deterministic: frames in document order, traces sorted
-    by id.
+    warnings. A trace id (the file stem) already taken gets the first free
+    suffix _2, _3, ... The result is deterministic: frames in document
+    order, traces sorted by id.
     """
     frames_path = Path(frames_path)
     traces_dir = Path(traces_dir)
@@ -313,9 +309,8 @@ def load_inputs(frames_path: str | Path, traces_dir: str | Path,
         frames_text = frames_path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise FramesFileUnreadable(f"cannot read frames file {frames_path}: {exc}") from None
-    frames = parse_frames(
-        frames_text, ellipsoid=ellipsoid,
-        on_warning=lambda message: report.warnings.append((str(frames_path), message)))
+    frames = parse_frames(frames_text, on_warning=lambda message:
+                          report.warnings.append((str(frames_path), message)))
 
     if not traces_dir.is_dir():
         raise NoTraces(f"traces directory {traces_dir} does not exist")
@@ -323,12 +318,10 @@ def load_inputs(frames_path: str | Path, traces_dir: str | Path,
     if not files:
         raise NoTraces(f"no .gpx files found in {traces_dir}")
 
-    seen: dict[str, int] = {}
+    taken: set[str] = set()
     traces: list[Trace] = []
     for path in files:
-        count = seen.get(path.stem, 0) + 1
-        seen[path.stem] = count
-        trace_id = path.stem if count == 1 else f"{path.stem}_{count}"
+        trace_id = unique_name(path.stem, taken)
         try:
             traces.append(parse_gpx(
                 path.read_bytes(), trace_id,

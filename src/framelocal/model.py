@@ -1,9 +1,9 @@
 """Immutable domain types shared by every stage of the pipeline.
 
 All latitudes/longitudes are WGS84 degrees, all instants are timezone-aware
-UTC datetimes, and all local coordinates are meters/seconds. Validation
-happens in the constructors so that invalid values cannot circulate after
-ingestion.
+UTC datetimes, and all local coordinates are meters/seconds. The types
+built from outside input validate it in their constructors, so that invalid
+values cannot circulate after ingestion.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 from .errors import ReversedInterval
 
@@ -23,6 +24,16 @@ def normalize_longitude(lon_deg: float) -> float:
     elif lon <= -180.0:
         lon += 360.0
     return lon
+
+
+def unique_name(base: str, taken: set[str]) -> str:
+    """Claim the first of base, base_2, base_3, ... that is not in taken."""
+    name, count = base, 1
+    while name in taken:
+        count += 1
+        name = f"{base}_{count}"
+    taken.add(name)
+    return name
 
 
 def _require_utc(name: str, value: datetime) -> datetime:
@@ -119,8 +130,7 @@ class EventInterval:
         return (self.end_utc - self.begin_utc).total_seconds()
 
 
-@dataclass(frozen=True)
-class LocalPoint:
+class LocalPoint(NamedTuple):
     """One sample in frame-local coordinates.
 
     x_m is meters perpendicular to the frame (positive to the right when
@@ -132,14 +142,14 @@ class LocalPoint:
     y_m: float
     t_s: float
 
-    def __post_init__(self) -> None:
-        if self.t_s < 0.0:
-            raise ValueError(f"t_s {self.t_s} is negative")
-
 
 @dataclass(frozen=True)
 class EventSeries:
-    """All in-interval samples of one (trace, frame, event) permutation."""
+    """All in-interval samples of one (trace, frame, event) permutation.
+
+    Samples are in time order with t_s >= 0, unchecked: the engine alone
+    guarantees both, as it clips a time-sorted Trace to [begin, end].
+    """
 
     trace_id: str
     frame_id: str
@@ -150,9 +160,6 @@ class EventSeries:
         object.__setattr__(self, "points", tuple(self.points))
         if not self.points:
             raise ValueError("an event series must contain at least one point")
-        ts = [p.t_s for p in self.points]
-        if any(a > b for a, b in zip(ts, ts[1:])):
-            raise ValueError("series points not in time order")
 
     @property
     def key(self) -> tuple[str, str, str]:

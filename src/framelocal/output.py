@@ -9,13 +9,13 @@ file re-reads bit-exactly.
 
 from __future__ import annotations
 
+import html
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from .errors import NoSeries
-from .model import EventSeries
+from .model import EventSeries, unique_name
 
 _UNSAFE = re.compile(r"[^A-Za-z0-9_-]")
 
@@ -29,40 +29,33 @@ def _sanitize(part: str) -> str:
     return cleaned if cleaned else "_"
 
 
-def _format_number(value: float) -> str:
-    # repr() is the shortest round-tripping form; integral values drop ".0"
-    return repr(value).removesuffix(".0")
-
-
 @dataclass
 class OutputLayout:
     """Names output files ``<trace>__<frame>__<event>.csv`` under out_dir.
 
-    Name components are sanitized to [A-Za-z0-9_-]; names colliding after
-    sanitization get numeric suffixes, tracked per layout instance.
+    Name components are sanitized to [A-Za-z0-9_-]; a name already given
+    out by this layout instance takes the first free suffix _2, _3, ...
     """
 
     out_dir: Path
-    _used: dict[str, int] = field(default_factory=dict, init=False, repr=False)
+    _taken: set[str] = field(default_factory=set, init=False, repr=False)
 
     def path_for(self, series: EventSeries) -> Path:
         stem = "__".join(_sanitize(part) for part in series.key)
-        count = self._used.get(stem, 0) + 1
-        self._used[stem] = count
-        name = f"{stem}.csv" if count == 1 else f"{stem}_{count}.csv"
-        return Path(self.out_dir) / name
+        return Path(self.out_dir) / f"{unique_name(stem, self._taken)}.csv"
 
 
 def write_csv(series: EventSeries, layout: OutputLayout) -> Path:
     """Write one series to its CSV file; returns the path written."""
     path = layout.path_for(series)
     path.parent.mkdir(parents=True, exist_ok=True)
+    rows = "".join([f"{x!r},{y!r},{t!r}\n" for x, y, t in series.points])
+    # repr() is the shortest round-tripping form; integral values drop ".0".
+    # Every number ends at "," or "\n", so these replacements touch only the
+    # ".0" that ends a number.
+    rows = rows.replace(".0,", ",").replace(".0\n", "\n")
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("x,y,t\n")
-        for point in series.points:
-            handle.write(f"{_format_number(point.x_m)},"
-                         f"{_format_number(point.y_m)},"
-                         f"{_format_number(point.t_s)}\n")
+        handle.write("x,y,t\n" + rows)
     return path
 
 
@@ -117,7 +110,8 @@ def render_overlay_svg(series: list[EventSeries] | tuple[EventSeries, ...],
                      f'stroke="{color_of[s.frame_id]}" stroke-width="{stroke:.6g}" '
                      f'stroke-linejoin="round" stroke-linecap="round"/>')
     for i, s in enumerate(series):
-        label = escape(f"{s.trace_id} / {s.frame_id} / {s.event_label}")
+        label = html.escape(f"{s.trace_id} / {s.frame_id} / {s.event_label}",
+                            quote=False)
         lines.append(f'  <text x="{min_x + 0.4 * font:.6g}" '
                      f'y="{min_y + (i + 1.2) * font:.6g}" font-size="{font:.6g}" '
                      f'font-family="sans-serif" fill="{color_of[s.frame_id]}">'

@@ -166,6 +166,58 @@ class TestBehavior:
         assert code == 0
         assert captured.out.startswith("2 series written")
 
+    def test_plot_skip_counted_in_summary(self, tmp_path, capsys):
+        frames_path, traces = _basic_inputs(tmp_path)
+        (traces / "walk.gpx").write_text(gpx_doc(
+            [(ORIGIN[0], ORIGIN[1], ts(6))]))
+        plot = tmp_path / "overlay.svg"
+        code = main(["--frames", str(frames_path), "--traces", str(traces),
+                     "--out", str(tmp_path / "out"), "--plot", str(plot)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ("framelocal: warning: no series to plot; "
+                                f"skipped {plot}\n")
+        assert captured.out == ("0 series written, 1 permutations skipped "
+                                "(empty), 1 warnings\n")
+        assert not plot.exists()
+
+    def test_sanitized_names_never_overwrite(self, tmp_path, capsys):
+        frames_path, traces = _basic_inputs(tmp_path)
+        frames_path.write_text(frames_doc([frame_feature(
+            "f", ORIGIN, TARGET, {"e": INTERVAL, "e_2": INTERVAL})]))
+        (traces / "walk.gpx").rename(traces / "a b.gpx")
+        (traces / "a_b.gpx").write_text((traces / "a b.gpx").read_text())
+        out_dir = tmp_path / "out"
+        code = main(["--frames", str(frames_path), "--traces", str(traces),
+                     "--out", str(out_dir)])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("4 series written")
+        assert {p.name for p in out_dir.iterdir()} == {
+            "a_b__f__e.csv", "a_b__f__e_2.csv", "a_b__f__e_3.csv",
+            "a_b__f__e_2_2.csv"}
+
+    def test_suffixed_trace_ids_never_collide(self, tmp_path, capsys):
+        frames_path, traces = _basic_inputs(tmp_path)
+        (traces / "walk.gpx").rename(traces / "x.gpx")
+        (traces / "sub").mkdir()
+        for name in ("sub/x.gpx", "x_2.gpx"):
+            (traces / name).write_text((traces / "x.gpx").read_text())
+        out_dir = tmp_path / "out"
+        code = main(["--frames", str(frames_path), "--traces", str(traces),
+                     "--out", str(out_dir), "--recurse"])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("3 series written")
+        assert {p.name for p in out_dir.iterdir()} == {
+            "x__f0__e0.csv", "x_2__f0__e0.csv", "x_2_2__f0__e0.csv"}
+
+    def test_import_loads_no_network_modules(self):
+        probe = ("import sys, framelocal.cli; print(sorted(m for m in ("
+                 "'xml.sax', 'urllib.request', 'http.client', 'email') "
+                 "if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == "[]\n"
+
     def test_overwrites_but_never_clears_out_dir(self, tmp_path, capsys):
         frames_path, traces = _basic_inputs(tmp_path)
         out_dir = tmp_path / "out"

@@ -93,21 +93,10 @@ class TestEventInterval:
             EventInterval(begin_utc=ts(5), end_utc=ts(6), label="")
 
 
-class TestLocalPoint:
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            LocalPoint(x_m=0.0, y_m=0.0, t_s=-0.5)
-
-
 class TestEventSeries:
     def test_must_not_be_empty(self):
         with pytest.raises(ValueError):
             EventSeries("t", "f", "e0", points=())
-
-    def test_time_order_enforced(self):
-        with pytest.raises(ValueError):
-            EventSeries("t", "f", "e0",
-                        points=(LocalPoint(0, 0, 2.0), LocalPoint(0, 0, 1.0)))
 
     def test_key(self):
         series = EventSeries("t", "f", "e0", points=(LocalPoint(0, 0, 0.0),))

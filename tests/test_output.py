@@ -135,3 +135,8 @@ class TestRenderOverlaySvg:
         root = ET.fromstring(path.read_text(encoding="utf-8"))  # must not raise
         labels = [el.text for el in root.iter() if el.tag.endswith("text")]
         assert "a<b&c / f0 / e0" in labels
+
+    def test_label_escapes_only_markup(self, tmp_path):
+        series = [_series([(0.0, 5.0, 0.0)], trace_id="a&b<c>d\"e'f")]
+        path = render_overlay_svg(series, tmp_path / "esc.svg")
+        assert b">a&amp;b&lt;c&gt;d\"e'f / f0 / e0</text>\n" in path.read_bytes()
