@@ -17,6 +17,7 @@ from .geodesy import (
     WGS84,
     geodesic_inverse,
     hom_forward,
+    hom_forward_many,
     hom_inverse,
     hom_setup,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "format_interval",
     "geodesic_inverse",
     "hom_forward",
+    "hom_forward_many",
     "hom_inverse",
     "hom_setup",
     "load_inputs",

@@ -1,6 +1,7 @@
 """Core pipeline: iterate every (trace, frame, event) permutation, clip each
 trace to the event interval, project the surviving points into frame-local
-coordinates, and shift time to seconds since the event began.
+coordinates, and shift time to seconds since the event began. A fix inside
+several events of one frame is projected once.
 
 Both interval bounds are inclusive, so a sample landing exactly on a shared
 boundary of two back-to-back events appears in both series. Permutations
@@ -12,12 +13,13 @@ dropped from its series with a warning.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import FrameLocalError, OutOfDomain
-from .geodesy import HomParams, WGS84, hom_forward, hom_setup
+from .geodesy import WGS84, hom_forward_many, hom_setup
 from .ingest import WarnFn
-from .model import EventInterval, EventSeries, FrameLine, GeoPoint, LocalPoint, Trace
+from .model import EventInterval, EventSeries, FrameLine, LocalPoint, Trace
 
 
 @dataclass(frozen=True)
@@ -30,43 +32,59 @@ class RunResult:
     warnings: tuple[str, ...] = ()
 
 
-def clip_to_event(trace: Trace, event: EventInterval) -> tuple[GeoPoint, ...]:
-    """Points of a time-sorted trace with begin <= time <= end, in order."""
+def clip_to_event(trace: Trace, event: EventInterval) -> range:
+    """Indices into trace.points of the fixes with begin <= time <= end, in
+    order; the trace is time-sorted, so they are one contiguous range."""
     lo = bisect_left(trace.points, event.begin_utc, key=lambda p: p.time_utc)
     hi = bisect_right(trace.points, event.end_utc, key=lambda p: p.time_utc)
-    return trace.points[lo:hi]
+    return range(lo, hi)
 
 
-def project_series(points: tuple[GeoPoint, ...], frame: FrameLine,
-                   event: EventInterval, params: HomParams,
-                   trace_id: str, on_warning: WarnFn | None = None) -> EventSeries:
-    """Project clipped points into one EventSeries of (x, y, t) samples.
+def project_series(trace: Trace, window: range,
+                   projected: Sequence[tuple[float, float] | OutOfDomain],
+                   frame: FrameLine, event: EventInterval,
+                   on_warning: WarnFn | None = None) -> EventSeries:
+    """Build one EventSeries of (x, y, t) samples from the fixes
+    trace.points[window] and their projections, which are aligned with
+    window as hom_forward_many returns them.
 
-    Points outside the projection's domain are dropped, and one warning
-    gives their count and the first of them. If no point projects, that
-    first point's OutOfDomain is raised instead.
+    Fixes whose projection is an OutOfDomain are dropped, and one warning
+    gives their count and the first of them. If no fix projects, that first
+    fix's OutOfDomain is raised instead.
     """
+    begin = event.begin_utc
     locals_: list[LocalPoint] = []
     dropped = 0
-    for point in points:
-        try:
-            x, y = hom_forward(params, point.lat_deg, point.lon_deg)
-        except OutOfDomain as exc:
+    for point, xy in zip(trace.points[window.start:window.stop], projected):
+        if isinstance(xy, OutOfDomain):
             if not dropped:
                 first = (f"point ({point.lat_deg}, {point.lon_deg}) at "
-                         f"{point.time_utc.isoformat()}: {exc}")
+                         f"{point.time_utc.isoformat()}: {xy}")
             dropped += 1
             continue
-        t = (point.time_utc - event.begin_utc).total_seconds()
-        locals_.append(LocalPoint(x, y, t))
+        t = (point.time_utc - begin).total_seconds()
+        locals_.append(LocalPoint(xy[0], xy[1], t))
     if dropped:
         if not locals_:
             raise OutOfDomain(first)
         if on_warning is not None:
-            on_warning(f"{dropped} of {len(points)} in-window fixes skipped as "
+            on_warning(f"{dropped} of {len(window)} in-window fixes skipped as "
                        f"out of the projection's domain; first: {first}")
-    return EventSeries(trace_id=trace_id, frame_id=frame.id,
+    return EventSeries(trace_id=trace.id, frame_id=frame.id,
                        event_label=event.label, points=tuple(locals_))
+
+
+def _union(windows: list[range]) -> list[range]:
+    """The sorted, disjoint runs of indices that cover the union of windows;
+    overlapping or touching windows share a run."""
+    runs: list[range] = []
+    for window in sorted(windows, key=lambda w: w.start):
+        if runs and window.start <= runs[-1].stop:
+            if window.stop > runs[-1].stop:
+                runs[-1] = range(runs[-1].start, window.stop)
+        else:
+            runs.append(window)
+    return runs
 
 
 def run(traces: list[Trace],
@@ -74,12 +92,15 @@ def run(traces: list[Trace],
     """Process every (trace, frame, event) permutation.
 
     Projection setup happens once per frame, on WGS84 like the frame's
-    azimuth. Series are sorted by (trace id, frame id, event label).
+    azimuth. Each fix of a trace is projected at most once per frame: the
+    frame's event windows are merged into disjoint runs, each run is
+    projected in one hom_forward_many call, and each event's series is a
+    slice of that. Series are sorted by (trace id, frame id, event label).
     Samples dropped as out of domain become one warning per permutation, in
-    input order (traces, then frames, then events). A failure in any permutation, including one in which no sample
-    projects, aborts the run and is reported for the first failing
-    permutation in that order. Projection errors carry the offending
-    permutation and point.
+    input order (traces, then frames, then events). A failure in any
+    permutation, including one in which no sample projects, aborts the run
+    and is reported for the first failing permutation in that order.
+    Projection errors carry the offending permutation and point.
     """
     prepared = [(frame, events, hom_setup(WGS84, frame.origin_lat_deg,
                                           frame.origin_lon_deg, frame.azimuth_deg))
@@ -89,17 +110,29 @@ def run(traces: list[Trace],
     skipped_empty = 0
     for trace in traces:
         for frame, events, params in prepared:
+            windows: list[tuple[EventInterval, range]] = []
             for event in events:
-                clipped = clip_to_event(trace, event)
-                if not clipped:
+                window = clip_to_event(trace, event)
+                if window:
+                    windows.append((event, window))
+                else:
                     skipped_empty += 1
-                    continue
+            runs = _union([window for _, window in windows])
+            starts = [r.start for r in runs]
+            projected_runs = []
+            for r in runs:
+                points = trace.points[r.start:r.stop]
+                projected_runs.append(hom_forward_many(
+                    params, [p.lat_deg for p in points], [p.lon_deg for p in points]))
+            for event, window in windows:
+                k = bisect_right(starts, window.start) - 1
+                offset = window.start - starts[k]
                 where = (f"trace {trace.id!r}, frame {frame.id!r}, "
                          f"event {event.label!r}")
                 try:
                     series.append(project_series(
-                        clipped, frame, event, params, trace.id,
-                        on_warning=lambda message: warnings.append(
+                        trace, window, projected_runs[k][offset:offset + len(window)],
+                        frame, event, on_warning=lambda message: warnings.append(
                             f"{where}: {message}")))
                 except FrameLocalError as exc:
                     raise type(exc)(f"{where}: {exc}") from exc

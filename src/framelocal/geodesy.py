@@ -12,6 +12,7 @@ Scale is true at the origin and approximately true along the centerline.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from .errors import CoincidentPoints, NearAntipodal, OutOfDomain, PolarOrigin
@@ -25,6 +26,7 @@ __all__ = [
     "geodesic_inverse",
     "hom_setup",
     "hom_forward",
+    "hom_forward_many",
     "hom_inverse",
 ]
 
@@ -312,50 +314,76 @@ def hom_setup(ellipsoid: Ellipsoid, origin_lat_deg: float, origin_lon_deg: float
     return replace(params, u0_m=u0, v0_m=v0, reversed_line=reversed_line)
 
 
-def hom_forward(params: HomParams, lat_deg: float, lon_deg: float) -> tuple[float, float]:
-    """Project a point to frame-local (x, y) meters.
+def hom_forward_many(params: HomParams, lats_deg: Sequence[float],
+                     lons_deg: Sequence[float]
+                     ) -> list[tuple[float, float] | OutOfDomain]:
+    """Project points to frame-local (x, y) meters, one result per point.
 
     x is perpendicular to the reference direction (right-positive), y runs
-    along it. Points more than 90 degrees of arc from the origin, or
-    poleward of the projection's latitude limit, raise OutOfDomain.
+    along it. A point more than 90 degrees of arc from the origin, or
+    poleward of the projection's latitude limit, gets an OutOfDomain
+    instance in place of its (x, y); nothing is raised.
     """
-    if abs(lat_deg) > _POLE_LIMIT_DEG:
-        raise OutOfDomain(f"latitude {lat_deg} is poleward of ±{_POLE_LIMIT_DEG}")
-    # Within 90 degrees of arc of the origin means a non-negative spherical
-    # dot product. The reduction mod 360 turns an infinite longitude into
-    # NaN, and NaN fails the comparison, so non-finite input is rejected.
-    phi = math.radians(lat_deg)
-    sin_phi = math.sin(phi)
-    dlon = math.radians((lon_deg - params.origin_lon_deg) % 360.0)
-    if not (params.sin_phi0 * sin_phi
-            + params.cos_phi0 * math.cos(phi) * math.cos(dlon) >= 0.0):
-        raise OutOfDomain("point lies in the hemisphere opposite the origin")
-
-    # Hotine skew coordinates: u along the formulation centerline, v
-    # perpendicular to it, right-positive.
+    radians, sin, cos, log, atan2 = math.radians, math.sin, math.cos, math.log, math.atan2
+    conformal_t, normalize = _conformal_t, normalize_longitude
+    pi, two_pi = math.pi, 2.0 * math.pi
+    e, e_num, b_pow = params.e, params.e_num, params.b_pow
+    a_m, half_a_m = params.a_m, 0.5 * params.a_m
     sin_g0, cos_g0 = params.sin_gamma0, params.cos_gamma0
-    q = params.e_num / _conformal_t(phi, sin_phi, params.e) ** params.b_pow
-    big_s = 0.5 * (q - 1.0 / q)
-    big_t = 0.5 * (q + 1.0 / q)
-    dlam = math.radians(normalize_longitude(lon_deg)) - params.lon0_rad
-    if dlam < -math.pi:
-        dlam += 2.0 * math.pi
-    elif dlam > math.pi:
-        dlam -= 2.0 * math.pi
-    bdl = params.b_pow * dlam
-    big_v = math.sin(bdl)
-    big_u = (-big_v * cos_g0 + big_s * sin_g0) / big_t
-    if abs(big_u) >= 1.0 - 1e-15:
-        raise OutOfDomain("point maps to the singular axis of the projection")
-    v = 0.5 * params.a_m * math.log((1.0 - big_u) / (1.0 + big_u)) / params.b_pow
-    u = params.a_m * math.atan2(big_s * cos_g0 + big_v * sin_g0,
-                                math.cos(bdl)) / params.b_pow
+    sin_phi0, cos_phi0 = params.sin_phi0, params.cos_phi0
+    lon_c, lon0 = params.origin_lon_deg, params.lon0_rad
+    u0, v0, reversed_line = params.u0_m, params.v0_m, params.reversed_line
+    results: list[tuple[float, float] | OutOfDomain] = []
+    append = results.append
+    for lat_deg, lon_deg in zip(lats_deg, lons_deg):
+        if abs(lat_deg) > _POLE_LIMIT_DEG:
+            append(OutOfDomain(f"latitude {lat_deg} is poleward of ±{_POLE_LIMIT_DEG}"))
+            continue
+        # Within 90 degrees of arc of the origin means a non-negative
+        # spherical dot product. The reduction mod 360 turns an infinite
+        # longitude into NaN, and NaN fails the comparison, so non-finite
+        # input is rejected.
+        phi = radians(lat_deg)
+        sin_phi = sin(phi)
+        dlon = radians((lon_deg - lon_c) % 360.0)
+        if not (sin_phi0 * sin_phi + cos_phi0 * cos(phi) * cos(dlon) >= 0.0):
+            append(OutOfDomain("point lies in the hemisphere opposite the origin"))
+            continue
 
-    du = u - params.u0_m
-    dv = v - params.v0_m
-    if params.reversed_line:
-        du, dv = -du, -dv
-    return dv, du
+        # Hotine skew coordinates: u along the formulation centerline, v
+        # perpendicular to it, right-positive.
+        q = e_num / conformal_t(phi, sin_phi, e) ** b_pow
+        big_s = 0.5 * (q - 1.0 / q)
+        big_t = 0.5 * (q + 1.0 / q)
+        dlam = radians(normalize(lon_deg)) - lon0
+        if dlam < -pi:
+            dlam += two_pi
+        elif dlam > pi:
+            dlam -= two_pi
+        bdl = b_pow * dlam
+        big_v = sin(bdl)
+        big_u = (-big_v * cos_g0 + big_s * sin_g0) / big_t
+        if abs(big_u) >= 1.0 - 1e-15:
+            append(OutOfDomain("point maps to the singular axis of the projection"))
+            continue
+        v = half_a_m * log((1.0 - big_u) / (1.0 + big_u)) / b_pow
+        u = a_m * atan2(big_s * cos_g0 + big_v * sin_g0, cos(bdl)) / b_pow
+
+        du = u - u0
+        dv = v - v0
+        if reversed_line:
+            du, dv = -du, -dv
+        append((dv, du))
+    return results
+
+
+def hom_forward(params: HomParams, lat_deg: float, lon_deg: float) -> tuple[float, float]:
+    """Project one point to frame-local (x, y) meters with hom_forward_many;
+    a point outside the projection's domain raises its OutOfDomain."""
+    (result,) = hom_forward_many(params, (lat_deg,), (lon_deg,))
+    if isinstance(result, OutOfDomain):
+        raise result
+    return result
 
 
 def hom_inverse(params: HomParams, x_m: float, y_m: float) -> tuple[float, float]:

@@ -171,7 +171,7 @@ def parse_frames(geojson_text: str, on_warning: WarnFn | None = None
 
     try:
         doc = json.loads(geojson_text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer over the int-from-string digit limit
         raise NotFeatureCollection(f"frames input is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise NotFeatureCollection('frames input must have "type": "FeatureCollection"')
@@ -193,13 +193,19 @@ def parse_frames(geojson_text: str, on_warning: WarnFn | None = None
             count = len(coords) if isinstance(coords, list) else "no"
             raise BadLineString(
                 f"frame {feature_id!r}: LineString has {count} positions, need exactly 2")
-        try:
-            (lon1, lat1), (lon2, lat2) = ((float(c[0]), float(c[1])) for c in coords)
-        except (TypeError, ValueError, IndexError):
+        # JSON numbers only: float() would also take a bool or a string
+        if not all(isinstance(c, list) and len(c) >= 2
+                   and type(c[0]) in (int, float) and type(c[1]) in (int, float)
+                   for c in coords):
             raise BadLineString(
                 f"frame {feature_id!r}: LineString positions are not numeric "
-                "[lon, lat] pairs") from None
-        if not all(map(math.isfinite, (lon1, lat1, lon2, lat2))):
+                "[lon, lat] pairs")
+        try:
+            (lon1, lat1), (lon2, lat2) = ((float(c[0]), float(c[1])) for c in coords)
+            finite = all(map(math.isfinite, (lon1, lat1, lon2, lat2)))
+        except OverflowError:  # an integer too large for a float
+            finite = False
+        if not finite:
             raise BadLineString(
                 f"frame {feature_id!r}: LineString positions must be finite")
         for lat in (lat1, lat2):
@@ -225,6 +231,15 @@ def parse_frames(geojson_text: str, on_warning: WarnFn | None = None
         for message in warnings:
             on_warning(message)
     return frames
+
+
+def _xml_number(text: str) -> float:
+    """float() of an XML number attribute. float() alone also takes
+    digit-grouping underscores and non-ASCII digits, which no XML number
+    type allows."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"{text!r} is not an XML number")
+    return float(text)
 
 
 def parse_gpx(gpx_text: str | bytes, trace_id: str,
@@ -260,8 +275,8 @@ def parse_gpx(gpx_text: str | bytes, trace_id: str,
             warn("track point without <time> skipped")
             continue
         try:
-            lat = float(elem.get("lat", ""))
-            lon = float(elem.get("lon", ""))
+            lat = _xml_number(elem.get("lat", ""))
+            lon = _xml_number(elem.get("lon", ""))
         except ValueError:
             warn("track point with non-numeric lat/lon skipped")
             continue

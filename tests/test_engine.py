@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 import oracles
 from fixtures import line_walk, ts
+from framelocal import engine
 from framelocal.engine import clip_to_event, project_series, run
 from framelocal.errors import OutOfDomain
-from framelocal.geodesy import WGS84, hom_setup
+from framelocal.geodesy import WGS84, hom_forward_many, hom_setup
 from framelocal.ingest import build_frame_line
 from framelocal.model import EventInterval, GeoPoint, Trace
 
@@ -31,33 +32,40 @@ def _interval(begin, end, label="e0"):
     return EventInterval(begin_utc=begin, end_utc=end, label=label)
 
 
+def _projected(params, points):
+    return hom_forward_many(params, [p.lat_deg for p in points],
+                            [p.lon_deg for p in points])
+
+
 class TestClipToEvent:
     def test_closed_bounds(self):
         trace = _trace([(0.0, 0.0, ts(4, 59)), (0.0, 0.0, ts(5, 0)),
                         (0.0, 0.0, ts(5, 10)), (0.0, 0.0, ts(5, 20)),
                         (0.0, 0.0, ts(5, 21))])
         clipped = clip_to_event(trace, _interval(ts(5, 0), ts(5, 20)))
-        assert [p.time_utc for p in clipped] == [ts(5, 0), ts(5, 10), ts(5, 20)]
+        assert [trace.points[i].time_utc for i in clipped] == [
+            ts(5, 0), ts(5, 10), ts(5, 20)]
 
     def test_interval_between_samples(self):
         trace = _trace([(0.0, 0.0, ts(5, 0)), (0.0, 0.0, ts(5, 10))])
-        assert clip_to_event(trace, _interval(ts(5, 2), ts(5, 8))) == ()
+        clipped = clip_to_event(trace, _interval(ts(5, 2), ts(5, 8)))
+        assert tuple(trace.points[i] for i in clipped) == ()
 
     def test_degenerate_interval_on_sample(self):
         trace = _trace([(0.0, 0.0, ts(5, 0)), (0.0, 0.0, ts(5, 10))])
         clipped = clip_to_event(trace, _interval(ts(5, 10), ts(5, 10)))
-        assert [p.time_utc for p in clipped] == [ts(5, 10)]
+        assert [trace.points[i].time_utc for i in clipped] == [ts(5, 10)]
 
     def test_order_preserved(self):
         trace = _trace([(0.0, float(i) / 1000.0, ts(5, 0, i)) for i in range(10)])
         clipped = clip_to_event(trace, _interval(ts(5, 0, 2), ts(5, 0, 7)))
-        assert [p.time_utc.second for p in clipped] == [2, 3, 4, 5, 6, 7]
+        assert [trace.points[i].time_utc.second for i in clipped] == [2, 3, 4, 5, 6, 7]
 
     def test_duplicate_timestamps_kept_in_sequence(self):
         trace = _trace([(0.0, 0.000, ts(5, 0, 0)), (0.0, 0.001, ts(5, 0, 1)),
                         (0.0, 0.002, ts(5, 0, 1)), (0.0, 0.003, ts(5, 0, 2))])
         clipped = clip_to_event(trace, _interval(ts(5, 0, 1), ts(5, 0, 1)))
-        assert [p.lon_deg for p in clipped] == [0.001, 0.002]
+        assert [trace.points[i].lon_deg for i in clipped] == [0.001, 0.002]
 
 
 class TestProjectSeries:
@@ -67,7 +75,8 @@ class TestProjectSeries:
                            frame.azimuth_deg)
         event = _interval(ts(5, 0), ts(5, 20))
         points = (GeoPoint(*ORIGIN, ts(5, 0)),)
-        series = project_series(points, frame, event, params, "t0")
+        series = project_series(Trace("t0", points), range(len(points)),
+                                _projected(params, points), frame, event)
         point = series.points[0]
         assert (point.x_m, point.y_m, point.t_s) == (0.0, 0.0, 0.0)
 
@@ -78,7 +87,8 @@ class TestProjectSeries:
         event = _interval(ts(5, 0), ts(5, 20))
         points = (GeoPoint(frame.target_lat_deg, frame.target_lon_deg,
                            ts(5, 0) + timedelta(seconds=30)),)
-        series = project_series(points, frame, event, params, "t0")
+        series = project_series(Trace("t0", points), range(len(points)),
+                                _projected(params, points), frame, event)
         point = series.points[0]
         assert abs(point.x_m) <= 1e-3
         assert point.y_m == pytest.approx(frame.length_m, abs=1e-3)
@@ -90,9 +100,9 @@ class TestProjectSeries:
                            frame.azimuth_deg)
         event = _interval(ts(5, 0), ts(5, 1))
         walk = line_walk(ORIGIN, 40.0, ts(5, 0), 61)
-        series = project_series(
-            tuple(GeoPoint(lat, lon, when) for lat, lon, when in walk),
-            frame, event, params, "t0")
+        points = tuple(GeoPoint(lat, lon, when) for lat, lon, when in walk)
+        series = project_series(Trace("t0", points), range(len(points)),
+                                _projected(params, points), frame, event)
         ys = [p.y_m for p in series.points]
         assert all(b > a for a, b in zip(ys, ys[1:]))
         assert ys[0] == 0.0
@@ -106,7 +116,8 @@ class TestProjectSeries:
         event = _interval(ts(5, 0), ts(5, 20))
         points = (GeoPoint(37.85, -35.0, ts(5, 0)),)  # other side of the planet
         with pytest.raises(OutOfDomain, match="2017-06-10T05:00:00"):
-            project_series(points, frame, event, params, "t0")
+            project_series(Trace("t0", points), range(len(points)),
+                           _projected(params, points), frame, event)
 
 
 class TestRun:
@@ -183,6 +194,60 @@ class TestRun:
         assert a_series_before == a_series_after
 
 
+def _counting_kernel(monkeypatch):
+    """Wrap engine.hom_forward_many; return the list of latitudes it saw."""
+    seen = []
+    kernel = engine.hom_forward_many
+
+    def counted(params, lats, lons):
+        seen.extend(lats)
+        return kernel(params, lats, lons)
+
+    monkeypatch.setattr(engine, "hom_forward_many", counted)
+    return seen
+
+
+class TestUnionProjection:
+    def test_each_fix_projected_once_per_frame(self, monkeypatch):
+        seen = _counting_kernel(monkeypatch)
+        events = [_interval(ts(5, 0), ts(5, 20), "e0"),
+                  _interval(ts(5, 20), ts(5, 40), "e1"),
+                  _interval(ts(5, 40), ts(6, 0), "e2"),
+                  _interval(ts(5, 0), ts(6, 0), "session")]
+        walk = line_walk(ORIGIN, 40.0, ts(4, 50), 81, step_s=60)  # 04:50 .. 06:10
+        result = run([_trace(walk)], [(_frame(), events)])
+        union = sum(1 for _, _, when in walk if ts(5, 0) <= when <= ts(6, 0))
+        assert union == 61
+        assert len(seen) == union
+        assert [len(s.points) for s in result.series] == [21, 21, 21, 61]
+
+    def test_fix_between_disjoint_events_never_projected(self, monkeypatch):
+        seen = _counting_kernel(monkeypatch)
+        events = [_interval(ts(5, 0), ts(5, 10), "e0"),
+                  _interval(ts(5, 20), ts(5, 30), "e1")]
+        gap_lat = -37.8  # a fix that lies only in the gap between the events
+        trace = _trace([(*ORIGIN, ts(5, 5)), (gap_lat, 145.0, ts(5, 15)),
+                        (*ORIGIN, ts(5, 25))])
+        result = run([trace], [(_frame(), events)])
+        assert seen == [ORIGIN[0], ORIGIN[0]]
+        assert [len(s.points) for s in result.series] == [1, 1]
+
+    def test_out_of_domain_fix_in_two_events_warns_in_each(self):
+        events = [_interval(ts(5, 0), ts(5, 10), "e0"),
+                  _interval(ts(5, 0), ts(5, 20), "session")]
+        trace = _trace([(*ORIGIN, ts(5, 1)), (0.0, 0.0, ts(5, 2)),
+                        (*ORIGIN, ts(5, 4)), (*ORIGIN, ts(5, 15))], "glitchy")
+        result = run([trace], [(_frame(), events)])
+        assert [len(s.points) for s in result.series] == [2, 3]
+        first = ("first: point (0.0, 0.0) at 2017-06-10T05:02:00+00:00: point "
+                 "lies in the hemisphere opposite the origin")
+        assert result.warnings == (
+            "trace 'glitchy', frame 'f0', event 'e0': 1 of 3 in-window fixes "
+            f"skipped as out of the projection's domain; {first}",
+            "trace 'glitchy', frame 'f0', event 'session': 1 of 4 in-window "
+            f"fixes skipped as out of the projection's domain; {first}")
+
+
 @st.composite
 def _scenarios(draw):
     n_traces = draw(st.integers(1, 5))
@@ -212,6 +277,19 @@ def _scenarios(draw):
 
 
 class TestRunProperties:
+    @given(_scenarios())
+    @settings(max_examples=40, deadline=None)
+    def test_combined_run_equals_per_event_runs(self, scenario):
+        # the scenarios' events overlap, touch and leave gaps at random
+        traces, frames = scenario
+        combined = {s.key: s for s in run(traces, frames).series}
+        alone = {}
+        for frame, events in frames:
+            for event in events:
+                for series in run(traces, [(frame, [event])]).series:
+                    alone[series.key] = series
+        assert combined == alone
+
     @given(_scenarios())
     @settings(max_examples=40, deadline=None)
     def test_permutation_accounting(self, scenario):

@@ -129,7 +129,8 @@ def _some_permutation_projects_nothing(traces, frame_list) -> bool:
         for trace in traces:
             for event in events:
                 clipped = clip_to_event(trace, event)
-                if clipped and not any(_projects(params, p) for p in clipped):
+                if clipped and not any(_projects(params, trace.points[i])
+                                       for i in clipped):
                     return True
     return False
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from framelocal.geodesy import (
     WGS84,
     geodesic_inverse,
     hom_forward,
+    hom_forward_many,
     hom_inverse,
     hom_setup,
 )
@@ -257,6 +259,81 @@ class TestHomForward:
             x, y = hom_forward(params, *target)
             assert abs(x) <= 1e-3
             assert abs(y - sol.distance_m) <= 1e-3
+
+
+# ((origin lat, origin lon, azimuth, point lat, point lon), x bits, y bits):
+# struct.pack("<d") of hom_forward's output, frozen from the scalar kernel
+# before the batch kernel replaced it. The probes cover azimuths in all four
+# quadrants (90 < azimuth < 270 takes the reversed_line path), both
+# hemispheres, points near 90 degrees of arc and near latitude ±89.9.
+GOLDEN_XY = [
+    ((-37.85, 145.0, 40.0, -37.849, 145.002), "1f8149f9cdbf4f40", "008078a978c56840"),
+    ((-37.85, 145.0, 40.0, -37.9, 144.9), "040afaa757bea8c0", "009a15d52c5ac3c0"),
+    ((-37.85, 145.0, 130.0, -37.851, 145.003), "c0cc4db9e12b55c0", "0000d332b4197140"),
+    ((-37.85, 145.0, 130.0, -36.0, 147.5), "b27aa151834f12c1", "80379af37fd4e440"),
+    ((-37.85, 145.0, 220.0, -37.86, 144.99), "27e518718caf43c0", "0040fce9c71f9640"),
+    ((-37.85, 145.0, 310.0, -37.84, 144.98), "4cd97786c59771c0", "007071bfd71ba040"),
+    ((51.5, -0.12, 15.0, 51.51, -0.1), "4e792ee0c0749040", "0000f98ee5689640"),
+    ((51.5, -0.12, 105.0, 51.49, -0.13), "fbe87a4b8b999340", "00801bcf25ef77c0"),
+    ((51.5, -0.12, 195.0, 52.5, 1.0), "a5a770a093bce5c0", "00739844082fffc0"),
+    ((51.5, -0.12, 285.0, 50.0, -3.0), "0a4c78f576b909c1", "009edc53ac340341"),
+    ((0.0, 0.0, 90.0, 0.001, 0.002), "c08a67efc0a45bc0", "ea1e838972d46b40"),
+    ((0.0, 0.0, 270.0, -0.001, -0.002), "c0c866efc0a45bc0", "04b1838972d46b40"),
+    ((0.0, 0.0, 90.0, 0.0, 89.99), "cf971c14c43f083e", "02613f1f6d1b6341"),
+    ((0.0, 179.99, 45.0, 0.5, -179.5), "67724d1835649040", "9bad80595f58f340"),
+    ((0.0, 179.99, 225.0, -0.5, 179.0), "77e0215d7af5e240", "f38e02cfef91fc40"),
+    ((10.0, 20.0, 0.0, 10.0, 109.5), "33f38a3a94946d41", "3ab792179fad6041"),
+    ((10.0, 20.0, 180.0, -79.0, 20.0), "0000000000000080", "a90ba68316d56241"),
+    ((-10.0, -60.0, 300.0, 0.0, 29.5), "4bc03b3efcad4a41", "e1a2424429ff62c1"),
+    ((-10.0, -60.0, 120.0, -89.0, 100.0), "eda1e9a22cad5e41", "544c7bf7a6b35e41"),
+    ((60.0, 10.0, 350.0, 89.89, 10.0), "2f1c3db7caec2041", "4ef6abefe41f4941"),
+    ((60.0, 10.0, 170.0, 89.89, -170.0), "5e76d5afc60921c1", "62a46f2a764f49c1"),
+    ((-60.0, -70.0, 80.0, -89.89, -70.0), "029522acbd324a41", "50583552966923c1"),
+    ((-60.0, -70.0, 260.0, -89.89, 110.0), "df3618c9b6684ac1", "10d1b5b1a0952341"),
+    ((45.0, 90.0, 135.0, 44.99, 90.01), "19e306ad05856c40", "0000d073a7fd9440"),
+    ((-45.0, -90.0, 315.0, -45.01, -89.99), "858f3398798d6cc0", "001080b528fd94c0"),
+]
+
+
+def _hex(value: float) -> str:
+    return struct.pack("<d", value).hex()
+
+
+class TestHomForwardMany:
+    @pytest.mark.parametrize("probe, x_bits, y_bits", GOLDEN_XY)
+    def test_scalar_bits_frozen(self, probe, x_bits, y_bits):
+        olat, olon, azimuth, lat, lon = probe
+        x, y = hom_forward(hom_setup(WGS84, olat, olon, azimuth), lat, lon)
+        assert (_hex(x), _hex(y)) == (x_bits, y_bits)
+
+    def test_batch_bits_frozen(self):
+        by_setup: dict[tuple, list] = {}
+        for (olat, olon, azimuth, lat, lon), x_bits, y_bits in GOLDEN_XY:
+            by_setup.setdefault((olat, olon, azimuth), []).append(
+                (lat, lon, x_bits, y_bits))
+        for setup, rows in by_setup.items():
+            results = hom_forward_many(hom_setup(WGS84, *setup),
+                                       [row[0] for row in rows], [row[1] for row in rows])
+            assert [(_hex(x), _hex(y)) for x, y in results] == [row[2:] for row in rows]
+
+    def test_out_of_domain_returned_with_scalar_messages(self):
+        params = hom_setup(WGS84, 0.0, 0.0, 0.0)
+        lats = [89.95, 0.0, 0.0, 0.0]
+        lons = [0.0, 170.0, 89.698247, 0.001]
+        results = hom_forward_many(params, lats, lons)
+        messages = [str(r) for r in results[:3]]
+        assert all(isinstance(r, OutOfDomain) for r in results[:3])
+        assert messages == ["latitude 89.95 is poleward of ±89.9",
+                            "point lies in the hemisphere opposite the origin",
+                            "point maps to the singular axis of the projection"]
+        assert results[3] == hom_forward(params, 0.0, 0.001)
+        for lat, lon, message in zip(lats, lons, messages):
+            with pytest.raises(OutOfDomain) as raised:
+                hom_forward(params, lat, lon)
+            assert str(raised.value) == message
+
+    def test_empty_input(self):
+        assert hom_forward_many(hom_setup(WGS84, 0.0, 0.0, 0.0), [], []) == []
 
 
 class TestHomInverse:

@@ -154,6 +154,32 @@ class TestParseFrames:
         with pytest.raises(BadLineString, match="nonfinite.*finite"):
             parse_frames(doc)
 
+    @pytest.mark.parametrize("coordinates", [
+        [[True, False], ["1_0", "0.5"]],
+        [[145.0, False], [145.001, -37.84]],
+        [["145", -37.85], [145.001, -37.84]],
+        [[145.0, -37.85], [145.001, None]],
+        ["12", [145.001, -37.84]],
+        [[145.0, -37.85], [{"lon": 145.001}, -37.84]],
+    ])
+    def test_position_must_be_json_numbers(self, coordinates):
+        feature = frame_feature(
+            "typed", ORIGIN, TARGET,
+            {"events": ["2017-06-10T05:00:00Z/2017-06-10T05:20:00Z"]})
+        feature["geometry"]["coordinates"] = coordinates
+        with pytest.raises(BadLineString, match="typed.*not numeric"):
+            parse_frames(frames_doc([feature]))
+
+    def test_integer_too_large_for_a_float_rejected(self):
+        doc = frames_doc([frame_feature(
+            "huge", ORIGIN, TARGET,
+            {"events": ["2017-06-10T05:00:00Z/2017-06-10T05:20:00Z"]})])
+        with pytest.raises(BadLineString, match="huge.*finite"):
+            parse_frames(doc.replace("145.0", "1" + "0" * 400, 1))
+        # past the int-from-string digit limit json.loads raises ValueError
+        with pytest.raises(NotFeatureCollection):
+            parse_frames(doc.replace("145.0", "1" + "0" * 5000, 1))
+
     def test_coincident_endpoints(self):
         doc = frames_doc([frame_feature(
             "dup", ORIGIN, ORIGIN,
@@ -337,6 +363,17 @@ class TestParseGpx:
         trace = parse_gpx(text, "t", on_warning=warnings.append)
         assert [p.lon_deg for p in trace.points] == [145.0]
         assert len(warnings) == 1 and "not finite" in warnings[0]
+
+
+    @pytest.mark.parametrize("lat, lon", [
+        ("-3_7.85", "145.0"), ("-37.85", "1_45"), ("-37.85", "\uff11\uff14\uff15")])
+    def test_lat_lon_that_is_no_xml_number_skipped(self, lat, lon):
+        warnings = []
+        text = (gpx_doc([(-37.84, 145.0, ts(5, 1))])
+                .replace('lat="-37.84" lon="145.0"', f'lat="{lat}" lon="{lon}"'))
+        with pytest.raises(NoTimedPoints):
+            parse_gpx(text, "t", on_warning=warnings.append)
+        assert warnings == ["track point with non-numeric lat/lon skipped"]
 
 
 def _write_two_field_inputs(base):
