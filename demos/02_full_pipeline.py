@@ -82,8 +82,9 @@ for name, lateral in (("ana", 0.0), ("ben", 8.0)):
 
 # --- run the three stages ---------------------------------------------------
 frames, traces, report = load_inputs(frames_path, traces_dir)
-print(f"ingest: {report.frames_loaded} frames, {report.events_loaded} events, "
-      f"{report.traces_loaded} traces, {len(report.warnings)} warnings")
+events = sum(len(frame_events) for _, frame_events in frames)
+print(f"ingest: {len(frames)} frames, {events} events, {len(traces)} traces, "
+      f"{len(report.warnings)} warnings")
 
 result = run(traces, frames)
 print(f"engine: {len(result.series)} series, "

@@ -86,9 +86,9 @@ def _pipeline(args: argparse.Namespace) -> int:
     for source, message in report.warnings:
         print(f"framelocal: warning: {source}: {message}", file=sys.stderr)
     if args.verbose:
-        print(f"framelocal: loaded {report.frames_loaded} frames, "
-              f"{report.events_loaded} events, {report.traces_loaded} traces",
-              file=sys.stderr)
+        events = sum(len(frame_events) for _, frame_events in frames)
+        print(f"framelocal: loaded {len(frames)} frames, {events} events, "
+              f"{len(traces)} traces", file=sys.stderr)
 
     try:
         result = run(traces, frames)

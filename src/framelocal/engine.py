@@ -74,28 +74,16 @@ def project_series(trace: Trace, window: range,
                        event_label=event.label, points=tuple(locals_))
 
 
-def _union(windows: list[range]) -> list[range]:
-    """The sorted, disjoint runs of indices that cover the union of windows;
-    overlapping or touching windows share a run."""
-    runs: list[range] = []
-    for window in sorted(windows, key=lambda w: w.start):
-        if runs and window.start <= runs[-1].stop:
-            if window.stop > runs[-1].stop:
-                runs[-1] = range(runs[-1].start, window.stop)
-        else:
-            runs.append(window)
-    return runs
-
-
 def run(traces: list[Trace],
         frames: list[tuple[FrameLine, list[EventInterval]]]) -> RunResult:
     """Process every (trace, frame, event) permutation.
 
     Projection setup happens once per frame, on WGS84 like the frame's
-    azimuth. Each fix of a trace is projected at most once per frame: the
-    frame's event windows are merged into disjoint runs, each run is
-    projected in one hom_forward_many call, and each event's series is a
-    slice of that. Series are sorted by (trace id, frame id, event label).
+    azimuth. Each fix of a trace is projected at most once per frame, into
+    one list aligned with trace.points: the frame's event windows are walked
+    in start order, and only the part of a window not yet projected goes to
+    hom_forward_many. Each event's series takes its window's slice of that
+    list. Series are sorted by (trace id, frame id, event label).
     Samples dropped as out of domain become one warning per permutation, in
     input order (traces, then frames, then events). A failure in any
     permutation, including one in which no sample projects, aborts the run
@@ -117,21 +105,23 @@ def run(traces: list[Trace],
                     windows.append((event, window))
                 else:
                     skipped_empty += 1
-            runs = _union([window for _, window in windows])
-            starts = [r.start for r in runs]
-            projected_runs = []
-            for r in runs:
-                points = trace.points[r.start:r.stop]
-                projected_runs.append(hom_forward_many(
-                    params, [p.lat_deg for p in points], [p.lon_deg for p in points]))
+            if not windows:
+                continue
+            projected: list = [None] * len(trace.points)
+            done = 0  # every window walked so far ends at or before done
+            for _, window in sorted(windows, key=lambda w: w[1].start):
+                start = max(window.start, done)
+                if start < window.stop:
+                    points = trace.points[start:window.stop]
+                    projected[start:window.stop] = hom_forward_many(
+                        params, [p.lat_deg for p in points], [p.lon_deg for p in points])
+                    done = window.stop
             for event, window in windows:
-                k = bisect_right(starts, window.start) - 1
-                offset = window.start - starts[k]
                 where = (f"trace {trace.id!r}, frame {frame.id!r}, "
                          f"event {event.label!r}")
                 try:
                     series.append(project_series(
-                        trace, window, projected_runs[k][offset:offset + len(window)],
+                        trace, window, projected[window.start:window.stop],
                         frame, event, on_warning=lambda message: warnings.append(
                             f"{where}: {message}")))
                 except FrameLocalError as exc:

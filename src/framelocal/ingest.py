@@ -49,11 +49,8 @@ WarnFn = Callable[[str], None]
 
 @dataclass
 class IngestReport:
-    """Load statistics plus non-fatal (source, message) warnings."""
+    """The non-fatal (source, message) warnings of one load_inputs call."""
 
-    traces_loaded: int = 0
-    frames_loaded: int = 0
-    events_loaded: int = 0
     warnings: list[tuple[str, str]] = field(default_factory=list)
 
 
@@ -79,7 +76,8 @@ def parse_interval(text: str, label: str = "e0",
 
     Only the explicit two-datetime form is accepted; begin and end are
     normalized to UTC. Datetimes lacking an offset are taken as UTC and
-    reported through on_warning when given.
+    reported through on_warning when given. An empty label, or an endpoint
+    out of the datetime range in UTC, is a MalformedInterval.
     """
     parts = text.split("/")
     if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
@@ -94,7 +92,10 @@ def parse_interval(text: str, label: str = "e0",
     end, end_naive = _parse_instant(parts[1])
     if (begin_naive or end_naive) and on_warning is not None:
         on_warning(f"interval {text!r} has no UTC offset; assuming UTC")
-    return EventInterval(begin_utc=begin, end_utc=end, label=label)
+    try:
+        return EventInterval(begin_utc=begin, end_utc=end, label=label)
+    except ValueError as exc:
+        raise MalformedInterval(f"{text!r}: {exc}") from None
 
 
 def format_interval(interval: EventInterval) -> str:
@@ -124,10 +125,20 @@ def build_frame_line(frame_id: str, origin_lat_deg: float, origin_lon_deg: float
 def _feature_id(feature: dict, index: int) -> str:
     if "id" in feature and feature["id"] is not None and str(feature["id"]) != "":
         return str(feature["id"])
-    name = (feature.get("properties") or {}).get("name")
+    properties = feature.get("properties")
+    name = properties.get("name") if isinstance(properties, dict) else None
     if isinstance(name, str) and name:
         return name
     return f"f{index}"
+
+
+def _object_member(feature: dict, key: str, feature_id: str) -> dict:
+    """feature[key] if it is an object, {} if it is null or absent."""
+    value = feature.get(key)
+    if value is not None and not isinstance(value, dict):
+        raise NotFeatureCollection(
+            f"frame {feature_id!r}: {key} is neither an object nor null")
+    return value or {}
 
 
 def _feature_events(feature_id: str, properties: dict,
@@ -184,7 +195,8 @@ def parse_frames(geojson_text: str, on_warning: WarnFn | None = None
         if not isinstance(feature, dict):
             raise NotFeatureCollection(f"features[{index}] is not an object")
         feature_id = _feature_id(feature, index)
-        geometry = feature.get("geometry") or {}
+        properties = _object_member(feature, "properties", feature_id)
+        geometry = _object_member(feature, "geometry", feature_id)
         if geometry.get("type") != "LineString":
             warn(f"frame {feature_id!r}: geometry is not a LineString; skipped")
             continue
@@ -221,8 +233,7 @@ def parse_frames(geojson_text: str, on_warning: WarnFn | None = None
             frame = build_frame_line(feature_id, lat1, lon1, lat2, lon2)
         except (CoincidentPoints, NearAntipodal) as exc:
             raise type(exc)(f"frame {feature_id!r}: {exc}") from None
-        events = _feature_events(feature_id, feature.get("properties") or {},
-                                 _frame_warn)
+        events = _feature_events(feature_id, properties, _frame_warn)
         if not events:
             raise NoEvents(f"frame {feature_id!r} has no parsable event interval")
         frames.append((frame, events))
@@ -246,10 +257,10 @@ def parse_gpx(gpx_text: str | bytes, trace_id: str,
               on_warning: WarnFn | None = None) -> Trace:
     """Parse GPX 1.0/1.1 text into a Trace.
 
-    Track points from all tracks and segments are flattened in document
-    order, then stably sorted by time. Points without a usable timestamp
-    or position are skipped with a warning; a file with zero timed points
-    is an error. Bytes input honours the XML encoding declaration.
+    Track points from all tracks and segments are collected in document
+    order; the Trace sorts them stably by time. Points without a usable
+    timestamp or position are skipped with a warning; a file with zero timed
+    points is an error. Bytes input honours the XML encoding declaration.
     """
     warn = on_warning if on_warning is not None else (lambda message: None)
     try:
@@ -294,7 +305,6 @@ def parse_gpx(gpx_text: str | bytes, trace_id: str,
     if not points:
         detail = "no usable track points" if saw_trkpt else "no track points"
         raise NoTimedPoints(f"{detail} in GPX input")
-    points.sort(key=lambda p: p.time_utc)
     return Trace(id=trace_id, points=tuple(points))
 
 
@@ -345,8 +355,4 @@ def load_inputs(frames_path: str | Path, traces_dir: str | Path,
         except (OSError, MalformedXml, NoTimedPoints) as exc:
             report.warnings.append((str(path), f"trace skipped: {exc}"))
     traces.sort(key=lambda t: t.id)
-
-    report.traces_loaded = len(traces)
-    report.frames_loaded = len(frames)
-    report.events_loaded = sum(len(events) for _, events in frames)
     return frames, traces, report

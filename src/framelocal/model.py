@@ -39,7 +39,10 @@ def unique_name(base: str, taken: set[str]) -> str:
 def _require_utc(name: str, value: datetime) -> datetime:
     if not isinstance(value, datetime) or value.tzinfo is None:
         raise ValueError(f"{name} must be a timezone-aware datetime")
-    return value.astimezone(timezone.utc)
+    try:
+        return value.astimezone(timezone.utc)
+    except OverflowError:  # past the year 9999 or before the year 1 in UTC
+        raise ValueError(f"{name} {value.isoformat()} is out of range in UTC") from None
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,8 @@ class GeoPoint:
 
 @dataclass(frozen=True)
 class Trace:
-    """One GPS trajectory: a time-ordered sequence of fixes from one file."""
+    """One GPS trajectory from one file. Its points are stored stably sorted
+    by time: fixes with equal times keep the order they are given in."""
 
     id: str
     points: tuple[GeoPoint, ...]
@@ -69,10 +73,8 @@ class Trace:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("trace id must be non-empty")
-        object.__setattr__(self, "points", tuple(self.points))
-        times = [p.time_utc for p in self.points]
-        if any(a > b for a, b in zip(times, times[1:])):
-            raise ValueError(f"trace {self.id!r}: points not in time order")
+        object.__setattr__(self, "points",
+                           tuple(sorted(self.points, key=lambda p: p.time_utc)))
 
 
 @dataclass(frozen=True)
@@ -148,7 +150,7 @@ class EventSeries:
     """All in-interval samples of one (trace, frame, event) permutation.
 
     Samples are in time order with t_s >= 0, unchecked: the engine alone
-    guarantees both, as it clips a time-sorted Trace to [begin, end].
+    guarantees both, as it clips a Trace (always time-sorted) to [begin, end].
     """
 
     trace_id: str

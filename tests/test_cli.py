@@ -88,6 +88,39 @@ class TestExitCodes:
         assert code == 0
         assert "bad.gpx: trace skipped" in captured.err
 
+    @pytest.mark.parametrize("properties, geometry, message", [
+        ([1], None, "'odd': properties is neither"),
+        (None, [1], "'odd': geometry is neither"),
+        ({"events": [f"{INTERVAL[:20]}/9999-12-31T23:59:59-01:00"]}, None,
+         "out of range in UTC"),
+        ({"": INTERVAL}, None, "'odd' has no parsable event"),
+    ], ids=["properties", "geometry", "out-of-range-event", "empty-name"])
+    def test_bad_frame_feature_is_ingest_error(self, tmp_path, capsys,
+                                               properties, geometry, message):
+        frames_path, traces = _basic_inputs(tmp_path)
+        feature = frame_feature("odd", ORIGIN, TARGET, {"events": [INTERVAL]})
+        feature["properties"] = properties or feature["properties"]
+        feature["geometry"] = geometry or feature["geometry"]
+        frames_path.write_text(frames_doc([feature]))
+        code = main(["--frames", str(frames_path), "--traces", str(traces),
+                     "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert message in captured.err
+
+    def test_gpx_time_out_of_range_in_utc_is_a_warning(self, tmp_path, capsys):
+        frames_path, traces = _basic_inputs(tmp_path)
+        walk = traces / "walk.gpx"
+        walk.write_text(walk.read_text().replace(
+            "</trkseg>", f'<trkpt lat="{ORIGIN[0]}" lon="{ORIGIN[1]}">'
+            "<time>9999-12-31T23:59:59-01:00</time></trkpt></trkseg>"))
+        code = main(["--frames", str(frames_path), "--traces", str(traces),
+                     "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "walk.gpx: track point skipped: time_utc" in captured.err
+        assert captured.out.endswith(", 1 warnings\n")
+
     def test_invalid_jobs(self, tmp_path, capsys):
         frames_path, traces = _basic_inputs(tmp_path)
         code = main(["--frames", str(frames_path), "--traces", str(traces),

@@ -1,5 +1,6 @@
 """Pipeline core: clipping, projection, and the permutation loop."""
 
+from collections import Counter
 from datetime import timedelta
 
 import pytest
@@ -289,6 +290,22 @@ class TestRunProperties:
                 for series in run(traces, [(frame, [event])]).series:
                     alone[series.key] = series
         assert combined == alone
+
+    @given(_scenarios())
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_sees_exactly_the_union_of_windows(self, scenario):
+        traces, frames = scenario
+        with pytest.MonkeyPatch.context() as patch:
+            seen = _counting_kernel(patch)
+            run(traces, frames)
+        expected = []
+        for trace in traces:
+            for _, events in frames:
+                union = set()
+                for event in events:
+                    union.update(clip_to_event(trace, event))
+                expected.extend(trace.points[i].lat_deg for i in union)
+        assert Counter(seen) == Counter(expected)
 
     @given(_scenarios())
     @settings(max_examples=40, deadline=None)

@@ -23,6 +23,8 @@ from framelocal.output import OutputLayout
 ORIGIN = (-37.85, 145.0)
 TARGET = (-37.84, 145.001)
 INTERVAL = "2017-06-10T05:00:00Z/2017-06-10T05:20:00Z"
+# a time that parses, but lies past the year 9999 once converted to UTC
+LATE = "9999-12-31T23:59:59-01:00"
 
 _WEIRD_NUMBERS = ["", "nan", "inf", "-inf", "1e400", "-0", "abc", " 1.5 ",
                   "90.0000001", "-180", "540"]
@@ -46,7 +48,7 @@ _TIMES = _mostly(
                  timezones=st.just(timezone.utc)).map(iso),
     st.one_of(st.none(), st.sampled_from([
         "", "2017-06-10T05:01:00", "2017-06-10T15:01:00+10:00",
-        "2017-13-10T05:00:00Z", "yesterday", "2017-06-10T05:00:00.5Z"])))
+        "2017-13-10T05:00:00Z", "yesterday", "2017-06-10T05:00:00.5Z", LATE])))
 
 # fixes the projection cannot take from a Melbourne origin: null island, the
 # far hemisphere, poleward of its latitude limit
@@ -95,8 +97,8 @@ _POSITION_VALUES = st.one_of(
 @st.composite
 def _frames_text(draw) -> bytes:
     # at most one part is broken, so that half of the runs get past it
-    broken = draw(st.sampled_from(["", "", "", "", "positions", "events",
-                                   "geometry", "bytes"]))
+    broken = draw(st.sampled_from(["", "", "", "", "", "", "positions", "events",
+                                   "geometry", "members", "names", "bytes"]))
     positions = [[ORIGIN[1], ORIGIN[0]], [TARGET[1], TARGET[0]]]
     if broken == "positions":
         positions = draw(st.lists(st.one_of(
@@ -104,12 +106,20 @@ def _frames_text(draw) -> bytes:
             max_size=3))
     events = [INTERVAL]
     if broken == "events":
-        events = draw(st.lists(st.one_of(st.just(INTERVAL), st.text(max_size=12),
-                                         _JSON_SCALARS), max_size=3))
+        events = draw(st.lists(st.one_of(
+            st.sampled_from([INTERVAL, f"{INTERVAL[:20]}/{LATE}"]),
+            st.text(max_size=12), _JSON_SCALARS), max_size=3))
+    properties = {"events": events}
+    if broken == "names":  # an interval under the empty property name
+        properties = draw(st.sampled_from([{"": INTERVAL},
+                                           {"": INTERVAL, **properties}]))
     feature = {"type": "Feature", "id": draw(st.sampled_from(["f0", "", None])),
                "geometry": {"type": "Point" if broken == "geometry" else "LineString",
                             "coordinates": positions},
-               "properties": {"events": events}}
+               "properties": properties}
+    if broken == "members":  # a non-object member (null is allowed)
+        feature[draw(st.sampled_from(["properties", "geometry"]))] = draw(
+            st.one_of(st.lists(_JSON_SCALARS, max_size=2), _JSON_SCALARS))
     text = json.dumps({"type": "FeatureCollection", "features": [feature]})
     return _splice(text.encode("utf-8"), draw(_SPLICES) if broken == "bytes" else [])
 

@@ -73,6 +73,14 @@ class TestParseInterval:
         with pytest.raises(MalformedInterval):
             parse_interval(text)
 
+    def test_endpoint_out_of_range_in_utc_rejected(self):
+        with pytest.raises(MalformedInterval, match="out of range in UTC"):
+            parse_interval("2017-06-10T05:00:00Z/9999-12-31T23:59:59-01:00")
+
+    def test_empty_label_rejected(self):
+        with pytest.raises(MalformedInterval, match="label"):
+            parse_interval("2017-06-10T05:00:00Z/2017-06-10T05:20:00Z", label="")
+
     def test_naive_assumed_utc_with_warning(self):
         warnings = []
         interval = parse_interval("2017-06-10T05:00:00/2017-06-10T05:20:00Z",
@@ -198,6 +206,44 @@ class TestParseFrames:
             "oops", ORIGIN, TARGET, {"events": ["2017-06-10T05:00:00Z/nope"]})])
         with pytest.raises(MalformedInterval, match="oops"):
             parse_frames(doc)
+
+    def test_out_of_range_interval_names_feature(self):
+        doc = frames_doc([frame_feature(
+            "late", ORIGIN, TARGET,
+            {"events": ["2017-06-10T05:00:00Z/9999-12-31T23:59:59-01:00"]})])
+        with pytest.raises(MalformedInterval, match="late"):
+            parse_frames(doc)
+
+    def test_interval_under_empty_property_name_ignored(self):
+        interval = "2017-06-10T05:00:00Z/2017-06-10T05:20:00Z"
+        doc = frames_doc([frame_feature("blank", ORIGIN, TARGET,
+                                        {"": interval, "round1": interval})])
+        [(_, events)] = parse_frames(doc)
+        assert [e.label for e in events] == ["round1"]
+        doc = frames_doc([frame_feature("blank", ORIGIN, TARGET, {"": interval})])
+        with pytest.raises(NoEvents, match="blank"):
+            parse_frames(doc)
+
+    @pytest.mark.parametrize("member", ["properties", "geometry"])
+    @pytest.mark.parametrize("value", [[1], [], "x", 0, False])
+    def test_member_that_is_no_object_names_feature(self, member, value):
+        feature = frame_feature(
+            "odd", ORIGIN, TARGET,
+            {"events": ["2017-06-10T05:00:00Z/2017-06-10T05:20:00Z"]})
+        feature[member] = value
+        with pytest.raises(NotFeatureCollection, match=f"'odd': {member}"):
+            parse_frames(frames_doc([feature]))
+
+    def test_null_members_taken_as_empty(self):
+        warnings = []
+        feature = frame_feature(
+            "bare", ORIGIN, TARGET,
+            {"events": ["2017-06-10T05:00:00Z/2017-06-10T05:20:00Z"]})
+        feature["geometry"] = None
+        assert parse_frames(frames_doc([feature]), on_warning=warnings.append) == []
+        assert warnings == ["frame 'bare': geometry is not a LineString; skipped"]
+        with pytest.raises(NoEvents, match="bare"):
+            parse_frames(frames_doc([frame_feature("bare", ORIGIN, TARGET, None)]))
 
     def test_reversed_scalar_property_is_an_error(self):
         doc = frames_doc([frame_feature(
@@ -349,6 +395,15 @@ class TestParseGpx:
                 '<time>2017-06-10T05:00:00</time></trkpt></trkseg></trk></gpx>')
         assert parse_gpx(text, "t").points[0].time_utc == ts(5)
 
+    def test_time_out_of_range_in_utc_skipped_with_warning(self):
+        warnings = []
+        text = gpx_doc([(-37.84, 145.0, ts(5, 1))]).replace(
+            "</trkseg>", '<trkpt lat="-37.85" lon="145.0">'
+            "<time>9999-12-31T23:59:59-01:00</time></trkpt></trkseg>")
+        trace = parse_gpx(text, "t", on_warning=warnings.append)
+        assert [p.time_utc for p in trace.points] == [ts(5, 1)]
+        assert len(warnings) == 1 and "out of range in UTC" in warnings[0]
+
     def test_bad_latitude_skipped_with_warning(self):
         warnings = []
         text = gpx_doc([(95.0, 145.0, ts(5)), (-37.84, 145.0, ts(5, 1))])
@@ -395,9 +450,7 @@ class TestLoadInputs:
         (traces / "notes.txt").write_text("not a trace")
         frames, traces_loaded, report = load_inputs(frames_path, traces)
         assert [t.id for t in traces_loaded] == ["a", "b"]
-        assert report.traces_loaded == 2
-        assert report.frames_loaded == 1
-        assert report.events_loaded == 1
+        assert [len(events) for _, events in frames] == [1]
         assert report.warnings == []
 
     def test_corrupt_file_isolated(self, tmp_path):

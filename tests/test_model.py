@@ -38,6 +38,12 @@ class TestGeoPoint:
         with pytest.raises(ValueError):
             GeoPoint(0.0, 0.0, datetime(2017, 6, 10, 5, 0, 0))
 
+    def test_time_out_of_range_in_utc_rejected(self):
+        minus1 = timezone(timedelta(hours=-1))
+        late = datetime(9999, 12, 31, 23, 59, 59, tzinfo=minus1)
+        with pytest.raises(ValueError, match="out of range in UTC"):
+            GeoPoint(0.0, 0.0, late)
+
     def test_offset_time_converted_to_utc(self):
         plus10 = timezone(timedelta(hours=10))
         point = GeoPoint(0.0, 0.0, datetime(2017, 6, 10, 15, 0, 0, tzinfo=plus10))
@@ -50,10 +56,11 @@ class TestTrace:
         with pytest.raises(ValueError):
             Trace(id="", points=(GeoPoint(0.0, 0.0, ts(5)),))
 
-    def test_requires_time_order(self):
-        with pytest.raises(ValueError):
-            Trace(id="t", points=(GeoPoint(0.0, 0.0, ts(6)),
-                                  GeoPoint(0.0, 0.0, ts(5))))
+    def test_sorts_points_stably_by_time(self):
+        points = (GeoPoint(0.0, 0.1, ts(6)), GeoPoint(0.0, 0.2, ts(5)),
+                  GeoPoint(0.0, 0.3, ts(6)), GeoPoint(0.0, 0.4, ts(5)))
+        trace = Trace(id="t", points=points)
+        assert [p.lon_deg for p in trace.points] == [0.2, 0.4, 0.1, 0.3]
 
     def test_duplicate_times_allowed(self):
         trace = Trace(id="t", points=(GeoPoint(0.0, 0.0, ts(5)),
