@@ -23,6 +23,7 @@ __all__ = [
     "GeodesicSolution",
     "HomParams",
     "WGS84",
+    "check_origin_latitude",
     "geodesic_inverse",
     "hom_setup",
     "hom_forward",
@@ -241,6 +242,13 @@ def _clamp(value: float, lo: float, hi: float) -> float:
     return lo if value < lo else hi if value > hi else value
 
 
+def check_origin_latitude(origin_lat_deg: float) -> None:
+    """Raise PolarOrigin for a projection origin poleward of the limit."""
+    if abs(origin_lat_deg) >= _POLE_LIMIT_DEG:
+        raise PolarOrigin(
+            f"origin latitude {origin_lat_deg} is poleward of ±{_POLE_LIMIT_DEG}")
+
+
 def hom_setup(ellipsoid: Ellipsoid, origin_lat_deg: float, origin_lon_deg: float,
               azimuth_deg: float) -> HomParams:
     """Precompute projection constants for a center point and an azimuth.
@@ -249,9 +257,7 @@ def hom_setup(ellipsoid: Ellipsoid, origin_lat_deg: float, origin_lon_deg: float
     make scale true there, and orient the output axes so that +y runs along
     azimuth_deg and +x runs 90 degrees clockwise of it.
     """
-    if abs(origin_lat_deg) >= _POLE_LIMIT_DEG:
-        raise PolarOrigin(
-            f"origin latitude {origin_lat_deg} is poleward of ±{_POLE_LIMIT_DEG}")
+    check_origin_latitude(origin_lat_deg)
     lon_c = normalize_longitude(origin_lon_deg)
     az = _wrap_azimuth(azimuth_deg)
 

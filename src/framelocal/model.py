@@ -39,13 +39,15 @@ def unique_name(base: str, taken: set[str]) -> str:
 def _require_utc(name: str, value: datetime) -> datetime:
     if not isinstance(value, datetime) or value.tzinfo is None:
         raise ValueError(f"{name} must be a timezone-aware datetime")
+    if value.tzinfo is timezone.utc:
+        return value
     try:
         return value.astimezone(timezone.utc)
     except OverflowError:  # past the year 9999 or before the year 1 in UTC
         raise ValueError(f"{name} {value.isoformat()} is out of range in UTC") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     """One timestamped WGS84 fix."""
 
@@ -53,13 +55,16 @@ class GeoPoint:
     lon_deg: float
     time_utc: datetime
 
-    def __post_init__(self) -> None:
-        if not -90.0 <= self.lat_deg <= 90.0:
-            raise ValueError(f"latitude {self.lat_deg} outside [-90, 90]")
-        if not math.isfinite(self.lon_deg):
-            raise ValueError(f"longitude {self.lon_deg} is not finite")
-        object.__setattr__(self, "lon_deg", normalize_longitude(self.lon_deg))
-        object.__setattr__(self, "time_utc", _require_utc("time_utc", self.time_utc))
+    # Written out, not generated plus __post_init__, so that each field is
+    # stored once: a fix is built per GPX track point.
+    def __init__(self, lat_deg: float, lon_deg: float, time_utc: datetime) -> None:
+        if not -90.0 <= lat_deg <= 90.0:
+            raise ValueError(f"latitude {lat_deg} outside [-90, 90]")
+        if not math.isfinite(lon_deg):
+            raise ValueError(f"longitude {lon_deg} is not finite")
+        object.__setattr__(self, "lat_deg", lat_deg)
+        object.__setattr__(self, "lon_deg", normalize_longitude(lon_deg))
+        object.__setattr__(self, "time_utc", _require_utc("time_utc", time_utc))
 
 
 @dataclass(frozen=True)

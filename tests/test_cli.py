@@ -68,6 +68,27 @@ class TestExitCodes:
         assert code == 3
         assert "far" in captured.err
 
+    def test_polar_frame_origin_is_ingest_error(self, tmp_path, capsys):
+        frames_path, traces = _basic_inputs(tmp_path)
+        frames_path.write_text(frames_doc(
+            [frame_feature("pole", (89.95, 0.0), (89.96, 10.0), {"events": [INTERVAL]})]))
+        code = main(["--frames", str(frames_path), "--traces", str(traces),
+                     "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "frame 'pole': origin latitude 89.95 is poleward" in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_frames_file_with_byte_order_mark_loads(self, tmp_path, capsys):
+        frames_path, traces = _basic_inputs(tmp_path)
+        frames_path.write_bytes(b"\xef\xbb\xbf" + frames_path.read_bytes())
+        code = main(["--frames", str(frames_path), "--traces", str(traces),
+                     "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == ("1 series written, 0 permutations skipped "
+                                "(empty), 0 warnings\n")
+
     def test_non_utf8_frames_file_is_ingest_error(self, tmp_path, capsys):
         frames_path, traces = _basic_inputs(tmp_path)
         frames_path.write_bytes(

@@ -19,6 +19,7 @@ from framelocal.errors import (
     NotFeatureCollection,
     NoTimedPoints,
     NoTraces,
+    PolarOrigin,
     ReversedInterval,
 )
 from framelocal.ingest import (
@@ -193,6 +194,13 @@ class TestParseFrames:
             "dup", ORIGIN, ORIGIN,
             {"events": ["2017-06-10T05:00:00Z/2017-06-10T05:20:00Z"]})])
         with pytest.raises(CoincidentPoints, match="dup"):
+            parse_frames(doc)
+
+    def test_polar_origin_names_feature(self):
+        doc = frames_doc([frame_feature(
+            "pole", (89.95, 0.0), (89.96, 10.0),
+            {"events": ["2017-06-10T05:00:00Z/2017-06-10T05:20:00Z"]})])
+        with pytest.raises(PolarOrigin, match="'pole'.*89.95 is poleward"):
             parse_frames(doc)
 
     def test_no_events_is_an_error(self):

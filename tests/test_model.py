@@ -44,6 +44,12 @@ class TestGeoPoint:
         with pytest.raises(ValueError, match="out of range in UTC"):
             GeoPoint(0.0, 0.0, late)
 
+    def test_utc_time_kept_as_given_in_slots(self):
+        instant = ts(5)
+        point = GeoPoint(0.0, 0.0, instant)
+        assert point.time_utc is instant
+        assert not hasattr(point, "__dict__")
+
     def test_offset_time_converted_to_utc(self):
         plus10 = timezone(timedelta(hours=10))
         point = GeoPoint(0.0, 0.0, datetime(2017, 6, 10, 15, 0, 0, tzinfo=plus10))
