@@ -56,15 +56,21 @@ class GeoPoint:
     time_utc: datetime
 
     # Written out, not generated plus __post_init__, so that each field is
-    # stored once: a fix is built per GPX track point.
+    # stored once, through its slot: a fix is built per GPX track point.
     def __init__(self, lat_deg: float, lon_deg: float, time_utc: datetime) -> None:
         if not -90.0 <= lat_deg <= 90.0:
             raise ValueError(f"latitude {lat_deg} outside [-90, 90]")
         if not math.isfinite(lon_deg):
             raise ValueError(f"longitude {lon_deg} is not finite")
-        object.__setattr__(self, "lat_deg", lat_deg)
-        object.__setattr__(self, "lon_deg", normalize_longitude(lon_deg))
-        object.__setattr__(self, "time_utc", _require_utc("time_utc", time_utc))
+        _store_lat(self, lat_deg)
+        _store_lon(self, normalize_longitude(lon_deg))
+        _store_time(self, _require_utc("time_utc", time_utc))
+
+
+# the slot descriptors' setters, which a frozen class's own __setattr__ refuses;
+# one call each costs about half of object.__setattr__ with the field name
+_store_lat, _store_lon, _store_time = (
+    GeoPoint.lat_deg.__set__, GeoPoint.lon_deg.__set__, GeoPoint.time_utc.__set__)
 
 
 @dataclass(frozen=True)

@@ -115,6 +115,8 @@ def test_canonical_shapes_take_the_scanner(document, count):
     (_gpx(prolog=f"<!DOCTYPE gpx [<!ENTITY unused '{_TRAP}'>]>").encode(), []),
     (_gpx(f"{_FIX}<?note {_TRAP}?>").encode(), []),
     (_gpx(_FIX.replace("time>", "g:time>"), f' xmlns:g="{GPX11}"').encode(), []),
+    (_gpx(_FIX.replace("time>", "g:time>"),
+          " creator='xmlns:x=\"'" f' xmlns:g="{GPX11}"').encode(), []),
     (f'{_UTF8}<g:gpx version="1.1" xmlns:g="{GPX11}"><g:trk><g:trkseg>'
      f'{_FIX.replace("<", "<g:").replace("<g:/", "</g:")}{_TRAP}'
      "</g:trkseg></g:trk></g:gpx>".encode(), []),
@@ -124,17 +126,30 @@ def test_canonical_shapes_take_the_scanner(document, count):
           ).encode("latin-1"), [_unparsable("2017-06-10T05:00:01Z\u00c3\u00a9")]),
     (_gpx(prolog=_UTF8.replace("UTF-8", "UTF-16")).encode("utf-16-le"), []),
 ], ids=["comment", "cdata", "entity", "character-reference", "doctype",
-        "processing-instruction", "prefix-bound-to-gpx", "prefixed-root",
+        "processing-instruction", "prefix-bound-to-gpx",
+        "prefix-bound-after-xmlns-in-a-value", "prefixed-root",
         "default-namespace-redeclared", "latin-1-declaration", "utf-16-without-bom"])
 def test_other_shapes_take_element_tree(data, warnings):
     # each file holds a trap that the scanner would misread without the rule
     # that sends the file to ElementTree
-    assert ingest._scan_fixes(ingest._read_xml(data, ingest._well_formed)) is None
+    assert ingest._scan_fixes(data) is None
     seen = []
     trace = ingest.parse_gpx(data, "t", seen.append)
     assert [(p.lat_deg, p.lon_deg, p.time_utc.isoformat()) for p in trace.points] == [
         (1.5, 2.5, "2017-06-10T05:00:00+00:00")]
     assert seen == warnings
+
+
+def test_scanned_file_still_checked_for_well_formedness():
+    # the scanner reads the fixes of a file whose root is never closed;
+    # parse_gpx rejects it as ElementTree does
+    data = GARMIN_FILE.removesuffix("</gpx>\n").encode()
+    assert ingest._scan_fixes(data) is not None
+    with pytest.raises(MalformedXml) as scanned:
+        ingest.parse_gpx(data, "t")
+    with pytest.raises(MalformedXml) as tree:
+        ingest._read_xml(data, ET.fromstring)
+    assert str(scanned.value) == str(tree.value)
 
 
 # -- generated and mutated GPX ----------------------------------------------
@@ -157,7 +172,8 @@ _MUTATIONS = [
     "attribute-tab", "bom", "lon-first", "single-quotes", "extra-attribute",
     "empty-time", "nested-time", "time-after-extensions", "xmlns-redeclared",
     "trkpt-in-wpt", "trkpt-in-rte", "nested-trkpt", "junk-after-root", "latin-1",
-    "utf-16", "ascii", "prefix-bound", "prefixed-time", "prefixed-root", "splice"]
+    "utf-16", "ascii", "prefix-bound", "prefixed-time", "prefixed-root",
+    "xmlns-in-value", "splice"]
 
 
 @st.composite
@@ -191,7 +207,7 @@ def _gpx_documents(draw) -> bytes:
         name = "g:trkpt" if "prefix-bound" in change else "trkpt"
         children = ["<ele>12.5</ele>"]
         if when is not None:
-            tag = "g:time" if "prefixed-time" in change else "time"
+            tag = "g:time" if {"prefixed-time", "xmlns-in-value"} & change else "time"
             children.append(f"<{tag}>{when}</{tag}>")
         if "empty-time" in change:
             children.append("<time/>")
@@ -223,8 +239,11 @@ def _gpx_documents(draw) -> bytes:
     root = "g:gpx" if "prefixed-root" in mutations else "gpx"
     declarations = f' xmlns="{namespace}"' if namespace and root == "gpx" else ""
     declarations += f' xmlns:ns3="{GARMIN}"'
-    declarations += f' xmlns:g="{namespace or GPX11}"' if (
-        {"prefix-bound", "prefixed-time", "prefixed-root"} & mutations) else ""
+    if "xmlns-in-value" in mutations:  # text that reads like a declaration
+        declarations += " note='xmlns:x=\"'"
+    declarations += f' xmlns:g="{namespace or GPX11}"' if {
+        "prefix-bound", "prefixed-time", "prefixed-root", "xmlns-in-value"
+    } & mutations else ""
     segment_ns = f' xmlns="{GARMIN}"' if "xmlns-redeclared" in mutations else ""
     encoding = ("ISO-8859-1" if "latin-1" in mutations else "UTF-16"
                 if "utf-16" in mutations else "US-ASCII" if "ascii" in mutations
@@ -263,12 +282,9 @@ def test_both_extractors_read_the_same(data):
 
     reference = _outcome(tree)
     assert _outcome(lambda warn: ingest.parse_gpx(data, "t", warn)) == reference
-    try:
-        document = ingest._read_xml(data, ingest._well_formed)
-    except MalformedXml:
-        return
-    scanned = ingest._scan_fixes(document)
-    if scanned is None:
-        return
+    error = reference[2]
+    scanned = ingest._scan_fixes(data)
+    if scanned is None or (error is not None and error[0] == "MalformedXml"):
+        return  # parse_gpx reads through the scanner only a well-formed file
     assert scanned == _tree_fixes(data)
     assert _outcome(lambda warn: ingest._trace_from_fixes(scanned, "t", warn)) == reference

@@ -2,7 +2,7 @@
 
 import json
 import math
-from datetime import timezone
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +23,7 @@ from framelocal.errors import (
     ReversedInterval,
 )
 from framelocal.ingest import (
+    _parse_instant,
     format_interval,
     load_inputs,
     parse_frames,
@@ -111,6 +112,35 @@ class TestParseInterval:
                                  end_utc=begin + timedelta(seconds=extra * 1e-3),
                                  label="e0")
         assert parse_interval(format_interval(interval)) == interval
+
+    @given(text=st.one_of(
+        st.datetimes(timezones=st.none() | st.timezones()).map(
+            lambda d: d.isoformat().replace("+00:00", "Z")),
+        st.text(st.sampled_from("0123456789-:T.,+Zz W\t\n"), max_size=30),
+        st.builds(lambda digits, tail: f"2017-06-10T{digits}{tail}",
+                  st.text(st.sampled_from("0123456789:.,"), max_size=12),
+                  st.sampled_from(["", "Z", "z", " Z", "Z ", "+00:00", "-0130"]))))
+    @settings(max_examples=300, deadline=None)
+    def test_instant_read_as_it_stands_or_cleaned_alike(self, text):
+        def cleaned(raw):  # strip, then a trailing Z/z read as +00:00
+            raw = raw.strip()
+            if raw.endswith(("Z", "z")):
+                raw = raw[:-1] + "+00:00"
+            parsed = datetime.fromisoformat(raw)
+            if parsed.tzinfo is None:
+                return parsed.replace(tzinfo=timezone.utc), True
+            return parsed, False
+
+        try:
+            expected = cleaned(text)
+        except ValueError as exc:
+            with pytest.raises(MalformedInterval) as raised:
+                _parse_instant(text)
+            assert str(raised.value) == f"bad datetime {text!r}: {exc}"
+            return
+        instant, naive = _parse_instant(text)
+        assert (instant, naive) == expected
+        assert instant.utcoffset() == expected[0].utcoffset()
 
 
 class TestParseFrames:
