@@ -1,7 +1,9 @@
 """Core pipeline: iterate every (trace, frame, event) permutation, clip each
 trace to the event interval, project the surviving points into frame-local
-coordinates, and shift time to seconds since the event began. A fix inside
-several events of one frame is projected once.
+coordinates, and shift time to seconds since the event began. The part of
+a fix's projection that depends on no frame, and its time, are computed
+once per trace; a fix inside several events of one frame is projected into
+that frame once.
 
 Both interval bounds are inclusive, so a sample landing exactly on a shared
 boundary of two back-to-back events appears in both series. Permutations
@@ -13,13 +15,20 @@ dropped from its series with a warning.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from datetime import datetime, timedelta, timezone
+from itertools import compress, repeat
+from operator import add
 
 from .errors import FrameLocalError, OutOfDomain
-from .geodesy import WGS84, hom_forward_many, hom_setup
+from .geodesy import WGS84, HomParams, hom_fix_terms, hom_forward_terms, hom_setup
 from .ingest import WarnFn
 from .model import EventInterval, EventSeries, FrameLine, LocalPoint, Trace
+
+# the origin of the integer-microsecond times that project_series takes
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
 
 
 @dataclass(frozen=True)
@@ -42,36 +51,41 @@ def clip_to_event(trace: Trace, event: EventInterval) -> range:
 
 def project_series(trace: Trace, window: range,
                    projected: Sequence[tuple[float, float] | OutOfDomain],
-                   frame: FrameLine, event: EventInterval,
+                   times_us: Sequence[int], frame: FrameLine,
+                   event: EventInterval,
                    on_warning: WarnFn | None = None) -> EventSeries:
     """Build one EventSeries of (x, y, t) samples from the fixes
-    trace.points[window] and their projections, which are aligned with
-    window as hom_forward_many returns them.
+    trace.points[window], their projections as hom_forward_many returns
+    them, and their times in integer microseconds since EPOCH (1970-01-01
+    UTC); both sequences are aligned with window.
 
-    Fixes whose projection is an OutOfDomain are dropped, and one warning
-    gives their count and the first of them. If no fix projects, that first
-    fix's OutOfDomain is raised instead.
+    t is (us - begin_us) / 10**6, which is bit for bit the
+    timedelta.total_seconds() of the time since the event began. Fixes
+    whose projection is an OutOfDomain are dropped, and one warning gives
+    their count and the first of them. If no fix projects, that first fix's
+    OutOfDomain is raised instead.
     """
-    begin = event.begin_utc
-    locals_: list[LocalPoint] = []
-    dropped = 0
-    for point, xy in zip(trace.points[window.start:window.stop], projected):
-        if isinstance(xy, OutOfDomain):
-            if not dropped:
-                first = (f"point ({point.lat_deg}, {point.lon_deg}) at "
-                         f"{point.time_utc.isoformat()}: {xy}")
-            dropped += 1
-            continue
-        t = (point.time_utc - begin).total_seconds()
-        locals_.append(LocalPoint(xy[0], xy[1], t))
+    projected_ok = list(map(isinstance, projected, repeat(tuple)))
+    dropped = projected_ok.count(False)
     if dropped:
-        if not locals_:
+        index = projected_ok.index(False)
+        point = trace.points[window.start + index]
+        first = (f"point ({point.lat_deg}, {point.lon_deg}) at "
+                 f"{point.time_utc.isoformat()}: {projected[index]}")
+        if dropped == len(projected_ok):
             raise OutOfDomain(first)
         if on_warning is not None:
             on_warning(f"{dropped} of {len(window)} in-window fixes skipped as "
                        f"out of the projection's domain; first: {first}")
+        projected = compress(projected, projected_ok)
+        times_us = compress(times_us, projected_ok)
+    begin_us = (event.begin_utc - EPOCH) // _MICROSECOND
+    t_s = [(us - begin_us) / 10**6 for us in times_us]
+    # each row is (x, y) + (t,), made a LocalPoint by tuple.__new__ as
+    # LocalPoint's own __new__ does, so no Python-level function runs per row
+    rows = map(tuple.__new__, repeat(LocalPoint), map(add, projected, zip(t_s)))
     return EventSeries(trace_id=trace.id, frame_id=frame.id,
-                       event_label=event.label, points=tuple(locals_))
+                       event_label=event.label, points=tuple(rows))
 
 
 def run(traces: list[Trace],
@@ -79,11 +93,14 @@ def run(traces: list[Trace],
     """Process every (trace, frame, event) permutation.
 
     Projection setup happens once per frame, on WGS84 like the frame's
-    azimuth. Each fix of a trace is projected at most once per frame, into
-    one list aligned with trace.points: the frame's event windows are walked
-    in start order, and only the part of a window not yet projected goes to
-    hom_forward_many. Each event's series takes its window's slice of that
-    list. Series are sorted by (trace id, frame id, event label).
+    azimuth. For each trace, every event of every frame is clipped first.
+    One walk over the union of all those windows, in start order and with
+    a high-water mark, fills two lists aligned with trace.points: the
+    frame-independent hom_fix_terms of each fix in the union, and its time
+    in integer microseconds since EPOCH. Each frame then projects each fix
+    of its own union of windows once, with hom_forward_terms, into one more
+    trace-aligned list. Each event's series takes its window's slices.
+    Series are sorted by (trace id, frame id, event label).
     Samples dropped as out of domain become one warning per permutation, in
     input order (traces, then frames, then events). A failure in any
     permutation, including one in which no sample projects, aborts the run
@@ -97,6 +114,7 @@ def run(traces: list[Trace],
     warnings: list[str] = []
     skipped_empty = 0
     for trace in traces:
+        clipped: list[tuple[FrameLine, HomParams, list[tuple[EventInterval, range]]]] = []
         for frame, events, params in prepared:
             windows: list[tuple[EventInterval, range]] = []
             for event in events:
@@ -105,27 +123,48 @@ def run(traces: list[Trace],
                     windows.append((event, window))
                 else:
                     skipped_empty += 1
-            if not windows:
-                continue
-            projected: list = [None] * len(trace.points)
-            done = 0  # every window walked so far ends at or before done
-            for _, window in sorted(windows, key=lambda w: w[1].start):
-                start = max(window.start, done)
-                if start < window.stop:
-                    points = trace.points[start:window.stop]
-                    projected[start:window.stop] = hom_forward_many(
-                        params, [p.lat_deg for p in points], [p.lon_deg for p in points])
-                    done = window.stop
+            if windows:
+                clipped.append((frame, params, windows))
+        if not clipped:
+            continue
+        points = trace.points
+        fix_terms: list = [None] * len(points)
+        times_us: list = [None] * len(points)
+        for start, stop in _unseen_parts(
+                window for _, _, windows in clipped for _, window in windows):
+            batch = points[start:stop]
+            fix_terms[start:stop] = hom_fix_terms(
+                WGS84, [p.lat_deg for p in batch], [p.lon_deg for p in batch])
+            times_us[start:stop] = [(p.time_utc - EPOCH) // _MICROSECOND for p in batch]
+        for frame, params, windows in clipped:
+            projected: list = [None] * len(points)
+            for start, stop in _unseen_parts(window for _, window in windows):
+                projected[start:stop] = hom_forward_terms(params, fix_terms[start:stop])
             for event, window in windows:
                 where = (f"trace {trace.id!r}, frame {frame.id!r}, "
                          f"event {event.label!r}")
                 try:
                     series.append(project_series(
                         trace, window, projected[window.start:window.stop],
-                        frame, event, on_warning=lambda message: warnings.append(
+                        times_us[window.start:window.stop], frame, event,
+                        on_warning=lambda message: warnings.append(
                             f"{where}: {message}")))
                 except FrameLocalError as exc:
                     raise type(exc)(f"{where}: {exc}") from exc
     series.sort(key=lambda s: s.key)
     return RunResult(series=tuple(series), skipped_empty=skipped_empty,
                      warnings=tuple(warnings))
+
+
+def _unseen_parts(windows: Iterable[range]) -> list[tuple[int, int]]:
+    """Cover the union of the windows with disjoint (start, stop) index
+    pairs, in order: the windows are walked in start order, and each yields
+    only its part past every window walked before it."""
+    parts = []
+    done = 0  # every window walked so far ends at or before done
+    for window in sorted(windows, key=lambda w: w.start):
+        start = max(window.start, done)
+        if start < window.stop:
+            parts.append((start, window.stop))
+            done = window.stop
+    return parts

@@ -218,16 +218,9 @@ class HomParams:
     reversed_line: bool
 
 
-def _conformal_t(phi: float, sin_phi: float, e: float) -> float:
-    """Isometric colatitude factor t of latitude phi (radians), given its
-    sine; decreases from 1 at the equator toward 0 at the north pole."""
-    s = e * sin_phi
-    return math.tan(0.25 * math.pi - 0.5 * phi) * ((1.0 + s) / (1.0 - s)) ** (0.5 * e)
-
-
 def _conformal_phi(t: float, e: float) -> float:
-    """Invert _conformal_t by fixed-point iteration (converges fast; the
-    contraction ratio is about e*e/2)."""
+    """Invert the t(phi) of hom_fix_terms by fixed-point iteration
+    (converges fast; the contraction ratio is about e*e/2)."""
     phi = 0.5 * math.pi - 2.0 * math.atan(t)
     for _ in range(30):
         s = e * math.sin(phi)
@@ -273,17 +266,16 @@ def hom_setup(ellipsoid: Ellipsoid, origin_lat_deg: float, origin_lon_deg: float
     a = ellipsoid.semi_major_axis_m
     e2 = ellipsoid.eccentricity_sq
     e = math.sqrt(e2)
-    phi0 = math.radians(origin_lat_deg)
     alpha = math.radians(az_line)
-    sin_phi0, cos_phi0 = math.sin(phi0), math.cos(phi0)
+    ((_, sin_phi0, cos_phi0, t0, _),) = hom_fix_terms(ellipsoid, (origin_lat_deg,),
+                                                      (lon_c,))
     con = 1.0 - e2 * sin_phi0 * sin_phi0
 
     b_pow = math.sqrt(1.0 + e2 * cos_phi0 ** 4 / (1.0 - e2))
     a_m = a * b_pow * math.sqrt(1.0 - e2) / con
-    t0 = _conformal_t(phi0, sin_phi0, e)
     d = b_pow * math.sqrt(1.0 - e2) / (cos_phi0 * math.sqrt(con))
     d2m1 = max(d * d - 1.0, 0.0)  # rounding can push d below 1 at the equator
-    f_num = d + math.sqrt(d2m1) if phi0 >= 0.0 else d - math.sqrt(d2m1)
+    f_num = d + math.sqrt(d2m1) if origin_lat_deg >= 0.0 else d - math.sqrt(d2m1)
     e_num = f_num * t0 ** b_pow
     g_num = 0.5 * (f_num - 1.0 / f_num)
     sin_alpha = math.sin(alpha)
@@ -320,20 +312,45 @@ def hom_setup(ellipsoid: Ellipsoid, origin_lat_deg: float, origin_lon_deg: float
     return replace(params, u0_m=u0, v0_m=v0, reversed_line=reversed_line)
 
 
-def hom_forward_many(params: HomParams, lats_deg: Sequence[float],
-                     lons_deg: Sequence[float]
-                     ) -> list[tuple[float, float] | OutOfDomain]:
-    """Project points to frame-local (x, y) meters, one result per point.
+def hom_fix_terms(ellipsoid: Ellipsoid, lats_deg: Sequence[float],
+                  lons_deg: Sequence[float]) -> list[tuple | OutOfDomain]:
+    """The frame-independent half of the projection, one entry per point.
 
-    x is perpendicular to the reference direction (right-positive), y runs
-    along it. A point more than 90 degrees of arc from the origin, or
-    poleward of the projection's latitude limit, gets an OutOfDomain
-    instance in place of its (x, y); nothing is raised.
+    An entry is (lon_deg, sin phi, cos phi, t(phi), lambda): the longitude
+    as given, for the domain check, the sine and cosine of the latitude phi,
+    its isometric colatitude factor t (1 at the equator, toward 0 at the
+    north pole) on the ellipsoid, and the normalized longitude lambda in
+    radians. A point poleward of the projection's latitude limit gets an
+    OutOfDomain instance instead. Entries depend on no frame, so one list
+    serves every frame through hom_forward_terms.
     """
+    radians, sin, cos, tan, normalize = (math.radians, math.sin, math.cos,
+                                         math.tan, normalize_longitude)
+    e = math.sqrt(ellipsoid.eccentricity_sq)
+    half_e, quarter_pi = 0.5 * e, 0.25 * math.pi
+    terms: list[tuple | OutOfDomain] = []
+    append = terms.append
+    for lat_deg, lon_deg in zip(lats_deg, lons_deg):
+        if abs(lat_deg) > _POLE_LIMIT_DEG:
+            append(OutOfDomain(f"latitude {lat_deg} is poleward of ±{_POLE_LIMIT_DEG}"))
+            continue
+        phi = radians(lat_deg)
+        sin_phi = sin(phi)
+        s = e * sin_phi
+        append((lon_deg, sin_phi, cos(phi),
+                tan(quarter_pi - 0.5 * phi) * ((1.0 + s) / (1.0 - s)) ** half_e,
+                radians(normalize(lon_deg))))
+    return terms
+
+
+def hom_forward_terms(params: HomParams, terms: Sequence[tuple | OutOfDomain]
+                      ) -> list[tuple[float, float] | OutOfDomain]:
+    """The per-frame half of the projection: map hom_fix_terms entries,
+    computed on params.ellipsoid, to frame-local (x, y) meters, with the
+    same per-point results as hom_forward_many."""
     radians, sin, cos, log, atan2 = math.radians, math.sin, math.cos, math.log, math.atan2
-    conformal_t, normalize = _conformal_t, normalize_longitude
     pi, two_pi = math.pi, 2.0 * math.pi
-    e, e_num, b_pow = params.e, params.e_num, params.b_pow
+    e_num, b_pow = params.e_num, params.b_pow
     a_m, half_a_m = params.a_m, 0.5 * params.a_m
     sin_g0, cos_g0 = params.sin_gamma0, params.cos_gamma0
     sin_phi0, cos_phi0 = params.sin_phi0, params.cos_phi0
@@ -341,27 +358,26 @@ def hom_forward_many(params: HomParams, lats_deg: Sequence[float],
     u0, v0, reversed_line = params.u0_m, params.v0_m, params.reversed_line
     results: list[tuple[float, float] | OutOfDomain] = []
     append = results.append
-    for lat_deg, lon_deg in zip(lats_deg, lons_deg):
-        if abs(lat_deg) > _POLE_LIMIT_DEG:
-            append(OutOfDomain(f"latitude {lat_deg} is poleward of ±{_POLE_LIMIT_DEG}"))
+    for entry in terms:
+        if entry.__class__ is not tuple:  # a polar point's OutOfDomain
+            append(entry)
             continue
+        lon_deg, sin_phi, cos_phi, t, lam = entry
         # Within 90 degrees of arc of the origin means a non-negative
         # spherical dot product. The reduction mod 360 turns an infinite
         # longitude into NaN, and NaN fails the comparison, so non-finite
         # input is rejected.
-        phi = radians(lat_deg)
-        sin_phi = sin(phi)
         dlon = radians((lon_deg - lon_c) % 360.0)
-        if not (sin_phi0 * sin_phi + cos_phi0 * cos(phi) * cos(dlon) >= 0.0):
+        if not (sin_phi0 * sin_phi + cos_phi0 * cos_phi * cos(dlon) >= 0.0):
             append(OutOfDomain("point lies in the hemisphere opposite the origin"))
             continue
 
         # Hotine skew coordinates: u along the formulation centerline, v
         # perpendicular to it, right-positive.
-        q = e_num / conformal_t(phi, sin_phi, e) ** b_pow
+        q = e_num / t ** b_pow
         big_s = 0.5 * (q - 1.0 / q)
         big_t = 0.5 * (q + 1.0 / q)
-        dlam = radians(normalize(lon_deg)) - lon0
+        dlam = lam - lon0
         if dlam < -pi:
             dlam += two_pi
         elif dlam > pi:
@@ -381,6 +397,23 @@ def hom_forward_many(params: HomParams, lats_deg: Sequence[float],
             du, dv = -du, -dv
         append((dv, du))
     return results
+
+
+def hom_forward_many(params: HomParams, lats_deg: Sequence[float],
+                     lons_deg: Sequence[float]
+                     ) -> list[tuple[float, float] | OutOfDomain]:
+    """Project points to frame-local (x, y) meters, one result per point.
+
+    x is perpendicular to the reference direction (right-positive), y runs
+    along it. A point more than 90 degrees of arc from the origin, or
+    poleward of the projection's latitude limit, gets an OutOfDomain
+    instance in place of its (x, y); nothing is raised. The work is split in
+    two: hom_fix_terms, which depends only on the point and the ellipsoid,
+    and hom_forward_terms, the per-frame rest. A caller projecting the same
+    points into several frames can run the first once and the second per
+    frame.
+    """
+    return hom_forward_terms(params, hom_fix_terms(params.ellipsoid, lats_deg, lons_deg))
 
 
 def hom_forward(params: HomParams, lat_deg: float, lon_deg: float) -> tuple[float, float]:

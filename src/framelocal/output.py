@@ -104,8 +104,13 @@ def render_overlay_svg(series: list[EventSeries] | tuple[EventSeries, ...],
         f'width="800" height="{800.0 * height / width:.0f}" '
         f'viewBox="{min_x:.6g} {min_y:.6g} {width:.6g} {height:.6g}">',
     ]
+    stop = 0
     for s in series:
-        pts = " ".join(f"{p.x_m:.6g},{-p.y_m:.6g}" for p in s.points)
+        # one % operation formats the series' x, -y pairs, interleaved
+        start, stop = stop, stop + len(s.points)
+        flat = [0.0] * (2 * len(s.points))
+        flat[0::2], flat[1::2] = xs[start:stop], ys[start:stop]
+        pts = ("%.6g,%.6g " * len(s.points) % tuple(flat))[:-1]
         lines.append(f'  <polyline points="{pts}" fill="none" '
                      f'stroke="{color_of[s.frame_id]}" stroke-width="{stroke:.6g}" '
                      f'stroke-linejoin="round" stroke-linecap="round"/>')

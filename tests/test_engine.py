@@ -1,7 +1,8 @@
 """Pipeline core: clipping, projection, and the permutation loop."""
 
+import struct
 from collections import Counter
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +11,13 @@ from hypothesis import strategies as st
 import oracles
 from fixtures import line_walk, ts
 from framelocal import engine
-from framelocal.engine import clip_to_event, project_series, run
+from framelocal.engine import EPOCH, clip_to_event, project_series, run
 from framelocal.errors import OutOfDomain
 from framelocal.geodesy import WGS84, hom_forward_many, hom_setup
 from framelocal.ingest import build_frame_line
-from framelocal.model import EventInterval, GeoPoint, Trace
+from framelocal.model import EventInterval, GeoPoint, LocalPoint, Trace
+
+MICROSECOND = timedelta(microseconds=1)
 
 ORIGIN = (-37.85, 145.0)
 
@@ -36,6 +39,10 @@ def _interval(begin, end, label="e0"):
 def _projected(params, points):
     return hom_forward_many(params, [p.lat_deg for p in points],
                             [p.lon_deg for p in points])
+
+
+def _times_us(points):
+    return [(p.time_utc - EPOCH) // MICROSECOND for p in points]
 
 
 class TestClipToEvent:
@@ -77,7 +84,8 @@ class TestProjectSeries:
         event = _interval(ts(5, 0), ts(5, 20))
         points = (GeoPoint(*ORIGIN, ts(5, 0)),)
         series = project_series(Trace("t0", points), range(len(points)),
-                                _projected(params, points), frame, event)
+                                _projected(params, points), _times_us(points),
+                                frame, event)
         point = series.points[0]
         assert (point.x_m, point.y_m, point.t_s) == (0.0, 0.0, 0.0)
 
@@ -89,7 +97,8 @@ class TestProjectSeries:
         points = (GeoPoint(frame.target_lat_deg, frame.target_lon_deg,
                            ts(5, 0) + timedelta(seconds=30)),)
         series = project_series(Trace("t0", points), range(len(points)),
-                                _projected(params, points), frame, event)
+                                _projected(params, points), _times_us(points),
+                                frame, event)
         point = series.points[0]
         assert abs(point.x_m) <= 1e-3
         assert point.y_m == pytest.approx(frame.length_m, abs=1e-3)
@@ -103,7 +112,8 @@ class TestProjectSeries:
         walk = line_walk(ORIGIN, 40.0, ts(5, 0), 61)
         points = tuple(GeoPoint(lat, lon, when) for lat, lon, when in walk)
         series = project_series(Trace("t0", points), range(len(points)),
-                                _projected(params, points), frame, event)
+                                _projected(params, points), _times_us(points),
+                                frame, event)
         ys = [p.y_m for p in series.points]
         assert all(b > a for a, b in zip(ys, ys[1:]))
         assert ys[0] == 0.0
@@ -118,7 +128,8 @@ class TestProjectSeries:
         points = (GeoPoint(37.85, -35.0, ts(5, 0)),)  # other side of the planet
         with pytest.raises(OutOfDomain, match="2017-06-10T05:00:00"):
             project_series(Trace("t0", points), range(len(points)),
-                           _projected(params, points), frame, event)
+                           _projected(params, points), _times_us(points),
+                           frame, event)
 
 
 class TestRun:
@@ -195,43 +206,83 @@ class TestRun:
         assert a_series_before == a_series_after
 
 
-def _counting_kernel(monkeypatch):
-    """Wrap engine.hom_forward_many; return the list of latitudes it saw."""
-    seen = []
-    kernel = engine.hom_forward_many
+def _counting_seams(monkeypatch):
+    """Wrap the engine's two kernel halves, engine.hom_fix_terms and
+    engine.hom_forward_terms. Return two lists: the latitudes the fix terms
+    saw, and the latitudes of the entries the per-frame part saw, each
+    traced back to its fix by the entry's identity."""
+    fix_lats, frame_lats = [], []
+    lat_of = {}  # id(entry) -> (entry, latitude); holding the entry keeps its id unique
+    fix_terms, forward_terms = engine.hom_fix_terms, engine.hom_forward_terms
 
-    def counted(params, lats, lons):
-        seen.extend(lats)
-        return kernel(params, lats, lons)
+    def counted_fix_terms(ellipsoid, lats, lons):
+        terms = fix_terms(ellipsoid, lats, lons)
+        fix_lats.extend(lats)
+        lat_of.update((id(entry), (entry, lat)) for entry, lat in zip(terms, lats))
+        return terms
 
-    monkeypatch.setattr(engine, "hom_forward_many", counted)
-    return seen
+    def counted_forward_terms(params, terms):
+        frame_lats.extend(lat_of[id(entry)][1] for entry in terms)
+        return forward_terms(params, terms)
+
+    monkeypatch.setattr(engine, "hom_fix_terms", counted_fix_terms)
+    monkeypatch.setattr(engine, "hom_forward_terms", counted_forward_terms)
+    return fix_lats, frame_lats
 
 
 class TestUnionProjection:
     def test_each_fix_projected_once_per_frame(self, monkeypatch):
-        seen = _counting_kernel(monkeypatch)
+        fix_lats, frame_lats = _counting_seams(monkeypatch)
         events = [_interval(ts(5, 0), ts(5, 20), "e0"),
                   _interval(ts(5, 20), ts(5, 40), "e1"),
                   _interval(ts(5, 40), ts(6, 0), "e2"),
                   _interval(ts(5, 0), ts(6, 0), "session")]
         walk = line_walk(ORIGIN, 40.0, ts(4, 50), 81, step_s=60)  # 04:50 .. 06:10
-        result = run([_trace(walk)], [(_frame(), events)])
+        frames = [(_frame("f0"), events), (_frame("f1", azimuth=250.0), events)]
+        result = run([_trace(walk)], frames)
         union = sum(1 for _, _, when in walk if ts(5, 0) <= when <= ts(6, 0))
         assert union == 61
-        assert len(seen) == union
-        assert [len(s.points) for s in result.series] == [21, 21, 21, 61]
+        assert len(fix_lats) == union
+        assert len(frame_lats) == 2 * union
+        assert [len(s.points) for s in result.series] == [21, 21, 21, 61] * 2
 
     def test_fix_between_disjoint_events_never_projected(self, monkeypatch):
-        seen = _counting_kernel(monkeypatch)
+        fix_lats, frame_lats = _counting_seams(monkeypatch)
         events = [_interval(ts(5, 0), ts(5, 10), "e0"),
                   _interval(ts(5, 20), ts(5, 30), "e1")]
         gap_lat = -37.8  # a fix that lies only in the gap between the events
         trace = _trace([(*ORIGIN, ts(5, 5)), (gap_lat, 145.0, ts(5, 15)),
                         (*ORIGIN, ts(5, 25))])
         result = run([trace], [(_frame(), events)])
-        assert seen == [ORIGIN[0], ORIGIN[0]]
+        assert fix_lats == [ORIGIN[0], ORIGIN[0]]
+        assert frame_lats == [ORIGIN[0], ORIGIN[0]]
         assert [len(s.points) for s in result.series] == [1, 1]
+
+    def test_domain_drops_are_per_frame(self):
+        # one fix lies in the hemisphere opposite frame "a"'s origin but not
+        # frame "b"'s; a polar fix is outside both domains. The frames share
+        # the trace's fix terms, so each must still judge the fixes itself.
+        frame_a = _frame("a")
+        frame_b = _frame("b", origin=(-20.0, 100.0))
+        events = [_interval(ts(5, 0), ts(5, 10))]
+        trace = _trace([(*ORIGIN, ts(5, 1)), (0.0, 50.0, ts(5, 2)),
+                        (89.95, 145.0, ts(5, 3)), (*ORIGIN, ts(5, 4))], "glitchy")
+        result = run([trace], [(frame_a, events), (frame_b, events)])
+        by_frame = {s.frame_id: s for s in result.series}
+        assert [p.t_s for p in by_frame["a"].points] == [60.0, 240.0]
+        assert [p.t_s for p in by_frame["b"].points] == [60.0, 120.0, 240.0]
+        assert result.warnings == (
+            "trace 'glitchy', frame 'a', event 'e0': 2 of 4 in-window fixes "
+            "skipped as out of the projection's domain; first: point (0.0, 50.0) "
+            "at 2017-06-10T05:02:00+00:00: point lies in the hemisphere "
+            "opposite the origin",
+            "trace 'glitchy', frame 'b', event 'e0': 1 of 4 in-window fixes "
+            "skipped as out of the projection's domain; first: point (89.95, "
+            "145.0) at 2017-06-10T05:03:00+00:00: latitude 89.95 is poleward "
+            "of ±89.9")
+        for frame in (frame_a, frame_b):
+            alone = run([trace], [(frame, events)])
+            assert alone.series == (by_frame[frame.id],)
 
     def test_out_of_domain_fix_in_two_events_warns_in_each(self):
         events = [_interval(ts(5, 0), ts(5, 10), "e0"),
@@ -296,16 +347,20 @@ class TestRunProperties:
     def test_kernel_sees_exactly_the_union_of_windows(self, scenario):
         traces, frames = scenario
         with pytest.MonkeyPatch.context() as patch:
-            seen = _counting_kernel(patch)
+            fix_lats, frame_lats = _counting_seams(patch)
             run(traces, frames)
-        expected = []
+        expected_fix, expected_frame = [], []
         for trace in traces:
+            trace_union = set()
             for _, events in frames:
                 union = set()
                 for event in events:
                     union.update(clip_to_event(trace, event))
-                expected.extend(trace.points[i].lat_deg for i in union)
-        assert Counter(seen) == Counter(expected)
+                expected_frame.extend(trace.points[i].lat_deg for i in union)
+                trace_union |= union
+            expected_fix.extend(trace.points[i].lat_deg for i in trace_union)
+        assert Counter(fix_lats) == Counter(expected_fix)
+        assert Counter(frame_lats) == Counter(expected_frame)
 
     @given(_scenarios())
     @settings(max_examples=40, deadline=None)
@@ -335,3 +390,41 @@ class TestRunProperties:
                         assert len(series.points) == expected
                         assert all(0.0 <= p.t_s <= event.duration_s
                                    for p in series.points)
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+_US_MIN = (datetime.min.replace(tzinfo=timezone.utc) - EPOCH) // MICROSECOND
+_US_MAX = (datetime.max.replace(tzinfo=timezone.utc) - EPOCH) // MICROSECOND
+_instants_us = st.one_of(st.integers(_US_MIN, _US_MAX),
+                         st.integers(-86_400 * 10**6, 86_400 * 10**6))
+
+
+@given(_instants_us, _instants_us)
+def test_microsecond_time_arithmetic_equals_total_seconds(a_us, b_us):
+    # project_series takes integer microseconds; its t must keep the bits
+    # of the timedelta.total_seconds() it replaced, over every datetime
+    begin_us, t_us = sorted((a_us, b_us))
+    begin = EPOCH + timedelta(microseconds=begin_us)
+    when = EPOCH + timedelta(microseconds=t_us)
+    assert (when - EPOCH) // MICROSECOND == t_us
+    expected = (when - begin).total_seconds()
+    assert _bits((t_us - begin_us) / 10**6) == _bits(expected)
+    trace = _trace([(0.0, 0.0, when)])
+    series = project_series(trace, range(1), [(0.0, 0.0)], [t_us], _frame(),
+                            _interval(begin, when))
+    assert _bits(series.points[0].t_s) == _bits(expected)
+
+
+def test_run_rows_are_local_points():
+    walk = line_walk(ORIGIN, 40.0, ts(5, 0), 5)
+    result = run([_trace(walk)], [(_frame(), [_interval(ts(5, 0), ts(5, 0, 30))])])
+    (series,) = result.series
+    assert len(series.points) == 5
+    for i, row in enumerate(series.points):
+        assert type(row) is LocalPoint
+        assert row.t_s == float(i)
+        assert (row.x_m, row.y_m, row.t_s) == tuple(row)
+        assert row._asdict() == {"x_m": row.x_m, "y_m": row.y_m, "t_s": row.t_s}
