@@ -34,7 +34,6 @@ from .model import (
     EventInterval,
     EventSeries,
     FrameLine,
-    GeoPoint,
     LocalPoint,
     Trace,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "EventSeries",
     "FrameLine",
     "GeodesicSolution",
-    "GeoPoint",
     "HomParams",
     "IngestReport",
     "LocalPoint",

@@ -1,9 +1,8 @@
 """Core pipeline: iterate every (trace, frame, event) permutation, clip each
 trace to the event interval, project the surviving points into frame-local
 coordinates, and shift time to seconds since the event began. The part of
-a fix's projection that depends on no frame, and its time, are computed
-once per trace; a fix inside several events of one frame is projected into
-that frame once.
+a fix's projection that depends on no frame is computed once per trace; a
+fix inside several events of one frame is projected into that frame once.
 
 Both interval bounds are inclusive, so a sample landing exactly on a shared
 boundary of two back-to-back events appears in both series. Permutations
@@ -17,18 +16,14 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import timedelta
 from itertools import compress, repeat
-from operator import add
+from operator import add, attrgetter
 
 from .errors import FrameLocalError, OutOfDomain
 from .geodesy import WGS84, HomParams, hom_fix_terms, hom_forward_terms, hom_setup
 from .ingest import WarnFn
-from .model import EventInterval, EventSeries, FrameLine, LocalPoint, Trace
-
-# the origin of the integer-microsecond times that project_series takes
-EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_MICROSECOND = timedelta(microseconds=1)
+from .model import EPOCH, EventInterval, EventSeries, FrameLine, LocalPoint, Trace, utc_us
 
 
 @dataclass(frozen=True)
@@ -42,36 +37,36 @@ class RunResult:
 
 
 def clip_to_event(trace: Trace, event: EventInterval) -> range:
-    """Indices into trace.points of the fixes with begin <= time <= end, in
-    order; the trace is time-sorted, so they are one contiguous range."""
-    lo = bisect_left(trace.points, event.begin_utc, key=lambda p: p.time_utc)
-    hi = bisect_right(trace.points, event.end_utc, key=lambda p: p.time_utc)
+    """Indices of the trace's fixes with begin <= time <= end, in order;
+    the trace is time-sorted, so they are one contiguous range."""
+    lo = bisect_left(trace.time_us, utc_us(event.begin_utc))
+    hi = bisect_right(trace.time_us, utc_us(event.end_utc))
     return range(lo, hi)
 
 
 def project_series(trace: Trace, window: range,
                    projected: Sequence[tuple[float, float] | OutOfDomain],
-                   times_us: Sequence[int], frame: FrameLine,
-                   event: EventInterval,
+                   frame: FrameLine, event: EventInterval,
                    on_warning: WarnFn | None = None) -> EventSeries:
-    """Build one EventSeries of (x, y, t) samples from the fixes
-    trace.points[window], their projections as hom_forward_many returns
-    them, and their times in integer microseconds since EPOCH (1970-01-01
-    UTC); both sequences are aligned with window.
+    """Build one EventSeries of (x, y, t) samples from the trace's fixes at
+    the indices in window and their projections as hom_forward_many returns
+    them, aligned with window.
 
-    t is (us - begin_us) / 10**6, which is bit for bit the
-    timedelta.total_seconds() of the time since the event began. Fixes
+    t is (us - begin_us) / 10**6, with us from trace.time_us, bit for bit
+    the timedelta.total_seconds() of the time since the event began. Fixes
     whose projection is an OutOfDomain are dropped, and one warning gives
     their count and the first of them. If no fix projects, that first fix's
     OutOfDomain is raised instead.
     """
+    times_us = trace.time_us[window.start:window.stop]
     projected_ok = list(map(isinstance, projected, repeat(tuple)))
     dropped = projected_ok.count(False)
     if dropped:
         index = projected_ok.index(False)
-        point = trace.points[window.start + index]
-        first = (f"point ({point.lat_deg}, {point.lon_deg}) at "
-                 f"{point.time_utc.isoformat()}: {projected[index]}")
+        fix = window.start + index
+        when = EPOCH + timedelta(microseconds=times_us[index])
+        first = (f"point ({trace.lat_deg[fix]}, {trace.lon_deg[fix]}) at "
+                 f"{when.isoformat()}: {projected[index]}")
         if dropped == len(projected_ok):
             raise OutOfDomain(first)
         if on_warning is not None:
@@ -79,7 +74,7 @@ def project_series(trace: Trace, window: range,
                        f"out of the projection's domain; first: {first}")
         projected = compress(projected, projected_ok)
         times_us = compress(times_us, projected_ok)
-    begin_us = (event.begin_utc - EPOCH) // _MICROSECOND
+    begin_us = utc_us(event.begin_utc)
     t_s = [(us - begin_us) / 10**6 for us in times_us]
     # each row is (x, y) + (t,), made a LocalPoint by tuple.__new__ as
     # LocalPoint's own __new__ does, so no Python-level function runs per row
@@ -95,11 +90,11 @@ def run(traces: list[Trace],
     Projection setup happens once per frame, on WGS84 like the frame's
     azimuth. For each trace, every event of every frame is clipped first.
     One walk over the union of all those windows, in start order and with
-    a high-water mark, fills two lists aligned with trace.points: the
-    frame-independent hom_fix_terms of each fix in the union, and its time
-    in integer microseconds since EPOCH. Each frame then projects each fix
-    of its own union of windows once, with hom_forward_terms, into one more
-    trace-aligned list. Each event's series takes its window's slices.
+    a high-water mark, fills one list aligned with the trace's columns with
+    the frame-independent hom_fix_terms of each fix in the union. Each
+    frame then projects each fix of its own union of windows once, with
+    hom_forward_terms, into one more trace-aligned list. Each event's
+    series takes its window's slice of that list.
     Series are sorted by (trace id, frame id, event label).
     Samples dropped as out of domain become one warning per permutation, in
     input order (traces, then frames, then events). A failure in any
@@ -127,17 +122,13 @@ def run(traces: list[Trace],
                 clipped.append((frame, params, windows))
         if not clipped:
             continue
-        points = trace.points
-        fix_terms: list = [None] * len(points)
-        times_us: list = [None] * len(points)
+        fix_terms: list = [None] * len(trace.time_us)
         for start, stop in _unseen_parts(
                 window for _, _, windows in clipped for _, window in windows):
-            batch = points[start:stop]
             fix_terms[start:stop] = hom_fix_terms(
-                WGS84, [p.lat_deg for p in batch], [p.lon_deg for p in batch])
-            times_us[start:stop] = [(p.time_utc - EPOCH) // _MICROSECOND for p in batch]
+                WGS84, trace.lat_deg[start:stop], trace.lon_deg[start:stop])
         for frame, params, windows in clipped:
-            projected: list = [None] * len(points)
+            projected: list = [None] * len(fix_terms)
             for start, stop in _unseen_parts(window for _, window in windows):
                 projected[start:stop] = hom_forward_terms(params, fix_terms[start:stop])
             for event, window in windows:
@@ -145,13 +136,12 @@ def run(traces: list[Trace],
                          f"event {event.label!r}")
                 try:
                     series.append(project_series(
-                        trace, window, projected[window.start:window.stop],
-                        times_us[window.start:window.stop], frame, event,
+                        trace, window, projected[window.start:window.stop], frame, event,
                         on_warning=lambda message: warnings.append(
                             f"{where}: {message}")))
                 except FrameLocalError as exc:
                     raise type(exc)(f"{where}: {exc}") from exc
-    series.sort(key=lambda s: s.key)
+    series.sort(key=attrgetter("key"))
     return RunResult(series=tuple(series), skipped_empty=skipped_empty,
                      warnings=tuple(warnings))
 
@@ -162,7 +152,7 @@ def _unseen_parts(windows: Iterable[range]) -> list[tuple[int, int]]:
     only its part past every window walked before it."""
     parts = []
     done = 0  # every window walked so far ends at or before done
-    for window in sorted(windows, key=lambda w: w.start):
+    for window in sorted(windows, key=attrgetter("start")):
         start = max(window.start, done)
         if start < window.stop:
             parts.append((start, window.stop))

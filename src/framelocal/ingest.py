@@ -49,7 +49,7 @@ from .errors import (
     PolarOrigin,
     ReversedInterval,
 )
-from .model import EventInterval, FrameLine, GeoPoint, Trace, unique_name
+from .model import EventInterval, FrameLine, Trace, normalize_longitude, unique_name, utc_us
 
 WarnFn = Callable[[str], None]
 
@@ -65,11 +65,15 @@ class IngestReport:
 # it reads as it stands gives the value of the cleaned text (a test holds it).
 _ISO_READS_Z = sys.version_info >= (3, 11)
 
+# utc_us of the first and the last instant a datetime holds, in the years 1-9999
+_FIRST_US, _LAST_US = (utc_us(limit.replace(tzinfo=timezone.utc))
+                       for limit in (datetime.min, datetime.max))
+
 
 def _parse_instant(text: str) -> tuple[datetime, bool]:
     """Parse one ISO 8601 datetime; returns (aware instant, was_naive).
-    The instant keeps its parsed offset; GeoPoint and EventInterval
-    convert it to UTC."""
+    The instant keeps its parsed offset; EventInterval converts it to UTC,
+    and a GPX fix's time becomes utc_us(instant)."""
     try:
         # a GPX time parses as it stands, at ~1/3 the cost of cleaning it
         parsed = datetime.fromisoformat(text) if _ISO_READS_Z else None
@@ -385,9 +389,10 @@ def _tree_fixes(root: ET.Element) -> list[tuple[str, str, str | None]]:
 
 def _trace_from_fixes(fixes: list[tuple[str, str, str | None]], trace_id: str,
                       warn: WarnFn) -> Trace:
-    """The Trace of the fixes that have a usable time and position; each
-    other fix is skipped with a warning."""
-    points: list[GeoPoint] = []
+    """The Trace of the fixes with a usable position and time: a latitude in
+    [-90, 90], a finite longitude, normalized to (-180, 180], and a time in
+    the years 1 to 9999 in UTC. Each other fix is skipped with a warning."""
+    lats, lons, times = [], [], []  # Trace makes arrays of them
     for lat_text, lon_text, time_text in fixes:
         if time_text is None or not time_text.strip():
             warn("track point without <time> skipped")
@@ -403,16 +408,25 @@ def _trace_from_fixes(fixes: list[tuple[str, str, str | None]], trace_id: str,
         except MalformedInterval:
             warn(f"track point with unparsable time {time_text.strip()!r} skipped")
             continue
-        try:
-            points.append(GeoPoint(lat, lon, instant))  # keywords cost ~0.2 µs
-        except ValueError as exc:
-            warn(f"track point skipped: {exc}")
+        if not -90.0 <= lat <= 90.0:
+            warn(f"track point skipped: latitude {lat} outside [-90, 90]")
             continue
+        if not math.isfinite(lon):
+            warn(f"track point skipped: longitude {lon} is not finite")
+            continue
+        time_us = utc_us(instant)
+        if not _FIRST_US <= time_us <= _LAST_US:
+            warn(f"track point skipped: time_utc {instant.isoformat()} "
+                 "is out of range in UTC")
+            continue
+        lats.append(lat)
+        lons.append(normalize_longitude(lon))
+        times.append(time_us)
 
-    if not points:
+    if not times:
         detail = "no usable track points" if fixes else "no track points"
         raise NoTimedPoints(f"{detail} in GPX input")
-    return Trace(id=trace_id, points=tuple(points))
+    return Trace(trace_id, lats, lons, times)
 
 
 def parse_gpx(gpx_text: str | bytes, trace_id: str,

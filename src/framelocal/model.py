@@ -1,19 +1,28 @@
 """Immutable domain types shared by every stage of the pipeline.
 
-All latitudes/longitudes are WGS84 degrees, all instants are timezone-aware
-UTC datetimes, and all local coordinates are meters/seconds. The types
-built from outside input validate it in their constructors, so that invalid
-values cannot circulate after ingestion.
+All latitudes/longitudes are WGS84 degrees, event instants are timezone-aware
+UTC datetimes, trace times are integer UTC microseconds since EPOCH, and all
+local coordinates are meters/seconds. Frames and event intervals validate
+their values in their constructors; ingest validates a trace's fixes.
 """
 
 from __future__ import annotations
 
-import math
+from array import array
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from typing import NamedTuple
 
 from .errors import ReversedInterval
+
+# the origin of the integer-microsecond times of a Trace
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def utc_us(instant: datetime) -> int:
+    """The timezone-aware instant as integer microseconds since EPOCH."""
+    return (instant - EPOCH) // _MICROSECOND
 
 
 def normalize_longitude(lon_deg: float) -> float:
@@ -47,45 +56,32 @@ def _require_utc(name: str, value: datetime) -> datetime:
         raise ValueError(f"{name} {value.isoformat()} is out of range in UTC") from None
 
 
-@dataclass(frozen=True, slots=True)
-class GeoPoint:
-    """One timestamped WGS84 fix."""
-
-    lat_deg: float
-    lon_deg: float
-    time_utc: datetime
-
-    # Written out, not generated plus __post_init__, so that each field is
-    # stored once, through its slot: a fix is built per GPX track point.
-    def __init__(self, lat_deg: float, lon_deg: float, time_utc: datetime) -> None:
-        if not -90.0 <= lat_deg <= 90.0:
-            raise ValueError(f"latitude {lat_deg} outside [-90, 90]")
-        if not math.isfinite(lon_deg):
-            raise ValueError(f"longitude {lon_deg} is not finite")
-        _store_lat(self, lat_deg)
-        _store_lon(self, normalize_longitude(lon_deg))
-        _store_time(self, _require_utc("time_utc", time_utc))
-
-
-# the slot descriptors' setters, which a frozen class's own __setattr__ refuses;
-# one call each costs about half of object.__setattr__ with the field name
-_store_lat, _store_lon, _store_time = (
-    GeoPoint.lat_deg.__set__, GeoPoint.lon_deg.__set__, GeoPoint.time_utc.__set__)
-
-
 @dataclass(frozen=True)
 class Trace:
-    """One GPS trajectory from one file. Its points are stored stably sorted
-    by time: fixes with equal times keep the order they are given in."""
+    """One GPS trajectory from one file: equal-length columns of latitudes
+    and longitudes in degrees and of integer UTC microseconds since EPOCH,
+    sorted together, stably, by time. Values are unchecked: parse_gpx checks
+    what it reads, and the projection rejects what it cannot take."""
 
     id: str
-    points: tuple[GeoPoint, ...]
+    lat_deg: array
+    lon_deg: array
+    time_us: array
 
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("trace id must be non-empty")
-        object.__setattr__(self, "points",
-                           tuple(sorted(self.points, key=lambda p: p.time_utc)))
+        if not len(self.lat_deg) == len(self.lon_deg) == len(self.time_us):
+            raise ValueError("lat_deg, lon_deg and time_us differ in length")
+        order = sorted(range(len(self.time_us)), key=self.time_us.__getitem__)
+        for name, typecode in (("lat_deg", "d"), ("lon_deg", "d"), ("time_us", "q")):
+            column = getattr(self, name)
+            object.__setattr__(self, name, array(typecode, [column[i] for i in order]))
+
+    @property
+    def points(self) -> tuple[tuple[float, float, int], ...]:
+        """The fixes as (lat_deg, lon_deg, time_us) rows, built on each call."""
+        return tuple(zip(self.lat_deg, self.lon_deg, self.time_us))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from framelocal.cli import main
 from framelocal.engine import run
 from framelocal.geodesy import WGS84, geodesic_inverse, hom_forward, hom_inverse, hom_setup
 from framelocal.ingest import build_frame_line
-from framelocal.model import EventInterval, GeoPoint, Trace
+from framelocal.model import EventInterval, Trace, utc_us
 
 EQ_ARC_1DEG = 111319.49079327358
 
@@ -209,11 +209,8 @@ def test_criterion_6_permutation_accounting():
             start = base + timedelta(seconds=rng.randint(0, 900))
             count = rng.randint(1, 50)
             step = rng.randint(1, 25)
-            points = line_walk(origin, 40.0, start, count, step_s=step)
-            traces.append(Trace(
-                id=f"t{i}",
-                points=tuple(GeoPoint(lat, lon, when)
-                             for lat, lon, when in points)))
+            lats, lons, times = zip(*line_walk(origin, 40.0, start, count, step_s=step))
+            traces.append(Trace(f"t{i}", lats, lons, list(map(utc_us, times))))
 
         result = run(traces, frames)
         total_events = sum(len(events) for _, events in frames)
@@ -223,8 +220,8 @@ def test_criterion_6_permutation_accounting():
             for frame, events in frames:
                 for event in events:
                     member_count = sum(
-                        1 for p in trace.points
-                        if event.begin_utc <= p.time_utc <= event.end_utc)
+                        1 for us in trace.time_us
+                        if utc_us(event.begin_utc) <= us <= utc_us(event.end_utc))
                     series = by_key.get((trace.id, frame.id, event.label))
                     if member_count == 0:
                         assert series is None

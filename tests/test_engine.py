@@ -1,5 +1,6 @@
 """Pipeline core: clipping, projection, and the permutation loop."""
 
+import math
 import struct
 from collections import Counter
 from datetime import datetime, timedelta, timezone
@@ -11,13 +12,11 @@ from hypothesis import strategies as st
 import oracles
 from fixtures import line_walk, ts
 from framelocal import engine
-from framelocal.engine import EPOCH, clip_to_event, project_series, run
+from framelocal.engine import clip_to_event, project_series, run
 from framelocal.errors import OutOfDomain
 from framelocal.geodesy import WGS84, hom_forward_many, hom_setup
 from framelocal.ingest import build_frame_line
-from framelocal.model import EventInterval, GeoPoint, LocalPoint, Trace
-
-MICROSECOND = timedelta(microseconds=1)
+from framelocal.model import EPOCH, EventInterval, LocalPoint, Trace, utc_us
 
 ORIGIN = (-37.85, 145.0)
 
@@ -28,21 +27,22 @@ def _frame(frame_id="f0", azimuth=40.0, length=100.0, origin=ORIGIN):
 
 
 def _trace(points, trace_id="t0"):
-    return Trace(id=trace_id,
-                 points=tuple(GeoPoint(lat, lon, when) for lat, lon, when in points))
+    """A Trace of (lat, lon, datetime) fixes."""
+    lats, lons, times = zip(*points)
+    return Trace(trace_id, lats, lons, list(map(utc_us, times)))
 
 
 def _interval(begin, end, label="e0"):
     return EventInterval(begin_utc=begin, end_utc=end, label=label)
 
 
-def _projected(params, points):
-    return hom_forward_many(params, [p.lat_deg for p in points],
-                            [p.lon_deg for p in points])
+def _projected(params, trace):
+    return hom_forward_many(params, trace.lat_deg, trace.lon_deg)
 
 
-def _times_us(points):
-    return [(p.time_utc - EPOCH) // MICROSECOND for p in points]
+def _when(trace, index):
+    """The time of the trace's fix at index, as a datetime."""
+    return EPOCH + timedelta(microseconds=trace.time_us[index])
 
 
 class TestClipToEvent:
@@ -51,29 +51,29 @@ class TestClipToEvent:
                         (0.0, 0.0, ts(5, 10)), (0.0, 0.0, ts(5, 20)),
                         (0.0, 0.0, ts(5, 21))])
         clipped = clip_to_event(trace, _interval(ts(5, 0), ts(5, 20)))
-        assert [trace.points[i].time_utc for i in clipped] == [
+        assert [_when(trace, i) for i in clipped] == [
             ts(5, 0), ts(5, 10), ts(5, 20)]
 
     def test_interval_between_samples(self):
         trace = _trace([(0.0, 0.0, ts(5, 0)), (0.0, 0.0, ts(5, 10))])
         clipped = clip_to_event(trace, _interval(ts(5, 2), ts(5, 8)))
-        assert tuple(trace.points[i] for i in clipped) == ()
+        assert list(clipped) == []
 
     def test_degenerate_interval_on_sample(self):
         trace = _trace([(0.0, 0.0, ts(5, 0)), (0.0, 0.0, ts(5, 10))])
         clipped = clip_to_event(trace, _interval(ts(5, 10), ts(5, 10)))
-        assert [trace.points[i].time_utc for i in clipped] == [ts(5, 10)]
+        assert [_when(trace, i) for i in clipped] == [ts(5, 10)]
 
     def test_order_preserved(self):
         trace = _trace([(0.0, float(i) / 1000.0, ts(5, 0, i)) for i in range(10)])
         clipped = clip_to_event(trace, _interval(ts(5, 0, 2), ts(5, 0, 7)))
-        assert [trace.points[i].time_utc.second for i in clipped] == [2, 3, 4, 5, 6, 7]
+        assert [_when(trace, i).second for i in clipped] == [2, 3, 4, 5, 6, 7]
 
     def test_duplicate_timestamps_kept_in_sequence(self):
         trace = _trace([(0.0, 0.000, ts(5, 0, 0)), (0.0, 0.001, ts(5, 0, 1)),
                         (0.0, 0.002, ts(5, 0, 1)), (0.0, 0.003, ts(5, 0, 2))])
         clipped = clip_to_event(trace, _interval(ts(5, 0, 1), ts(5, 0, 1)))
-        assert [trace.points[i].lon_deg for i in clipped] == [0.001, 0.002]
+        assert [trace.lon_deg[i] for i in clipped] == [0.001, 0.002]
 
 
 class TestProjectSeries:
@@ -82,9 +82,8 @@ class TestProjectSeries:
         params = hom_setup(WGS84, frame.origin_lat_deg, frame.origin_lon_deg,
                            frame.azimuth_deg)
         event = _interval(ts(5, 0), ts(5, 20))
-        points = (GeoPoint(*ORIGIN, ts(5, 0)),)
-        series = project_series(Trace("t0", points), range(len(points)),
-                                _projected(params, points), _times_us(points),
+        trace = _trace([(*ORIGIN, ts(5, 0))])
+        series = project_series(trace, range(1), _projected(params, trace),
                                 frame, event)
         point = series.points[0]
         assert (point.x_m, point.y_m, point.t_s) == (0.0, 0.0, 0.0)
@@ -94,10 +93,9 @@ class TestProjectSeries:
         params = hom_setup(WGS84, frame.origin_lat_deg, frame.origin_lon_deg,
                            frame.azimuth_deg)
         event = _interval(ts(5, 0), ts(5, 20))
-        points = (GeoPoint(frame.target_lat_deg, frame.target_lon_deg,
-                           ts(5, 0) + timedelta(seconds=30)),)
-        series = project_series(Trace("t0", points), range(len(points)),
-                                _projected(params, points), _times_us(points),
+        trace = _trace([(frame.target_lat_deg, frame.target_lon_deg,
+                         ts(5, 0) + timedelta(seconds=30))])
+        series = project_series(trace, range(1), _projected(params, trace),
                                 frame, event)
         point = series.points[0]
         assert abs(point.x_m) <= 1e-3
@@ -110,9 +108,8 @@ class TestProjectSeries:
                            frame.azimuth_deg)
         event = _interval(ts(5, 0), ts(5, 1))
         walk = line_walk(ORIGIN, 40.0, ts(5, 0), 61)
-        points = tuple(GeoPoint(lat, lon, when) for lat, lon, when in walk)
-        series = project_series(Trace("t0", points), range(len(points)),
-                                _projected(params, points), _times_us(points),
+        trace = _trace(walk)
+        series = project_series(trace, range(len(walk)), _projected(params, trace),
                                 frame, event)
         ys = [p.y_m for p in series.points]
         assert all(b > a for a, b in zip(ys, ys[1:]))
@@ -125,11 +122,9 @@ class TestProjectSeries:
         params = hom_setup(WGS84, frame.origin_lat_deg, frame.origin_lon_deg,
                            frame.azimuth_deg)
         event = _interval(ts(5, 0), ts(5, 20))
-        points = (GeoPoint(37.85, -35.0, ts(5, 0)),)  # other side of the planet
+        trace = _trace([(37.85, -35.0, ts(5, 0))])  # other side of the planet
         with pytest.raises(OutOfDomain, match="2017-06-10T05:00:00"):
-            project_series(Trace("t0", points), range(len(points)),
-                           _projected(params, points), _times_us(points),
-                           frame, event)
+            project_series(trace, range(1), _projected(params, trace), frame, event)
 
 
 class TestRun:
@@ -192,6 +187,21 @@ class TestRun:
             "skipped as out of the projection's domain; first: point (0.0, 0.0) "
             "at 2017-06-10T05:02:00+00:00: point lies in the hemisphere "
             "opposite the origin",)
+
+    def test_unchecked_fixes_of_a_trace_built_directly_fail_closed(self):
+        # a Trace checks no values, ingest does; the kernel drops a latitude
+        # or longitude that ingest would have rejected, as out of its domain
+        frame = _frame()
+        traces = [_trace([(*ORIGIN, ts(5, 1)), (95.0, 145.0, ts(5, 2)),
+                          (ORIGIN[0], math.inf, ts(5, 3)), (*ORIGIN, ts(5, 4))],
+                         "direct")]
+        result = run(traces, [(frame, [_interval(ts(5, 0), ts(5, 10))])])
+        assert [p.t_s for p in result.series[0].points] == [60.0, 240.0]
+        assert result.warnings == (
+            "trace 'direct', frame 'f0', event 'e0': 2 of 4 in-window fixes "
+            "skipped as out of the projection's domain; first: point (95.0, "
+            "145.0) at 2017-06-10T05:02:00+00:00: latitude 95.0 is poleward "
+            "of ±89.9",)
 
     def test_frame_independence(self):
         frame_a = _frame("a", azimuth=10.0)
@@ -356,9 +366,9 @@ class TestRunProperties:
                 union = set()
                 for event in events:
                     union.update(clip_to_event(trace, event))
-                expected_frame.extend(trace.points[i].lat_deg for i in union)
+                expected_frame.extend(trace.lat_deg[i] for i in union)
                 trace_union |= union
-            expected_fix.extend(trace.points[i].lat_deg for i in trace_union)
+            expected_fix.extend(trace.lat_deg[i] for i in trace_union)
         assert Counter(fix_lats) == Counter(expected_fix)
         assert Counter(frame_lats) == Counter(expected_frame)
 
@@ -380,8 +390,8 @@ class TestRunProperties:
             for frame, events in frames:
                 for event in events:
                     expected = sum(
-                        1 for p in trace.points
-                        if event.begin_utc <= p.time_utc <= event.end_utc)
+                        1 for us in trace.time_us
+                        if utc_us(event.begin_utc) <= us <= utc_us(event.end_utc))
                     series = by_key.get((trace.id, frame.id, event.label))
                     if expected == 0:
                         assert series is None
@@ -396,24 +406,25 @@ def _bits(value):
     return struct.pack("<d", value)
 
 
-_US_MIN = (datetime.min.replace(tzinfo=timezone.utc) - EPOCH) // MICROSECOND
-_US_MAX = (datetime.max.replace(tzinfo=timezone.utc) - EPOCH) // MICROSECOND
+_US_MIN = utc_us(datetime.min.replace(tzinfo=timezone.utc))
+_US_MAX = utc_us(datetime.max.replace(tzinfo=timezone.utc))
 _instants_us = st.one_of(st.integers(_US_MIN, _US_MAX),
                          st.integers(-86_400 * 10**6, 86_400 * 10**6))
 
 
 @given(_instants_us, _instants_us)
 def test_microsecond_time_arithmetic_equals_total_seconds(a_us, b_us):
-    # project_series takes integer microseconds; its t must keep the bits
-    # of the timedelta.total_seconds() it replaced, over every datetime
+    # a Trace holds integer microseconds; project_series's t must keep the
+    # bits of the timedelta.total_seconds() it replaced, over every datetime
     begin_us, t_us = sorted((a_us, b_us))
     begin = EPOCH + timedelta(microseconds=begin_us)
     when = EPOCH + timedelta(microseconds=t_us)
-    assert (when - EPOCH) // MICROSECOND == t_us
+    assert utc_us(when) == t_us
     expected = (when - begin).total_seconds()
     assert _bits((t_us - begin_us) / 10**6) == _bits(expected)
     trace = _trace([(0.0, 0.0, when)])
-    series = project_series(trace, range(1), [(0.0, 0.0)], [t_us], _frame(),
+    assert list(trace.time_us) == [t_us]
+    series = project_series(trace, range(1), [(0.0, 0.0)], _frame(),
                             _interval(begin, when))
     assert _bits(series.points[0].t_s) == _bits(expected)
 

@@ -124,9 +124,9 @@ def _frames_text(draw) -> bytes:
     return _splice(text.encode("utf-8"), draw(_SPLICES) if broken == "bytes" else [])
 
 
-def _projects(params, point) -> bool:
+def _projects(params, lat_deg, lon_deg) -> bool:
     try:
-        hom_forward(params, point.lat_deg, point.lon_deg)
+        hom_forward(params, lat_deg, lon_deg)
     except OutOfDomain:
         return False
     return True
@@ -139,8 +139,9 @@ def _some_permutation_projects_nothing(traces, frame_list) -> bool:
         for trace in traces:
             for event in events:
                 clipped = clip_to_event(trace, event)
-                if clipped and not any(_projects(params, trace.points[i])
-                                       for i in clipped):
+                if clipped and not any(
+                        _projects(params, trace.lat_deg[i], trace.lon_deg[i])
+                        for i in clipped):
                     return True
     return False
 

@@ -4,15 +4,16 @@ and checks on generated and mutated GPX that parse_gpx reads every file as
 the ElementTree path does, and that wherever the scanner accepts a file
 both extractors give the same fixes, Trace, warnings and exceptions."""
 
-import struct
 import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from fixtures import ts
 from framelocal import ingest
 from framelocal.errors import FrameLocalError, MalformedXml
+from framelocal.model import utc_us
 
 GPX11 = "http://www.topografix.com/GPX/1/1"
 GPX10 = "http://www.topografix.com/GPX/1/0"
@@ -79,10 +80,6 @@ def _tree_fixes(data):
             ingest._tree_fixes(ingest._read_xml(data, ET.fromstring))]
 
 
-def _bits(value: float) -> bytes:
-    return struct.pack("<d", value)
-
-
 def _outcome(read):
     """(Trace columns bit for bit, warnings, exception) of read(warn)."""
     warnings = []
@@ -90,8 +87,7 @@ def _outcome(read):
         trace = read(warnings.append)
     except FrameLocalError as exc:
         return None, warnings, (type(exc).__name__, str(exc))
-    columns = [(_bits(p.lat_deg), _bits(p.lon_deg), repr(p.time_utc))
-               for p in trace.points]
+    columns = [column.tobytes() for column in (trace.lat_deg, trace.lon_deg, trace.time_us)]
     return columns, warnings, None
 
 
@@ -135,8 +131,8 @@ def test_other_shapes_take_element_tree(data, warnings):
     assert ingest._scan_fixes(data) is None
     seen = []
     trace = ingest.parse_gpx(data, "t", seen.append)
-    assert [(p.lat_deg, p.lon_deg, p.time_utc.isoformat()) for p in trace.points] == [
-        (1.5, 2.5, "2017-06-10T05:00:00+00:00")]
+    assert (list(trace.lat_deg), list(trace.lon_deg), list(trace.time_us)) == (
+        [1.5], [2.5], [utc_us(ts(5))])
     assert seen == warnings
 
 

@@ -30,7 +30,7 @@ from framelocal.ingest import (
     parse_gpx,
     parse_interval,
 )
-from framelocal.model import EventInterval
+from framelocal.model import EventInterval, utc_us
 
 ORIGIN = (-37.85, 145.0)
 TARGET = (-37.84, 145.001)
@@ -339,8 +339,9 @@ class TestParseGpx:
         text = gpx_doc([(-37.85, 145.0, ts(5, 0, i)) for i in range(3)])
         trace = parse_gpx(text, "t1")
         assert trace.id == "t1"
-        assert len(trace.points) == 3
-        assert trace.points[0].time_utc == ts(5, 0, 0)
+        assert list(trace.time_us) == [utc_us(ts(5, 0, i)) for i in range(3)]
+        assert list(trace.lat_deg) == [-37.85] * 3
+        assert list(trace.lon_deg) == [145.0] * 3
 
     def test_two_segments_flattened(self):
         seg = "".join(
@@ -352,7 +353,7 @@ class TestParseGpx:
         text = ('<?xml version="1.0"?>'
                 '<gpx version="1.1" xmlns="http://www.topografix.com/GPX/1/1">'
                 f'<trk><trkseg>{seg}</trkseg><trkseg>{seg2}</trkseg></trk></gpx>')
-        assert len(parse_gpx(text, "t").points) == 10
+        assert len(parse_gpx(text, "t").time_us) == 10
 
     def test_all_points_untimed_is_an_error(self):
         text = gpx_doc([(-37.85, 145.0, None), (-37.84, 145.0, None)])
@@ -363,28 +364,29 @@ class TestParseGpx:
         warnings = []
         text = gpx_doc([(-37.85, 145.0, ts(5)), (-37.84, 145.0, None)])
         trace = parse_gpx(text, "t", on_warning=warnings.append)
-        assert len(trace.points) == 1
+        assert list(trace.lat_deg) == [-37.85]
         assert len(warnings) == 1
 
     def test_points_sorted_by_time(self):
         text = gpx_doc([(0.0, 0.0, ts(5, 0, 2)), (0.0, 0.1, ts(5, 0, 0)),
                         (0.0, 0.2, ts(5, 0, 1))])
         trace = parse_gpx(text, "t")
-        assert [p.time_utc.second for p in trace.points] == [0, 1, 2]
+        assert list(trace.time_us) == [utc_us(ts(5, 0, i)) for i in range(3)]
+        assert list(trace.lon_deg) == [0.1, 0.2, 0.0]
 
     def test_gpx_10_namespace(self):
         text = ('<?xml version="1.0"?>'
                 '<gpx version="1.0" xmlns="http://www.topografix.com/GPX/1/0">'
                 '<trk><trkseg><trkpt lat="1.0" lon="2.0">'
                 '<time>2017-06-10T05:00:00Z</time></trkpt></trkseg></trk></gpx>')
-        assert len(parse_gpx(text, "t").points) == 1
+        assert list(parse_gpx(text, "t").lon_deg) == [2.0]
 
     def test_gpx_10_without_namespace(self):
         text = gpx_doc([(1.0, 2.0, ts(5)), (1.0, 2.1, None), (1.0, 2.2, ts(6))],
                        version="1.0", namespace=False)
         warnings = []
         trace = parse_gpx(text, "t", on_warning=warnings.append)
-        assert [p.lon_deg for p in trace.points] == [2.0, 2.2]
+        assert list(trace.lon_deg) == [2.0, 2.2]
         assert warnings == ["track point without <time> skipped"]
 
     def test_garmin_extensions_in_other_namespace(self):
@@ -402,8 +404,8 @@ class TestParseGpx:
                 f'<trk><name>Run</name><trkseg>{rows}</trkseg></trk></gpx>')
         warnings = []
         trace = parse_gpx(text.encode("utf-8"), "t", on_warning=warnings.append)
-        assert [p.lon_deg for p in trace.points] == [2.0, 2.1, 2.2, 2.3]
-        assert trace.points[-1].time_utc == ts(5, 0, 3)
+        assert list(trace.lon_deg) == [2.0, 2.1, 2.2, 2.3]
+        assert trace.time_us[-1] == utc_us(ts(5, 0, 3))
         assert warnings == []
 
     def test_malformed_xml(self):
@@ -419,19 +421,23 @@ class TestParseGpx:
                 '<trk><trkseg><trkpt lat="1.0" lon="2.0">'
                 '<time>2017-06-10T05:00:00Z</time></trkpt></trkseg></trk></gpx>')
         trace = parse_gpx(text, "t")
-        assert len(trace.points) == 1
-        assert trace.points[0].lat_deg == 1.0
+        assert list(trace.lat_deg) == [1.0]
 
     def test_subsecond_times_not_truncated(self):
         text = gpx_doc([(0.0, 0.0, ts(5, 0, 0, 123000))])
-        assert parse_gpx(text, "t").points[0].time_utc.microsecond == 123000
+        assert list(parse_gpx(text, "t").time_us) == [utc_us(ts(5, 0, 0, 123000))]
 
     def test_naive_gpx_time_taken_as_utc(self):
         text = ('<?xml version="1.0"?>'
                 '<gpx version="1.1" xmlns="http://www.topografix.com/GPX/1/1">'
                 '<trk><trkseg><trkpt lat="1.0" lon="2.0">'
                 '<time>2017-06-10T05:00:00</time></trkpt></trkseg></trk></gpx>')
-        assert parse_gpx(text, "t").points[0].time_utc == ts(5)
+        assert list(parse_gpx(text, "t").time_us) == [utc_us(ts(5))]
+
+    def test_offset_gpx_time_converted_to_utc(self):
+        text = gpx_doc([(1.0, 2.0, ts(5))]).replace(
+            "2017-06-10T05:00:00Z", "2017-06-10T15:00:00+10:00")
+        assert list(parse_gpx(text, "t").time_us) == [utc_us(ts(5))]
 
     def test_time_out_of_range_in_utc_skipped_with_warning(self):
         warnings = []
@@ -439,24 +445,29 @@ class TestParseGpx:
             "</trkseg>", '<trkpt lat="-37.85" lon="145.0">'
             "<time>9999-12-31T23:59:59-01:00</time></trkpt></trkseg>")
         trace = parse_gpx(text, "t", on_warning=warnings.append)
-        assert [p.time_utc for p in trace.points] == [ts(5, 1)]
-        assert len(warnings) == 1 and "out of range in UTC" in warnings[0]
+        assert list(trace.time_us) == [utc_us(ts(5, 1))]
+        assert warnings == ["track point skipped: time_utc 9999-12-31T23:59:59-01:00 "
+                            "is out of range in UTC"]
 
     def test_bad_latitude_skipped_with_warning(self):
         warnings = []
         text = gpx_doc([(95.0, 145.0, ts(5)), (-37.84, 145.0, ts(5, 1))])
         trace = parse_gpx(text, "t", on_warning=warnings.append)
-        assert len(trace.points) == 1
-        assert len(warnings) == 1
+        assert list(trace.lat_deg) == [-37.84]
+        assert warnings == ["track point skipped: latitude 95.0 outside [-90, 90]"]
 
     @pytest.mark.parametrize("lon", [math.inf, -math.inf, math.nan])
     def test_non_finite_longitude_skipped_with_warning(self, lon):
         warnings = []
         text = gpx_doc([(-37.85, lon, ts(5)), (-37.84, 145.0, ts(5, 1))])
         trace = parse_gpx(text, "t", on_warning=warnings.append)
-        assert [p.lon_deg for p in trace.points] == [145.0]
-        assert len(warnings) == 1 and "not finite" in warnings[0]
+        assert list(trace.lon_deg) == [145.0]
+        assert warnings == [f"track point skipped: longitude {lon} is not finite"]
 
+    def test_longitude_normalized(self):
+        text = gpx_doc([(10.0, 190.0, ts(5, 0)), (10.0, -180.0, ts(5, 1)),
+                        (10.0, 540.0, ts(5, 2))])
+        assert list(parse_gpx(text, "t").lon_deg) == [-170.0, 180.0, 180.0]
 
     @pytest.mark.parametrize("lat, lon", [
         ("-3_7.85", "145.0"), ("-37.85", "1_45"), ("-37.85", "\uff11\uff14\uff15")])
