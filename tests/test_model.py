@@ -1,15 +1,20 @@
 """Constructor enforcement for the shared domain types."""
 
+import math
+from datetime import datetime
+
 import pytest
 
 from fixtures import ts
 from framelocal.errors import ReversedInterval
+from framelocal.ingest import _trace_from_fixes
 from framelocal.model import (
     EventInterval,
     EventSeries,
     FrameLine,
     LocalPoint,
     Trace,
+    utc_us,
 )
 
 
@@ -17,6 +22,44 @@ def _trace(rows, trace_id="t"):
     """A Trace of (lat, lon, time_us) rows."""
     lats, lons, times = zip(*rows)
     return Trace(trace_id, lats, lons, times)
+
+
+def _checked(lat, lon, time_text="2017-06-10T05:00:00Z"):
+    """The warnings of one (lat, lon, time) GPS fix passed through the
+    per-fix checks beside a good fix, and the longitudes that come out."""
+    warnings = []
+    trace = _trace_from_fixes([(repr(lat), repr(lon), time_text),
+                               ("-37.84", "145.0", "2017-06-10T05:01:00Z")],
+                              "t", warnings.append)
+    return warnings, list(trace.lon_deg)
+
+
+class TestGeoPoint:
+    """A geographic point (one GPS fix) is checked once, by ingest, before it
+    becomes a row of a Trace; a fix that fails is skipped with a warning."""
+
+    def test_latitude_bounds(self):
+        assert _checked(90.5, 0.0) == (
+            ["track point skipped: latitude 90.5 outside [-90, 90]"], [145.0])
+        assert _checked(-91.0, 0.0) == (
+            ["track point skipped: latitude -91.0 outside [-90, 90]"], [145.0])
+        assert _checked(90.0, 0.0) == ([], [0.0, 145.0])
+        assert _checked(-90.0, 0.0) == ([], [0.0, 145.0])
+
+    @pytest.mark.parametrize("lon", [math.inf, -math.inf, math.nan])
+    def test_non_finite_longitude_rejected(self, lon):
+        warnings, lons = _checked(10.0, lon)
+        assert lons == [145.0]
+        assert len(warnings) == 1 and warnings[0].endswith("is not finite")
+
+    def test_naive_time_rejected(self):
+        with pytest.raises(TypeError):
+            utc_us(datetime(2017, 6, 10, 5, 0, 0))
+
+    def test_time_out_of_range_in_utc_rejected(self):
+        warnings, lons = _checked(0.0, 0.0, "9999-12-31T23:59:59-01:00")
+        assert lons == [145.0]
+        assert len(warnings) == 1 and warnings[0].endswith("out of range in UTC")
 
 
 class TestTrace:
