@@ -94,9 +94,9 @@ out_dir = base / "out"
 layout = OutputLayout(out_dir=out_dir)
 for series in result.series:
     path = write_csv(series, layout)
-    first, last = series.points[0], series.points[-1]
+    (_, first_y, _), (_, last_y, last_t) = series.points[0], series.points[-1]
     print(f"  {path.name}: {len(series.points)} rows, "
-          f"y {first.y_m:.1f} -> {last.y_m:.1f} m over {last.t_s:.0f} s")
+          f"y {first_y:.1f} -> {last_y:.1f} m over {last_t:.0f} s")
 
 svg = render_overlay_svg(result.series, base / "overlay.svg")
 print("overlay:", svg)

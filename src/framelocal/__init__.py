@@ -34,7 +34,6 @@ from .model import (
     EventInterval,
     EventSeries,
     FrameLine,
-    LocalPoint,
     Trace,
 )
 from .output import OutputLayout, render_overlay_svg, write_csv
@@ -49,7 +48,6 @@ __all__ = [
     "GeodesicSolution",
     "HomParams",
     "IngestReport",
-    "LocalPoint",
     "OutputLayout",
     "RunResult",
     "Trace",

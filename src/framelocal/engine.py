@@ -23,7 +23,7 @@ from operator import add, attrgetter
 from .errors import FrameLocalError, OutOfDomain
 from .geodesy import WGS84, HomParams, hom_fix_terms, hom_forward_terms, hom_setup
 from .ingest import WarnFn
-from .model import EPOCH, EventInterval, EventSeries, FrameLine, LocalPoint, Trace, utc_us
+from .model import EPOCH, EventInterval, EventSeries, FrameLine, Trace, utc_us
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,8 @@ def project_series(trace: Trace, window: range,
         times_us = compress(times_us, projected_ok)
     begin_us = utc_us(event.begin_utc)
     t_s = [(us - begin_us) / 10**6 for us in times_us]
-    # each row is (x, y) + (t,), made a LocalPoint by tuple.__new__ as
-    # LocalPoint's own __new__ does, so no Python-level function runs per row
-    rows = map(tuple.__new__, repeat(LocalPoint), map(add, projected, zip(t_s)))
-    return EventSeries(trace_id=trace.id, frame_id=frame.id,
-                       event_label=event.label, points=tuple(rows))
+    return EventSeries(trace_id=trace.id, frame_id=frame.id, event_label=event.label,
+                       points=tuple(map(add, projected, zip(t_s))))
 
 
 def run(traces: list[Trace],

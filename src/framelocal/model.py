@@ -10,19 +10,18 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
-from typing import NamedTuple
+from datetime import datetime, timezone
 
 from .errors import ReversedInterval
 
 # the origin of the integer-microsecond times of a Trace
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_MICROSECOND = timedelta(microseconds=1)
 
 
 def utc_us(instant: datetime) -> int:
     """The timezone-aware instant as integer microseconds since EPOCH."""
-    return (instant - EPOCH) // _MICROSECOND
+    d = instant - EPOCH  # exact: 0 <= seconds < 86400, 0 <= microseconds < 10**6
+    return (d.days * 86400 + d.seconds) * 1_000_000 + d.microseconds
 
 
 def normalize_longitude(lon_deg: float) -> float:
@@ -139,31 +138,22 @@ class EventInterval:
         return (self.end_utc - self.begin_utc).total_seconds()
 
 
-class LocalPoint(NamedTuple):
-    """One sample in frame-local coordinates.
-
-    x_m is meters perpendicular to the frame (positive to the right when
-    facing along the frame direction), y_m is meters along the frame, and
-    t_s is seconds since the event began.
-    """
-
-    x_m: float
-    y_m: float
-    t_s: float
-
-
 @dataclass(frozen=True)
 class EventSeries:
     """All in-interval samples of one (trace, frame, event) permutation.
 
-    Samples are in time order with t_s >= 0, unchecked: the engine alone
-    guarantees both, as it clips a Trace (always time-sorted) to [begin, end].
+    Each sample is an (x_m, y_m, t_s) tuple of floats: x_m is meters
+    perpendicular to the frame (positive to the right when facing along the
+    frame direction), y_m is meters along the frame, and t_s is seconds since
+    the event began. Samples are in time order with t_s >= 0, unchecked: the
+    engine alone guarantees both, as it clips a Trace (always time-sorted) to
+    [begin, end].
     """
 
     trace_id: str
     frame_id: str
     event_label: str
-    points: tuple[LocalPoint, ...]
+    points: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))

@@ -73,8 +73,8 @@ def render_overlay_svg(series: list[EventSeries] | tuple[EventSeries, ...],
         raise NoSeries("no series to plot")
     path = Path(path)
 
-    xs = [p.x_m for s in series for p in s.points]
-    ys = [-p.y_m for s in series for p in s.points]  # SVG y grows downward
+    xs = [x for s in series for x, _, _ in s.points]
+    ys = [-y for s in series for _, y, _ in s.points]  # SVG y grows downward
     def _ensure_span(lo: float, hi: float) -> tuple[float, float]:
         if hi - lo < 1.0:
             center = 0.5 * (lo + hi)

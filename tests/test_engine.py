@@ -16,7 +16,7 @@ from framelocal.engine import clip_to_event, project_series, run
 from framelocal.errors import OutOfDomain
 from framelocal.geodesy import WGS84, hom_forward_many, hom_setup
 from framelocal.ingest import build_frame_line
-from framelocal.model import EPOCH, EventInterval, LocalPoint, Trace, utc_us
+from framelocal.model import EPOCH, EventInterval, Trace, utc_us
 
 ORIGIN = (-37.85, 145.0)
 
@@ -85,8 +85,7 @@ class TestProjectSeries:
         trace = _trace([(*ORIGIN, ts(5, 0))])
         series = project_series(trace, range(1), _projected(params, trace),
                                 frame, event)
-        point = series.points[0]
-        assert (point.x_m, point.y_m, point.t_s) == (0.0, 0.0, 0.0)
+        assert series.points[0] == (0.0, 0.0, 0.0)
 
     def test_target_point(self):
         frame = _frame(length=100.0)
@@ -97,10 +96,10 @@ class TestProjectSeries:
                          ts(5, 0) + timedelta(seconds=30))])
         series = project_series(trace, range(1), _projected(params, trace),
                                 frame, event)
-        point = series.points[0]
-        assert abs(point.x_m) <= 1e-3
-        assert point.y_m == pytest.approx(frame.length_m, abs=1e-3)
-        assert point.t_s == 30.0
+        x, y, t = series.points[0]
+        assert abs(x) <= 1e-3
+        assert y == pytest.approx(frame.length_m, abs=1e-3)
+        assert t == 30.0
 
     def test_centerline_walk(self):
         frame = _frame(length=60.0)
@@ -111,11 +110,11 @@ class TestProjectSeries:
         trace = _trace(walk)
         series = project_series(trace, range(len(walk)), _projected(params, trace),
                                 frame, event)
-        ys = [p.y_m for p in series.points]
+        ys = [y for _, y, _ in series.points]
         assert all(b > a for a, b in zip(ys, ys[1:]))
         assert ys[0] == 0.0
         assert ys[-1] == pytest.approx(60.0, abs=1e-3)
-        assert [p.t_s for p in series.points] == [float(i) for i in range(61)]
+        assert [t for _, _, t in series.points] == [float(i) for i in range(61)]
 
     def test_out_of_domain_carries_point_context(self):
         frame = _frame()
@@ -181,7 +180,7 @@ class TestRun:
         traces = [_trace([(*ORIGIN, ts(5, 1)), (0.0, 0.0, ts(5, 2)),
                           (37.85, -35.0, ts(5, 3)), (*ORIGIN, ts(5, 4))], "glitchy")]
         result = run(traces, [(frame, [_interval(ts(5, 0), ts(5, 10))])])
-        assert [p.t_s for p in result.series[0].points] == [60.0, 240.0]
+        assert [t for _, _, t in result.series[0].points] == [60.0, 240.0]
         assert result.warnings == (
             "trace 'glitchy', frame 'f0', event 'e0': 2 of 4 in-window fixes "
             "skipped as out of the projection's domain; first: point (0.0, 0.0) "
@@ -196,7 +195,7 @@ class TestRun:
                           (ORIGIN[0], math.inf, ts(5, 3)), (*ORIGIN, ts(5, 4))],
                          "direct")]
         result = run(traces, [(frame, [_interval(ts(5, 0), ts(5, 10))])])
-        assert [p.t_s for p in result.series[0].points] == [60.0, 240.0]
+        assert [t for _, _, t in result.series[0].points] == [60.0, 240.0]
         assert result.warnings == (
             "trace 'direct', frame 'f0', event 'e0': 2 of 4 in-window fixes "
             "skipped as out of the projection's domain; first: point (95.0, "
@@ -279,8 +278,8 @@ class TestUnionProjection:
                         (89.95, 145.0, ts(5, 3)), (*ORIGIN, ts(5, 4))], "glitchy")
         result = run([trace], [(frame_a, events), (frame_b, events)])
         by_frame = {s.frame_id: s for s in result.series}
-        assert [p.t_s for p in by_frame["a"].points] == [60.0, 240.0]
-        assert [p.t_s for p in by_frame["b"].points] == [60.0, 120.0, 240.0]
+        assert [t for _, _, t in by_frame["a"].points] == [60.0, 240.0]
+        assert [t for _, _, t in by_frame["b"].points] == [60.0, 120.0, 240.0]
         assert result.warnings == (
             "trace 'glitchy', frame 'a', event 'e0': 2 of 4 in-window fixes "
             "skipped as out of the projection's domain; first: point (0.0, 50.0) "
@@ -398,8 +397,8 @@ class TestRunProperties:
                     else:
                         assert series is not None
                         assert len(series.points) == expected
-                        assert all(0.0 <= p.t_s <= event.duration_s
-                                   for p in series.points)
+                        assert all(0.0 <= t <= event.duration_s
+                                   for _, _, t in series.points)
 
 
 def _bits(value):
@@ -426,16 +425,17 @@ def test_microsecond_time_arithmetic_equals_total_seconds(a_us, b_us):
     assert list(trace.time_us) == [t_us]
     series = project_series(trace, range(1), [(0.0, 0.0)], _frame(),
                             _interval(begin, when))
-    assert _bits(series.points[0].t_s) == _bits(expected)
+    assert _bits(series.points[0][2]) == _bits(expected)
 
 
-def test_run_rows_are_local_points():
+def test_run_rows_are_plain_tuples():
     walk = line_walk(ORIGIN, 40.0, ts(5, 0), 5)
     result = run([_trace(walk)], [(_frame(), [_interval(ts(5, 0), ts(5, 0, 30))])])
     (series,) = result.series
     assert len(series.points) == 5
     for i, row in enumerate(series.points):
-        assert type(row) is LocalPoint
-        assert row.t_s == float(i)
-        assert (row.x_m, row.y_m, row.t_s) == tuple(row)
-        assert row._asdict() == {"x_m": row.x_m, "y_m": row.y_m, "t_s": row.t_s}
+        assert type(row) is tuple
+        assert len(row) == 3
+        x, y, t = row
+        assert t == float(i)
+        assert math.isfinite(x) and math.isfinite(y)

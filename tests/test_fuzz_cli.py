@@ -187,4 +187,4 @@ def test_cli_survives_mutated_input(tmp_path_factory, gpx, frames):
         header, *rows = path.read_text(encoding="utf-8").split("\n")[:-1]
         assert header == "x,y,t"
         assert [[_bits(float(cell)) for cell in row.split(",")] for row in rows] == [
-            [_bits(p.x_m), _bits(p.y_m), _bits(p.t_s)] for p in series.points]
+            [_bits(x), _bits(y), _bits(t)] for x, y, t in series.points]

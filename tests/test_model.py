@@ -1,18 +1,20 @@
 """Constructor enforcement for the shared domain types."""
 
 import math
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fixtures import ts
 from framelocal.errors import ReversedInterval
 from framelocal.ingest import _trace_from_fixes
 from framelocal.model import (
+    EPOCH,
     EventInterval,
     EventSeries,
     FrameLine,
-    LocalPoint,
     Trace,
     utc_us,
 )
@@ -127,5 +129,22 @@ class TestEventSeries:
             EventSeries("t", "f", "e0", points=())
 
     def test_key(self):
-        series = EventSeries("t", "f", "e0", points=(LocalPoint(0, 0, 0.0),))
+        series = EventSeries("t", "f", "e0", points=((0.0, 0.0, 0.0),))
         assert series.key == ("t", "f", "e0")
+
+
+# every fixed offset a timezone takes: strictly inside (-24 h, 24 h)
+_offsets = st.timedeltas(min_value=timedelta(hours=-24, microseconds=1),
+                         max_value=timedelta(hours=24, microseconds=-1)).map(timezone)
+
+
+@given(st.datetimes(min_value=datetime.min, max_value=datetime.max,
+                    timezones=_offsets, allow_imaginary=True))
+@example(datetime.min.replace(tzinfo=timezone(timedelta(hours=24, microseconds=-1))))
+@example(datetime.max.replace(tzinfo=timezone(timedelta(hours=-24, microseconds=1))))
+@example(EPOCH - timedelta(microseconds=1))
+def test_utc_us_equals_timedelta_floor_division(instant):
+    # utc_us adds up the timedelta's normalized fields; that must be exact
+    # for negative deltas too, and for instants outside the years 1-9999 in
+    # UTC, which ingest range-checks on the integer value
+    assert utc_us(instant) == (instant - EPOCH) // timedelta(microseconds=1)

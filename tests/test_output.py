@@ -8,14 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framelocal.errors import NoSeries
-from framelocal.model import EventSeries, LocalPoint
+from framelocal.model import EventSeries
 from framelocal.output import OutputLayout, render_overlay_svg, write_csv
 
 
 def _series(points, trace_id="t", frame_id="f0", event_label="e0"):
     return EventSeries(trace_id=trace_id, frame_id=frame_id,
                        event_label=event_label,
-                       points=tuple(LocalPoint(*p) for p in points))
+                       points=tuple(map(tuple, points)))
 
 
 class TestWriteCsv:
