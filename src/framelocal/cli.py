@@ -9,11 +9,13 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
+from itertools import repeat
 from pathlib import Path
 
 from .engine import run
 from .errors import FrameLocalError
 from .ingest import load_inputs
+from .model import EventSeries
 from .output import OutputLayout, render_overlay_svg, write_csv
 
 
@@ -75,7 +77,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _pipeline(args: argparse.Namespace) -> int:
-    """Load, run, write the CSVs and the plot; return the exit code."""
+    """Load, then run and write the CSVs one trace at a time, then the
+    plot; return the exit code."""
     try:
         frames, traces, report = load_inputs(args.frames, args.traces,
                                              recurse=args.recurse)
@@ -85,26 +88,39 @@ def _pipeline(args: argparse.Namespace) -> int:
 
     for source, message in report.warnings:
         print(f"framelocal: warning: {source}: {message}", file=sys.stderr)
+    warnings = len(report.warnings)
     if args.verbose:
         events = sum(len(frame_events) for _, frame_events in frames)
         print(f"framelocal: loaded {len(frames)} frames, {events} events, "
               f"{len(traces)} traces", file=sys.stderr)
 
+    # One trace at a time: traces come sorted by id with unique ids, so
+    # writing each trace's key-sorted series in turn writes the run's
+    # (trace, frame, event) order, and only --plot keeps a written series.
+    written = skipped_empty = 0
+    plotted: list[EventSeries] = []
     try:
-        result = run(traces, frames)
-        for message in result.warnings:
-            print(f"framelocal: warning: {message}", file=sys.stderr)
-        warnings = len(report.warnings) + len(result.warnings)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         layout = OutputLayout(out_dir=out_dir)
-        for series in result.series:
-            path = write_csv(series, layout)
-            if args.verbose:
-                print(f"framelocal: wrote {path}", file=sys.stderr)
+        for trace in traces:
+            result = run([trace], frames)
+            for message in result.warnings:
+                print(f"framelocal: warning: {message}", file=sys.stderr)
+            # map, not a loop over the series: a loop variable would keep
+            # this trace's last series alive while the next trace runs
+            for path in map(write_csv, result.series, repeat(layout)):
+                if args.verbose:
+                    print(f"framelocal: wrote {path}", file=sys.stderr)
+            written += len(result.series)
+            skipped_empty += result.skipped_empty
+            warnings += len(result.warnings)
+            if args.plot is not None:
+                plotted.extend(result.series)
+            del result  # before the next trace runs
         if args.plot is not None:
-            if result.series:
-                render_overlay_svg(result.series, args.plot)
+            if plotted:
+                render_overlay_svg(plotted, args.plot)
                 if args.verbose:
                     print(f"framelocal: wrote {args.plot}", file=sys.stderr)
             else:
@@ -115,7 +131,7 @@ def _pipeline(args: argparse.Namespace) -> int:
         print(f"framelocal: error: {exc}", file=sys.stderr)
         return 3
 
-    print(f"{len(result.series)} series written, {result.skipped_empty} "
+    print(f"{written} series written, {skipped_empty} "
           f"permutations skipped (empty), {warnings} warnings")
     return 0
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import html
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from .errors import NoSeries
@@ -59,30 +61,49 @@ def write_csv(series: EventSeries, layout: OutputLayout) -> Path:
     return path
 
 
-def render_overlay_svg(series: list[EventSeries] | tuple[EventSeries, ...],
-                       path: str | Path) -> Path:
+def render_overlay_svg(series: Iterable[EventSeries], path: str | Path) -> Path:
     """Render all series as polylines in one SVG.
 
     The drawing shares one local coordinate system with equal x/y scale and
     the along-frame direction pointing up. The viewBox fits the union
     bounding box with a 5% margin (at least 1 m of span), strokes are
     colored by frame id from a fixed palette, and a legend lists each
-    (trace, frame, event).
+    (trace, frame, event). series may be any iterable; it is read once, in
+    order, and each series is folded into running bounds and its polyline
+    text, so no coordinate list spans the run.
     """
-    if not series:
+    series = iter(series)
+    first = next(series, None)
+    if first is None:
         raise NoSeries("no series to plot")
     path = Path(path)
 
-    xs = [x for s in series for x, _, _ in s.points]
-    ys = [-y for s in series for _, y, _ in s.points]  # SVG y grows downward
+    # the bounds are left folds over the run's coordinates, seeded with its
+    # first ones, so they equal min() and max() over them all, ties included
+    min_x = max_x = first.points[0][0]
+    min_y = max_y = -first.points[0][1]  # SVG y grows downward
+    color_of: dict[str, str] = {}  # frame id -> palette color, in first-seen order
+    drawn: list[tuple[str, str, str]] = []  # (color, points, legend label)
+    for s in chain([first], series):
+        xs = [x for x, _, _ in s.points]
+        ys = [-y for _, y, _ in s.points]
+        min_x, max_x = min(chain([min_x], xs)), max(chain([max_x], xs))
+        min_y, max_y = min(chain([min_y], ys)), max(chain([max_y], ys))
+        # one % operation formats the series' x, -y pairs, interleaved
+        flat = [0.0] * (2 * len(xs))
+        flat[0::2], flat[1::2] = xs, ys
+        color = color_of.setdefault(s.frame_id, _PALETTE[len(color_of) % len(_PALETTE)])
+        drawn.append((color, ("%.6g,%.6g " * len(xs) % tuple(flat))[:-1],
+                      f"{s.trace_id} / {s.frame_id} / {s.event_label}"))
+
     def _ensure_span(lo: float, hi: float) -> tuple[float, float]:
         if hi - lo < 1.0:
             center = 0.5 * (lo + hi)
             return center - 0.5, center + 0.5
         return lo, hi
 
-    min_x, max_x = _ensure_span(min(xs), max(xs))
-    min_y, max_y = _ensure_span(min(ys), max(ys))
+    min_x, max_x = _ensure_span(min_x, max_x)
+    min_y, max_y = _ensure_span(min_y, max_y)
     pad = 0.05 * max(max_x - min_x, max_y - min_y)
     min_x, max_x = min_x - pad, max_x + pad
     min_y, max_y = min_y - pad, max_y + pad
@@ -90,40 +111,24 @@ def render_overlay_svg(series: list[EventSeries] | tuple[EventSeries, ...],
     height = max_y - min_y
     span = max(width, height)
 
-    frame_ids: list[str] = []
-    for s in series:
-        if s.frame_id not in frame_ids:
-            frame_ids.append(s.frame_id)
-    color_of = {fid: _PALETTE[i % len(_PALETTE)] for i, fid in enumerate(frame_ids)}
-
     stroke = span * 0.004
     font = span * 0.03
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="800" height="{800.0 * height / width:.0f}" '
-        f'viewBox="{min_x:.6g} {min_y:.6g} {width:.6g} {height:.6g}">',
-    ]
-    stop = 0
-    for s in series:
-        # one % operation formats the series' x, -y pairs, interleaved
-        start, stop = stop, stop + len(s.points)
-        flat = [0.0] * (2 * len(s.points))
-        flat[0::2], flat[1::2] = xs[start:stop], ys[start:stop]
-        pts = ("%.6g,%.6g " * len(s.points) % tuple(flat))[:-1]
-        lines.append(f'  <polyline points="{pts}" fill="none" '
-                     f'stroke="{color_of[s.frame_id]}" stroke-width="{stroke:.6g}" '
-                     f'stroke-linejoin="round" stroke-linecap="round"/>')
-    for i, s in enumerate(series):
-        label = html.escape(f"{s.trace_id} / {s.frame_id} / {s.event_label}",
-                            quote=False)
-        lines.append(f'  <text x="{min_x + 0.4 * font:.6g}" '
-                     f'y="{min_y + (i + 1.2) * font:.6g}" font-size="{font:.6g}" '
-                     f'font-family="sans-serif" fill="{color_of[s.frame_id]}">'
-                     f'{label}</text>')
-    lines.append('</svg>')
-
     path.parent.mkdir(parents=True, exist_ok=True)
+    # each line is formatted as it is written, so the whole text is never
+    # held at once
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write('<?xml version="1.0" encoding="UTF-8"?>\n'
+                     f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+                     f'width="800" height="{800.0 * height / width:.0f}" '
+                     f'viewBox="{min_x:.6g} {min_y:.6g} {width:.6g} {height:.6g}">\n')
+        for color, pts, _ in drawn:
+            handle.write(f'  <polyline points="{pts}" fill="none" '
+                         f'stroke="{color}" stroke-width="{stroke:.6g}" '
+                         f'stroke-linejoin="round" stroke-linecap="round"/>\n')
+        for i, (color, _, label) in enumerate(drawn):
+            handle.write(f'  <text x="{min_x + 0.4 * font:.6g}" '
+                         f'y="{min_y + (i + 1.2) * font:.6g}" font-size="{font:.6g}" '
+                         f'font-family="sans-serif" fill="{color}">'
+                         f'{html.escape(label, quote=False)}</text>\n')
+        handle.write('</svg>\n')
     return path

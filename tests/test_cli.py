@@ -3,6 +3,7 @@
 import gc
 import subprocess
 import sys
+import weakref
 from datetime import timedelta
 
 import pytest
@@ -10,6 +11,9 @@ import pytest
 from fixtures import frame_feature, frames_doc, gpx_doc, ts, two_fields_dataset
 from framelocal import cli
 from framelocal.cli import main
+from framelocal.engine import run
+from framelocal.ingest import load_inputs
+from framelocal.output import OutputLayout, write_csv
 
 ORIGIN = (-37.85, 145.0)
 TARGET = (-37.84, 145.001)
@@ -67,6 +71,28 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 3
         assert "far" in captured.err
+
+    def test_processing_error_keeps_earlier_traces_csvs(self, tmp_path, capsys):
+        frames_path, traces = _basic_inputs(tmp_path)
+        # all of trace 'x' is null-island glitches, against a Melbourne frame
+        (traces / "x.gpx").write_text(gpx_doc(
+            [(0.0, 0.0, ts(5, 1)), (0.0, 0.0, ts(5, 2))]))
+        out_dir = tmp_path / "out"
+        code = main(["--frames", str(frames_path), "--traces", str(traces),
+                     "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith(
+            "framelocal: error: trace 'x', frame 'f0', event 'e0': ")
+        assert captured.out == ""
+        frames, loaded, _ = load_inputs(frames_path, traces)
+        assert [trace.id for trace in loaded] == ["walk", "x"]
+        layout = OutputLayout(out_dir=tmp_path / "expected")
+        expected = [write_csv(series, layout)
+                    for series in run(loaded[:1], frames).series]
+        assert [p.name for p in expected] == ["walk__f0__e0.csv"]
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == {
+            p.name: p.read_bytes() for p in expected}
 
     def test_polar_frame_origin_is_ingest_error(self, tmp_path, capsys):
         frames_path, traces = _basic_inputs(tmp_path)
@@ -237,10 +263,13 @@ class TestBehavior:
 
     def test_sanitized_names_never_overwrite(self, tmp_path, capsys):
         frames_path, traces = _basic_inputs(tmp_path)
+        # every series differs, so each file's bytes name the series it holds
         frames_path.write_text(frames_doc([frame_feature(
-            "f", ORIGIN, TARGET, {"e": INTERVAL, "e_2": INTERVAL})]))
+            "f", ORIGIN, TARGET,
+            {"e": INTERVAL, "e_2": "2017-06-10T05:01:30Z/2017-06-10T05:20:00Z"})]))
         (traces / "walk.gpx").rename(traces / "a b.gpx")
-        (traces / "a_b.gpx").write_text((traces / "a b.gpx").read_text())
+        (traces / "a_b.gpx").write_text(gpx_doc(
+            [(TARGET[0], TARGET[1], ts(5, 3)), (ORIGIN[0], ORIGIN[1], ts(5, 4))]))
         out_dir = tmp_path / "out"
         code = main(["--frames", str(frames_path), "--traces", str(traces),
                      "--out", str(out_dir)])
@@ -249,6 +278,14 @@ class TestBehavior:
         assert {p.name for p in out_dir.iterdir()} == {
             "a_b__f__e.csv", "a_b__f__e_2.csv", "a_b__f__e_3.csv",
             "a_b__f__e_2_2.csv"}
+        # the whole run's series, in order, through one layout
+        frames, loaded, _ = load_inputs(frames_path, traces)
+        layout = OutputLayout(out_dir=tmp_path / "expected")
+        expected = {write_csv(series, layout).name: series
+                    for series in run(loaded, frames).series}
+        assert len({series.points for series in expected.values()}) == 4
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == {
+            name: (tmp_path / "expected" / name).read_bytes() for name in expected}
 
     def test_suffixed_trace_ids_never_collide(self, tmp_path, capsys):
         frames_path, traces = _basic_inputs(tmp_path)
@@ -305,6 +342,41 @@ class TestBehavior:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip().endswith("0 warnings")
+
+
+class TestStreaming:
+    """The CLI runs and writes one trace at a time: a written trace's series
+    are freed before the next trace runs, unless --plot keeps them."""
+
+    @pytest.mark.parametrize("plot", [False, True])
+    def test_written_series_freed_unless_plotted(self, tmp_path, capsys,
+                                                 monkeypatch, plot):
+        frames_path, traces = _basic_inputs(tmp_path)
+        frames_path.write_text(frames_doc([frame_feature(
+            "f0", ORIGIN, TARGET, {"events": [INTERVAL, INTERVAL]})]))
+        for name in ("a", "b"):
+            (traces / f"{name}.gpx").write_text((traces / "walk.gpx").read_text())
+        calls = []  # per run call: its trace ids, and how many earlier series live
+        returned = []  # weak references to every series run returned
+        real_run = cli.run
+
+        def run(traces_arg, frames):
+            calls.append(([trace.id for trace in traces_arg],
+                          sum(ref() is not None for ref in returned)))
+            result = real_run(traces_arg, frames)
+            returned.extend(weakref.ref(series) for series in result.series)
+            return result
+
+        monkeypatch.setattr(cli, "run", run)
+        args = ["--frames", str(frames_path), "--traces", str(traces),
+                "--out", str(tmp_path / "out")]
+        if plot:
+            args += ["--plot", str(tmp_path / "overlay.svg")]
+        assert main(args) == 0
+        assert capsys.readouterr().out.startswith("6 series written")
+        kept = [0, 2, 4] if plot else [0, 0, 0]
+        assert calls == [(["a"], kept[0]), (["b"], kept[1]), (["walk"], kept[2])]
+        assert sum(ref() is not None for ref in returned) == 0
 
 
 def _inputs_exiting_with(base, code):

@@ -106,6 +106,23 @@ class TestRenderOverlaySvg:
         with pytest.raises(NoSeries):
             render_overlay_svg([], tmp_path / "never.svg")
 
+    def test_empty_generator_raises(self, tmp_path):
+        with pytest.raises(NoSeries):
+            render_overlay_svg(iter(()), tmp_path / "never.svg")
+        assert not (tmp_path / "never.svg").exists()
+
+    def test_generator_renders_the_list_bytes(self, tmp_path):
+        # extremes in later series, -0.0 against 0.0 ties, and a frame seen
+        # again after another, so bounds and colors depend on every series
+        series = [
+            _series([(0.0, -0.0, 0.0), (2.5, 1.0, 1.0)], trace_id="a", frame_id="f1"),
+            _series([(-0.0, 0.0, 0.0), (-7.25, 40.0, 1.0)], trace_id="a", frame_id="f0"),
+            _series([(9.0, -3.5, 0.0)], trace_id="b", frame_id="f1", event_label="e1"),
+        ]
+        listed = render_overlay_svg(series, tmp_path / "list.svg")
+        streamed = render_overlay_svg((s for s in series), tmp_path / "gen.svg")
+        assert streamed.read_bytes() == listed.read_bytes()
+
     def test_y_axis_points_up(self, tmp_path):
         # larger y_m must become a smaller (higher) SVG y coordinate
         path = render_overlay_svg(
