@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from itertools import repeat
+from collections import deque
+from collections.abc import Sequence
+from itertools import chain
 from pathlib import Path
 
 from .engine import run
-from .errors import FrameLocalError
+from .errors import FrameLocalError, NoSeries
 from .ingest import load_inputs
-from .model import EventSeries
 from .output import OutputLayout, render_overlay_svg, write_csv
 
 
@@ -65,8 +66,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     # The pipeline builds no per-fix or per-file reference cycles, so the
-    # cyclic collector finds nothing to free; left on, a run over many GPX
-    # files spends ~40% of its time in it, walking the live trees and points.
+    # cyclic collector finds nothing to free; left on, it walks the live
+    # objects for 1-4% of a run's time (3.5% on tournament_dense, seed 101).
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -77,8 +78,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _pipeline(args: argparse.Namespace) -> int:
-    """Load, then run and write the CSVs one trace at a time, then the
-    plot; return the exit code."""
+    """Load, then run and write the CSVs one trace at a time, drawing the
+    plot from the written series as they come; return the exit code."""
     try:
         frames, traces, report = load_inputs(args.frames, args.traces,
                                              recurse=args.recurse)
@@ -86,47 +87,42 @@ def _pipeline(args: argparse.Namespace) -> int:
         print(f"framelocal: error: {exc}", file=sys.stderr)
         return 2
 
-    for source, message in report.warnings:
-        print(f"framelocal: warning: {source}: {message}", file=sys.stderr)
-    warnings = len(report.warnings)
+    warnings = _warn(report.warnings)
     if args.verbose:
         events = sum(len(frame_events) for _, frame_events in frames)
         print(f"framelocal: loaded {len(frames)} frames, {events} events, "
               f"{len(traces)} traces", file=sys.stderr)
 
-    # One trace at a time: traces come sorted by id with unique ids, so
-    # writing each trace's key-sorted series in turn writes the run's
-    # (trace, frame, event) order, and only --plot keeps a written series.
     written = skipped_empty = 0
-    plotted: list[EventSeries] = []
+
+    def written_series(trace):
+        """Run and report one trace; yield each series once its CSV is written."""
+        nonlocal written, skipped_empty, warnings
+        result = run([trace], frames)
+        warnings += _warn(result.warnings)
+        skipped_empty += result.skipped_empty
+        for series in result.series:
+            path = write_csv(series, layout)
+            written += 1
+            if args.verbose:
+                print(f"framelocal: wrote {path}", file=sys.stderr)
+            yield series
+
     try:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        layout = OutputLayout(out_dir=out_dir)
-        for trace in traces:
-            result = run([trace], frames)
-            for message in result.warnings:
-                print(f"framelocal: warning: {message}", file=sys.stderr)
-            # map, not a loop over the series: a loop variable would keep
-            # this trace's last series alive while the next trace runs
-            for path in map(write_csv, result.series, repeat(layout)):
-                if args.verbose:
-                    print(f"framelocal: wrote {path}", file=sys.stderr)
-            written += len(result.series)
-            skipped_empty += result.skipped_empty
-            warnings += len(result.warnings)
-            if args.plot is not None:
-                plotted.extend(result.series)
-            del result  # before the next trace runs
-        if args.plot is not None:
-            if plotted:
-                render_overlay_svg(plotted, args.plot)
-                if args.verbose:
-                    print(f"framelocal: wrote {args.plot}", file=sys.stderr)
-            else:
-                print("framelocal: warning: no series to plot; skipped "
-                      f"{args.plot}", file=sys.stderr)
-                warnings += 1
+        layout = OutputLayout(out_dir=Path(args.out))
+        # traces come sorted by unique ids, so each trace's key-sorted series
+        # in turn are the run's (trace, frame, event) order
+        stream = chain.from_iterable(map(written_series, traces))
+        if args.plot is None:
+            deque(stream, maxlen=0)
+        else:
+            render_overlay_svg(stream, args.plot)
+            if args.verbose:
+                print(f"framelocal: wrote {args.plot}", file=sys.stderr)
+    except NoSeries:
+        print(f"framelocal: warning: no series to plot; skipped {args.plot}",
+              file=sys.stderr)
+        warnings += 1
     except (FrameLocalError, OSError) as exc:
         print(f"framelocal: error: {exc}", file=sys.stderr)
         return 3
@@ -134,6 +130,13 @@ def _pipeline(args: argparse.Namespace) -> int:
     print(f"{written} series written, {skipped_empty} "
           f"permutations skipped (empty), {warnings} warnings")
     return 0
+
+
+def _warn(pairs: Sequence[tuple[str, str]]) -> int:
+    """Print each (source, message) warning; return how many there were."""
+    for source, message in pairs:
+        print(f"framelocal: warning: {source}: {message}", file=sys.stderr)
+    return len(pairs)
 
 
 def entry_point() -> None:

@@ -29,11 +29,11 @@ from .model import EPOCH, EventInterval, EventSeries, FrameLine, Trace, utc_us
 @dataclass(frozen=True)
 class RunResult:
     """All non-empty series, the count of empty permutations, and one
-    warning per permutation that dropped out-of-domain samples."""
+    (source, message) warning per permutation with out-of-domain drops."""
 
     series: tuple[EventSeries, ...]
     skipped_empty: int
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[tuple[str, str], ...] = ()
 
 
 def clip_to_event(trace: Trace, event: EventInterval) -> range:
@@ -103,7 +103,7 @@ def run(traces: list[Trace],
                                           frame.origin_lon_deg, frame.azimuth_deg))
                 for frame, events in frames]
     series: list[EventSeries] = []
-    warnings: list[str] = []
+    warnings: list[tuple[str, str]] = []
     skipped_empty = 0
     for trace in traces:
         clipped: list[tuple[FrameLine, HomParams, list[tuple[EventInterval, range]]]] = []
@@ -134,8 +134,7 @@ def run(traces: list[Trace],
                 try:
                     series.append(project_series(
                         trace, window, projected[window.start:window.stop], frame, event,
-                        on_warning=lambda message: warnings.append(
-                            f"{where}: {message}")))
+                        on_warning=lambda message: warnings.append((where, message))))
                 except FrameLocalError as exc:
                     raise type(exc)(f"{where}: {exc}") from exc
     series.sort(key=attrgetter("key"))

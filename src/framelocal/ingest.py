@@ -200,10 +200,10 @@ def parse_frames(geojson_text: str, on_warning: WarnFn | None = None
     with other geometry types are skipped with a warning. A LineString with
     any other number of positions, coincident endpoints, an origin poleward
     of the projection's latitude limit, or a frame without a single parsable
-    interval are hard errors.
+    interval are hard errors. Each warning goes to on_warning as soon as it
+    is found, so the warnings of the features before a hard error are given.
     """
-    warnings: list[str] = []
-    warn = warnings.append
+    warn = on_warning if on_warning is not None else (lambda message: None)
 
     try:
         doc = json.loads(geojson_text)
@@ -251,21 +251,15 @@ def parse_frames(geojson_text: str, on_warning: WarnFn | None = None
                     f"frame {feature_id!r}: latitude {lat} outside [-90, 90] "
                     "(positions must be [lon, lat] order)")
 
-        def _frame_warn(message: str, _fid: str = feature_id) -> None:
-            warn(f"frame {_fid!r}: {message}")
-
         try:
             frame = build_frame_line(feature_id, lat1, lon1, lat2, lon2)
         except (CoincidentPoints, NearAntipodal, PolarOrigin) as exc:
             raise type(exc)(f"frame {feature_id!r}: {exc}") from None
-        events = _feature_events(feature_id, properties, _frame_warn)
+        events = _feature_events(feature_id, properties, lambda message: warn(
+            f"frame {feature_id!r}: {message}"))
         if not events:
             raise NoEvents(f"frame {feature_id!r} has no parsable event interval")
         frames.append((frame, events))
-
-    if on_warning is not None:
-        for message in warnings:
-            on_warning(message)
     return frames
 
 

@@ -35,12 +35,16 @@ def _sanitize(part: str) -> str:
 class OutputLayout:
     """Names output files ``<trace>__<frame>__<event>.csv`` under out_dir.
 
-    Name components are sanitized to [A-Za-z0-9_-]; a name already given
-    out by this layout instance takes the first free suffix _2, _3, ...
+    out_dir is created, with its parents, when the layout is built. Name
+    components are sanitized to [A-Za-z0-9_-]; a name already given out by
+    this layout instance takes the first free suffix _2, _3, ...
     """
 
     out_dir: Path
     _taken: set[str] = field(default_factory=set, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        Path(self.out_dir).mkdir(parents=True, exist_ok=True)
 
     def path_for(self, series: EventSeries) -> Path:
         stem = "__".join(_sanitize(part) for part in series.key)
@@ -50,7 +54,6 @@ class OutputLayout:
 def write_csv(series: EventSeries, layout: OutputLayout) -> Path:
     """Write one series to its CSV file; returns the path written."""
     path = layout.path_for(series)
-    path.parent.mkdir(parents=True, exist_ok=True)
     rows = "".join([f"{x!r},{y!r},{t!r}\n" for x, y, t in series.points])
     # repr() is the shortest round-tripping form; integral values drop ".0".
     # Every number ends at "," or "\n", so these replacements touch only the

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import weakref
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 
@@ -345,8 +346,8 @@ class TestBehavior:
 
 
 class TestStreaming:
-    """The CLI runs and writes one trace at a time: a written trace's series
-    are freed before the next trace runs, unless --plot keeps them."""
+    """The CLI runs and writes one trace at a time, and --plot draws from the
+    written series as they come: no written series outlives its consumer."""
 
     @pytest.mark.parametrize("plot", [False, True])
     def test_written_series_freed_unless_plotted(self, tmp_path, capsys,
@@ -354,7 +355,7 @@ class TestStreaming:
         frames_path, traces = _basic_inputs(tmp_path)
         frames_path.write_text(frames_doc([frame_feature(
             "f0", ORIGIN, TARGET, {"events": [INTERVAL, INTERVAL]})]))
-        for name in ("a", "b"):
+        for name in ("a", "b", "c"):
             (traces / f"{name}.gpx").write_text((traces / "walk.gpx").read_text())
         calls = []  # per run call: its trace ids, and how many earlier series live
         returned = []  # weak references to every series run returned
@@ -373,10 +374,32 @@ class TestStreaming:
         if plot:
             args += ["--plot", str(tmp_path / "overlay.svg")]
         assert main(args) == 0
-        assert capsys.readouterr().out.startswith("6 series written")
-        kept = [0, 2, 4] if plot else [0, 0, 0]
-        assert calls == [(["a"], kept[0]), (["b"], kept[1]), (["walk"], kept[2])]
+        assert capsys.readouterr().out.startswith("8 series written")
+        # the renderer holds its first series and the one it is folding
+        kept = [0, 2, 2, 2] if plot else [0, 0, 0, 0]
+        assert calls == [(["a"], kept[0]), (["b"], kept[1]), (["c"], kept[2]),
+                         (["walk"], kept[3])]
         assert sum(ref() is not None for ref in returned) == 0
+        if plot:
+            assert (tmp_path / "overlay.svg").read_text().count("<polyline ") == 8
+
+    def test_out_dir_made_once_and_never_per_csv(self, tmp_path, capsys,
+                                                 monkeypatch):
+        frames_path, traces = _basic_inputs(tmp_path)
+        (traces / "b.gpx").write_text((traces / "walk.gpx").read_text())
+        made = []
+        real_mkdir = Path.mkdir
+
+        def mkdir(self, *args, **kwargs):
+            made.append(self)
+            return real_mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", mkdir)
+        out_dir = tmp_path / "out"
+        assert main(["--frames", str(frames_path), "--traces", str(traces),
+                     "--out", str(out_dir)]) == 0
+        assert capsys.readouterr().out.startswith("2 series written")
+        assert made == [out_dir]
 
 
 def _inputs_exiting_with(base, code):

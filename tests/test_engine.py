@@ -181,11 +181,11 @@ class TestRun:
                           (37.85, -35.0, ts(5, 3)), (*ORIGIN, ts(5, 4))], "glitchy")]
         result = run(traces, [(frame, [_interval(ts(5, 0), ts(5, 10))])])
         assert [t for _, _, t in result.series[0].points] == [60.0, 240.0]
-        assert result.warnings == (
-            "trace 'glitchy', frame 'f0', event 'e0': 2 of 4 in-window fixes "
-            "skipped as out of the projection's domain; first: point (0.0, 0.0) "
-            "at 2017-06-10T05:02:00+00:00: point lies in the hemisphere "
-            "opposite the origin",)
+        assert result.warnings == ((
+            "trace 'glitchy', frame 'f0', event 'e0'",
+            "2 of 4 in-window fixes skipped as out of the projection's domain; "
+            "first: point (0.0, 0.0) at 2017-06-10T05:02:00+00:00: point lies "
+            "in the hemisphere opposite the origin"),)
 
     def test_unchecked_fixes_of_a_trace_built_directly_fail_closed(self):
         # a Trace checks no values, ingest does; the kernel drops a latitude
@@ -196,11 +196,11 @@ class TestRun:
                          "direct")]
         result = run(traces, [(frame, [_interval(ts(5, 0), ts(5, 10))])])
         assert [t for _, _, t in result.series[0].points] == [60.0, 240.0]
-        assert result.warnings == (
-            "trace 'direct', frame 'f0', event 'e0': 2 of 4 in-window fixes "
-            "skipped as out of the projection's domain; first: point (95.0, "
-            "145.0) at 2017-06-10T05:02:00+00:00: latitude 95.0 is poleward "
-            "of ±89.9",)
+        assert result.warnings == ((
+            "trace 'direct', frame 'f0', event 'e0'",
+            "2 of 4 in-window fixes skipped as out of the projection's domain; "
+            "first: point (95.0, 145.0) at 2017-06-10T05:02:00+00:00: latitude "
+            "95.0 is poleward of ±89.9"),)
 
     def test_frame_independence(self):
         frame_a = _frame("a", azimuth=10.0)
@@ -281,14 +281,14 @@ class TestUnionProjection:
         assert [t for _, _, t in by_frame["a"].points] == [60.0, 240.0]
         assert [t for _, _, t in by_frame["b"].points] == [60.0, 120.0, 240.0]
         assert result.warnings == (
-            "trace 'glitchy', frame 'a', event 'e0': 2 of 4 in-window fixes "
-            "skipped as out of the projection's domain; first: point (0.0, 50.0) "
-            "at 2017-06-10T05:02:00+00:00: point lies in the hemisphere "
-            "opposite the origin",
-            "trace 'glitchy', frame 'b', event 'e0': 1 of 4 in-window fixes "
-            "skipped as out of the projection's domain; first: point (89.95, "
-            "145.0) at 2017-06-10T05:03:00+00:00: latitude 89.95 is poleward "
-            "of ±89.9")
+            ("trace 'glitchy', frame 'a', event 'e0'",
+             "2 of 4 in-window fixes skipped as out of the projection's domain; "
+             "first: point (0.0, 50.0) at 2017-06-10T05:02:00+00:00: point lies "
+             "in the hemisphere opposite the origin"),
+            ("trace 'glitchy', frame 'b', event 'e0'",
+             "1 of 4 in-window fixes skipped as out of the projection's domain; "
+             "first: point (89.95, 145.0) at 2017-06-10T05:03:00+00:00: "
+             "latitude 89.95 is poleward of ±89.9"))
         for frame in (frame_a, frame_b):
             alone = run([trace], [(frame, events)])
             assert alone.series == (by_frame[frame.id],)
@@ -303,10 +303,10 @@ class TestUnionProjection:
         first = ("first: point (0.0, 0.0) at 2017-06-10T05:02:00+00:00: point "
                  "lies in the hemisphere opposite the origin")
         assert result.warnings == (
-            "trace 'glitchy', frame 'f0', event 'e0': 1 of 3 in-window fixes "
-            f"skipped as out of the projection's domain; {first}",
-            "trace 'glitchy', frame 'f0', event 'session': 1 of 4 in-window "
-            f"fixes skipped as out of the projection's domain; {first}")
+            ("trace 'glitchy', frame 'f0', event 'e0'",
+             f"1 of 3 in-window fixes skipped as out of the projection's domain; {first}"),
+            ("trace 'glitchy', frame 'f0', event 'session'",
+             f"1 of 4 in-window fixes skipped as out of the projection's domain; {first}"))
 
 
 @st.composite

@@ -2,10 +2,14 @@
 raises out of cli.main, the exit code is 0, 2 or 3, every CSV written
 re-parses to the exact bits of the series the engine computes, and exit 3
 means the engine itself failed, e.g. on a permutation with no fix that
-projects, never that a far fix among good ones cost the run."""
+projects, never that a far fix among good ones cost the run. With --plot,
+the overlay draws one polyline per CSV, and exists only on an exit 0 that
+wrote a CSV."""
 
+import io
 import json
 import struct
+from contextlib import redirect_stderr, redirect_stdout
 from datetime import datetime, timezone
 
 import pytest
@@ -151,12 +155,13 @@ def _bits(value: float) -> bytes:
 
 
 @given(gpx=st.lists(_gpx_bytes(), min_size=1, max_size=2),
-       frames=_frames_text())
+       frames=_frames_text(), plot=st.booleans())
 @example(gpx=[gpx_doc([(*ORIGIN, ts(5, 1)), (*TARGET, ts(5, 2))]).encode()],
          frames=frames_doc([frame_feature("f0", ORIGIN, TARGET,
-                                          {"events": [INTERVAL]})]).encode())
-@settings(max_examples=50, deadline=None)
-def test_cli_survives_mutated_input(tmp_path_factory, gpx, frames):
+                                          {"events": [INTERVAL]})]).encode(),
+         plot=True)
+@settings(deadline=None)
+def test_cli_survives_mutated_input(tmp_path_factory, gpx, frames, plot):
     base = tmp_path_factory.mktemp("fuzz")
     frames_path = base / "frames.geojson"
     frames_path.write_bytes(frames)
@@ -165,24 +170,39 @@ def test_cli_survives_mutated_input(tmp_path_factory, gpx, frames):
     for i, data in enumerate(gpx):
         (traces_dir / f"t{i}.gpx").write_bytes(data)
     out_dir = base / "out"
+    svg = base / "overlay.svg"
+    args = ["--frames", str(frames_path), "--traces", str(traces_dir),
+            "--out", str(out_dir)] + (["--plot", str(svg)] if plot else [])
 
-    code = main(["--frames", str(frames_path), "--traces", str(traces_dir),
-                 "--out", str(out_dir)])
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+        code = main(args)
 
     assert code in (0, 2, 3)
+    if code != 0:
+        assert not svg.exists()
     if code == 2:
         return
-    frame_list, traces, _ = load_inputs(frames_path, traces_dir)
+    frame_list, traces, report = load_inputs(frames_path, traces_dir)
     if code == 3:
         with pytest.raises(FrameLocalError) as failure:
             run(traces, frame_list)
         if isinstance(failure.value, OutOfDomain):
             assert _some_permutation_projects_nothing(traces, frame_list)
         return
+    result = run(traces, frame_list)
     layout = OutputLayout(out_dir=out_dir)
-    expected = {layout.path_for(series): series
-                for series in run(traces, frame_list).series}
+    expected = {layout.path_for(series): series for series in result.series}
     assert set(out_dir.iterdir()) == set(expected)
+    unplotted = plot and not expected
+    assert (f"framelocal: warning: no series to plot; skipped {svg}\n"
+            in err.getvalue()) == unplotted
+    warnings = len(report.warnings) + len(result.warnings) + unplotted
+    assert out.getvalue() == (f"{len(expected)} series written, {result.skipped_empty} "
+                              f"permutations skipped (empty), {warnings} warnings\n")
+    if plot and expected:
+        assert svg.read_text(encoding="utf-8").count("<polyline ") == len(expected)
+    else:
+        assert not svg.exists()
     for path, series in expected.items():
         header, *rows = path.read_text(encoding="utf-8").split("\n")[:-1]
         assert header == "x,y,t"

@@ -303,6 +303,24 @@ class TestParseFrames:
         assert [frame.id for frame, _ in frames] == ["line"]
         assert any("pt" in w for w in warnings)
 
+    def test_warnings_given_before_a_later_feature_fails(self):
+        warnings = []
+        naive = "2017-06-10T05:00:00/2017-06-10T05:20:00"
+        three_points = frame_feature("bad", ORIGIN, TARGET, {"events": [naive]})
+        three_points["geometry"]["coordinates"].append([145.002, -37.83])
+        doc = frames_doc([
+            {"type": "Feature", "id": "pt",
+             "geometry": {"type": "Point", "coordinates": [145.0, -37.85]},
+             "properties": {}},
+            frame_feature("naive", ORIGIN, TARGET, {"events": [naive]}),
+            three_points,
+        ])
+        with pytest.raises(BadLineString, match="bad"):
+            parse_frames(doc, on_warning=warnings.append)
+        assert warnings == [
+            "frame 'pt': geometry is not a LineString; skipped",
+            f"frame 'naive': interval {naive!r} has no UTC offset; assuming UTC"]
+
     def test_id_fallbacks(self):
         interval = "2017-06-10T05:00:00Z/2017-06-10T05:20:00Z"
         doc = frames_doc([

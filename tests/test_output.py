@@ -36,6 +36,13 @@ class TestWriteCsv:
         path = write_csv(_series([(0.0, 0.0, 0.0)], trace_id="run 1!"), layout)
         assert path.name == "run_1___f0__e0.csv"
 
+    def test_layout_creates_out_dir(self, tmp_path):
+        out_dir = tmp_path / "deep" / "out"
+        layout = OutputLayout(out_dir=out_dir)
+        assert out_dir.is_dir()
+        path = write_csv(_series([(0.0, 0.0, 0.0)]), layout)
+        assert path.parent == out_dir
+
     def test_collision_suffix(self, tmp_path):
         layout = OutputLayout(out_dir=tmp_path)
         first = write_csv(_series([(0.0, 0.0, 0.0)], trace_id="a b"), layout)
