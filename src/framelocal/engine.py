@@ -3,6 +3,8 @@ trace to the event interval, project the surviving points into frame-local
 coordinates, and shift time to seconds since the event began. The part of
 a fix's projection that depends on no frame is computed once per trace; a
 fix inside several events of one frame is projected into that frame once.
+A fix's time since an event begin is computed once per trace and begin,
+and its (x, y, t) row once per frame and begin, so series share them.
 
 Both interval bounds are inclusive, so a sample landing exactly on a shared
 boundary of two back-to-back events appears in both series. Permutations
@@ -14,11 +16,12 @@ dropped from its series with a warning.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from datetime import timedelta
+from functools import partial
 from itertools import compress, repeat
-from operator import add, attrgetter
+from operator import attrgetter
 
 from .errors import FrameLocalError, OutOfDomain
 from .geodesy import WGS84, HomParams, hom_fix_terms, hom_forward_terms, hom_setup
@@ -44,40 +47,42 @@ def clip_to_event(trace: Trace, event: EventInterval) -> range:
     return range(lo, hi)
 
 
+def seconds_since(begin_us: int, times_us: Iterable[int]) -> list[float]:
+    """Each time's seconds since begin_us, all in integer UTC microseconds:
+    (us - begin_us) / 10**6, bit for bit the timedelta.total_seconds() of
+    the time since begin."""
+    return [(us - begin_us) / 10**6 for us in times_us]
+
+
 def project_series(trace: Trace, window: range,
-                   projected: Sequence[tuple[float, float] | OutOfDomain],
+                   rows: Sequence[tuple[float, float, float] | OutOfDomain],
                    frame: FrameLine, event: EventInterval,
                    on_warning: WarnFn | None = None) -> EventSeries:
-    """Build one EventSeries of (x, y, t) samples from the trace's fixes at
-    the indices in window and their projections as hom_forward_many returns
-    them, aligned with window.
+    """Build one EventSeries from the rows of the trace's fixes at the
+    indices in window, aligned with window. A row is the fix's (x, y, t)
+    tuple, with t its seconds_since the event began, or the OutOfDomain of a
+    fix outside the frame's projection domain.
 
-    t is (us - begin_us) / 10**6, with us from trace.time_us, bit for bit
-    the timedelta.total_seconds() of the time since the event began. Fixes
-    whose projection is an OutOfDomain are dropped, and one warning gives
-    their count and the first of them. If no fix projects, that first fix's
-    OutOfDomain is raised instead.
+    OutOfDomain rows are dropped, and one warning gives their count and the
+    first of them. If no row is a tuple, that first fix's OutOfDomain is
+    raised instead. The series holds the given row tuples themselves.
     """
-    times_us = trace.time_us[window.start:window.stop]
-    projected_ok = list(map(isinstance, projected, repeat(tuple)))
-    dropped = projected_ok.count(False)
+    rows_ok = list(map(isinstance, rows, repeat(tuple)))
+    dropped = rows_ok.count(False)
     if dropped:
-        index = projected_ok.index(False)
+        index = rows_ok.index(False)
         fix = window.start + index
-        when = EPOCH + timedelta(microseconds=times_us[index])
+        when = EPOCH + timedelta(microseconds=trace.time_us[fix])
         first = (f"point ({trace.lat_deg[fix]}, {trace.lon_deg[fix]}) at "
-                 f"{when.isoformat()}: {projected[index]}")
-        if dropped == len(projected_ok):
+                 f"{when.isoformat()}: {rows[index]}")
+        if dropped == len(rows_ok):
             raise OutOfDomain(first)
         if on_warning is not None:
             on_warning(f"{dropped} of {len(window)} in-window fixes skipped as "
                        f"out of the projection's domain; first: {first}")
-        projected = compress(projected, projected_ok)
-        times_us = compress(times_us, projected_ok)
-    begin_us = utc_us(event.begin_utc)
-    t_s = [(us - begin_us) / 10**6 for us in times_us]
+        rows = compress(rows, rows_ok)
     return EventSeries(trace_id=trace.id, frame_id=frame.id, event_label=event.label,
-                       points=tuple(map(add, projected, zip(t_s))))
+                       points=tuple(rows))
 
 
 def run(traces: list[Trace],
@@ -86,12 +91,19 @@ def run(traces: list[Trace],
 
     Projection setup happens once per frame, on WGS84 like the frame's
     azimuth. For each trace, every event of every frame is clipped first.
-    One walk over the union of all those windows, in start order and with
-    a high-water mark, fills one list aligned with the trace's columns with
-    the frame-independent hom_fix_terms of each fix in the union. Each
-    frame then projects each fix of its own union of windows once, with
-    hom_forward_terms, into one more trace-aligned list. Each event's
-    series takes its window's slice of that list.
+    Then lists aligned with the trace's columns are filled, each over a
+    union of windows and with each fix of it computed once (see _aligned):
+    - once per trace, the frame-independent hom_fix_terms of each fix in
+      the union of all the windows
+    - once per distinct event begin, each fix's seconds_since that begin,
+      over the union of the windows of the events with that begin
+    - once per frame, each fix's hom_forward_terms, over the union of the
+      frame's windows
+    - once per frame and begin, each fix's (x, y, t) row, or its
+      OutOfDomain, over the union of the frame's windows with that begin
+    Each event's series takes its window's slice of its begin's rows, so
+    events with a common begin share row tuples, and frames with common
+    event begins share t floats.
     Series are sorted by (trace id, frame id, event label).
     Samples dropped as out of domain become one warning per permutation, in
     input order (traces, then frames, then events). A failure in any
@@ -99,41 +111,49 @@ def run(traces: list[Trace],
     and is reported for the first failing permutation in that order.
     Projection errors carry the offending permutation and point.
     """
-    prepared = [(frame, events, hom_setup(WGS84, frame.origin_lat_deg,
-                                          frame.origin_lon_deg, frame.azimuth_deg))
+    prepared = [(frame, [(event, utc_us(event.begin_utc)) for event in events],
+                 hom_setup(WGS84, frame.origin_lat_deg, frame.origin_lon_deg,
+                           frame.azimuth_deg))
                 for frame, events in frames]
     series: list[EventSeries] = []
     warnings: list[tuple[str, str]] = []
     skipped_empty = 0
     for trace in traces:
-        clipped: list[tuple[FrameLine, HomParams, list[tuple[EventInterval, range]]]] = []
+        # (frame, params, its events' (event, begin_us, window)) per frame
+        # that has a non-empty window
+        clipped: list[tuple[FrameLine, HomParams,
+                            list[tuple[EventInterval, int, range]]]] = []
         for frame, events, params in prepared:
-            windows: list[tuple[EventInterval, range]] = []
-            for event in events:
+            windows = []
+            for event, begin_us in events:
                 window = clip_to_event(trace, event)
                 if window:
-                    windows.append((event, window))
+                    windows.append((event, begin_us, window))
                 else:
                     skipped_empty += 1
             if windows:
                 clipped.append((frame, params, windows))
         if not clipped:
             continue
-        fix_terms: list = [None] * len(trace.time_us)
-        for start, stop in _unseen_parts(
-                window for _, _, windows in clipped for _, window in windows):
-            fix_terms[start:stop] = hom_fix_terms(
-                WGS84, trace.lat_deg[start:stop], trace.lon_deg[start:stop])
+        size = len(trace.time_us)
+        every = [window for _, _, windows in clipped for window in windows]
+        fix_terms = _aligned(size, every, partial(hom_fix_terms, WGS84),
+                             trace.lat_deg, trace.lon_deg)
+        t_since = {begin_us: _aligned(size, begun, partial(seconds_since, begin_us),
+                                      trace.time_us)
+                   for begin_us, begun in _by_begin(every).items()}
         for frame, params, windows in clipped:
-            projected: list = [None] * len(fix_terms)
-            for start, stop in _unseen_parts(window for _, window in windows):
-                projected[start:stop] = hom_forward_terms(params, fix_terms[start:stop])
-            for event, window in windows:
+            projected = _aligned(size, windows, partial(hom_forward_terms, params),
+                                 fix_terms)
+            rows = {begin_us: _aligned(size, begun, _rows, projected, t_since[begin_us])
+                    for begin_us, begun in _by_begin(windows).items()}
+            for event, begin_us, window in windows:
                 where = (f"trace {trace.id!r}, frame {frame.id!r}, "
                          f"event {event.label!r}")
                 try:
                     series.append(project_series(
-                        trace, window, projected[window.start:window.stop], frame, event,
+                        trace, window, rows[begin_us][window.start:window.stop],
+                        frame, event,
                         on_warning=lambda message: warnings.append((where, message))))
                 except FrameLocalError as exc:
                     raise type(exc)(f"{where}: {exc}") from exc
@@ -142,15 +162,35 @@ def run(traces: list[Trace],
                      warnings=tuple(warnings))
 
 
-def _unseen_parts(windows: Iterable[range]) -> list[tuple[int, int]]:
-    """Cover the union of the windows with disjoint (start, stop) index
-    pairs, in order: the windows are walked in start order, and each yields
-    only its part past every window walked before it."""
-    parts = []
+def _rows(projected: Sequence[tuple[float, float] | OutOfDomain],
+          seconds: Sequence[float]) -> list[tuple[float, float, float] | OutOfDomain]:
+    """The (x, y, t) rows of aligned projections, as hom_forward_terms
+    returns them, and t values; an OutOfDomain stays in its row's place."""
+    return [xy + (t,) if xy.__class__ is tuple else xy
+            for xy, t in zip(projected, seconds)]
+
+
+def _by_begin(windows: Iterable[tuple[EventInterval, int, range]]
+              ) -> dict[int, list[tuple[EventInterval, int, range]]]:
+    """The (event, begin_us, window) triples grouped by begin_us."""
+    groups: dict[int, list[tuple[EventInterval, int, range]]] = {}
+    for triple in windows:
+        groups.setdefault(triple[1], []).append(triple)
+    return groups
+
+
+def _aligned(size: int, windows: Iterable[tuple[EventInterval, int, range]],
+             part: Callable[..., list], *columns: Sequence) -> list:
+    """A list of size entries, None outside the union of the windows, whose
+    slice [start:stop] of the union holds part(*slices), with slices the
+    columns' [start:stop]. The windows are walked in start order, and each
+    fills only its part past every window walked before it, so each fix of
+    the union is computed once."""
+    aligned: list = [None] * size
     done = 0  # every window walked so far ends at or before done
-    for window in sorted(windows, key=attrgetter("start")):
-        start = max(window.start, done)
-        if start < window.stop:
-            parts.append((start, window.stop))
-            done = window.stop
-    return parts
+    for window in sorted((window for _, _, window in windows), key=attrgetter("start")):
+        start, stop = max(window.start, done), window.stop
+        if start < stop:
+            aligned[start:stop] = part(*[column[start:stop] for column in columns])
+            done = stop
+    return aligned

@@ -209,6 +209,8 @@ def parse_frames(geojson_text: str, on_warning: WarnFn | None = None
         doc = json.loads(geojson_text)
     except ValueError as exc:  # also an integer over the int-from-string digit limit
         raise NotFeatureCollection(f"frames input is not valid JSON: {exc}") from None
+    except RecursionError:  # arrays or objects nested past the parser's depth
+        raise NotFeatureCollection("frames input nests too deeply to parse") from None
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise NotFeatureCollection('frames input must have "type": "FeatureCollection"')
     features = doc.get("features")

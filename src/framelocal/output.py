@@ -71,9 +71,10 @@ def render_overlay_svg(series: Iterable[EventSeries], path: str | Path) -> Path:
     the along-frame direction pointing up. The viewBox fits the union
     bounding box with a 5% margin (at least 1 m of span), strokes are
     colored by frame id from a fixed palette, and a legend lists each
-    (trace, frame, event). series may be any iterable; it is read once, in
-    order, and each series is folded into running bounds and its polyline
-    text, so no coordinate list spans the run.
+    (trace, frame, event), with a character UTF-8 cannot encode written as
+    its backslash escape, e.g. \\udcff. series may be any iterable; it is
+    read once, in order, and each series is folded into running bounds and
+    its polyline text, so no coordinate list spans the run.
     """
     series = iter(series)
     first = next(series, None)
@@ -118,8 +119,11 @@ def render_overlay_svg(series: Iterable[EventSeries], path: str | Path) -> Path:
     font = span * 0.03
     path.parent.mkdir(parents=True, exist_ok=True)
     # each line is formatted as it is written, so the whole text is never
-    # held at once
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    # held at once. A legend name that UTF-8 cannot encode (a lone surrogate,
+    # as from a file name's undecodable byte) is written as its backslash
+    # escape, the form in which stderr shows the same name.
+    with open(path, "w", encoding="utf-8", errors="backslashreplace",
+              newline="") as handle:
         handle.write('<?xml version="1.0" encoding="UTF-8"?>\n'
                      f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
                      f'width="800" height="{800.0 * height / width:.0f}" '

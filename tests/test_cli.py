@@ -1,6 +1,7 @@
 """Command-line behavior: flags, exit codes, summary line, determinism."""
 
 import gc
+import os
 import subprocess
 import sys
 import weakref
@@ -126,6 +127,17 @@ class TestExitCodes:
         assert code == 2
         assert "cannot read frames file" in captured.err
 
+    def test_deeply_nested_frames_file_is_ingest_error(self, tmp_path, capsys):
+        frames_path, traces = _basic_inputs(tmp_path)
+        frames_path.write_text("[" * 200_000)
+        code = main(["--frames", str(frames_path), "--traces", str(traces),
+                     "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ("framelocal: error: frames input nests too "
+                                "deeply to parse\n")
+        assert not (tmp_path / "out").exists()
+
     def test_undecodable_trace_file_is_a_warning(self, tmp_path, capsys):
         frames_path, traces = _basic_inputs(tmp_path)
         (traces / "bad.gpx").write_bytes(
@@ -214,6 +226,29 @@ class TestBehavior:
         assert out_dir.is_dir()
         assert plot.is_file()
         assert plot.read_text().startswith("<?xml")
+
+    @pytest.mark.parametrize("stem, frame_id, properties, legend", [
+        (os.fsdecode(b"bad\xff"), "f0", {"events": [INTERVAL]}, "bad\\udcff / f0 / e0"),
+        ("walk", "\ud800pitch", {"events": [INTERVAL]}, "walk / \\ud800pitch / e0"),
+        ("walk", "f0", {"\udc80half": INTERVAL}, "walk / f0 / \\udc80half"),
+    ], ids=["file-stem", "frame-id", "property-name"])
+    def test_unencodable_legend_names_written_escaped(self, tmp_path, capsys, stem,
+                                                      frame_id, properties, legend):
+        # a name with a lone surrogate, from an undecodable file name byte or a
+        # JSON escape, has no UTF-8 form; the legend shows it as stderr does
+        frames_path, traces = _basic_inputs(tmp_path)
+        frames_path.write_text(frames_doc(
+            [frame_feature(frame_id, ORIGIN, TARGET, properties)]))
+        (traces / "walk.gpx").rename(traces / f"{stem}.gpx")
+        plot = tmp_path / "overlay.svg"
+        code = main(["--frames", str(frames_path), "--traces", str(traces),
+                     "--out", str(tmp_path / "out"), "--plot", str(plot)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == ("1 series written, 0 permutations skipped "
+                                "(empty), 0 warnings\n")
+        svg = plot.read_text(encoding="utf-8")
+        assert f">{legend}</text>\n</svg>\n" in svg
 
     def test_warnings_counted_in_summary(self, tmp_path, capsys):
         frames_path, traces = _basic_inputs(tmp_path)

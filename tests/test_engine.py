@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from fixtures import line_walk, ts
 from framelocal import engine
-from framelocal.engine import clip_to_event, project_series, run
+from framelocal.engine import clip_to_event, project_series, run, seconds_since
 from framelocal.errors import OutOfDomain
 from framelocal.geodesy import WGS84, hom_forward_many, hom_setup
 from framelocal.ingest import build_frame_line
@@ -38,6 +38,15 @@ def _interval(begin, end, label="e0"):
 
 def _projected(params, trace):
     return hom_forward_many(params, trace.lat_deg, trace.lon_deg)
+
+
+def _rows(params, trace, event):
+    """The rows project_series takes for every fix of the trace: its (x, y)
+    projection, or that projection's OutOfDomain, and its t since the event
+    began."""
+    t_s = seconds_since(utc_us(event.begin_utc), trace.time_us)
+    return [xy + (t,) if isinstance(xy, tuple) else xy
+            for xy, t in zip(_projected(params, trace), t_s)]
 
 
 def _when(trace, index):
@@ -83,7 +92,7 @@ class TestProjectSeries:
                            frame.azimuth_deg)
         event = _interval(ts(5, 0), ts(5, 20))
         trace = _trace([(*ORIGIN, ts(5, 0))])
-        series = project_series(trace, range(1), _projected(params, trace),
+        series = project_series(trace, range(1), _rows(params, trace, event),
                                 frame, event)
         assert series.points[0] == (0.0, 0.0, 0.0)
 
@@ -94,7 +103,7 @@ class TestProjectSeries:
         event = _interval(ts(5, 0), ts(5, 20))
         trace = _trace([(frame.target_lat_deg, frame.target_lon_deg,
                          ts(5, 0) + timedelta(seconds=30))])
-        series = project_series(trace, range(1), _projected(params, trace),
+        series = project_series(trace, range(1), _rows(params, trace, event),
                                 frame, event)
         x, y, t = series.points[0]
         assert abs(x) <= 1e-3
@@ -108,8 +117,8 @@ class TestProjectSeries:
         event = _interval(ts(5, 0), ts(5, 1))
         walk = line_walk(ORIGIN, 40.0, ts(5, 0), 61)
         trace = _trace(walk)
-        series = project_series(trace, range(len(walk)), _projected(params, trace),
-                                frame, event)
+        series = project_series(trace, range(len(walk)),
+                                _rows(params, trace, event), frame, event)
         ys = [y for _, y, _ in series.points]
         assert all(b > a for a, b in zip(ys, ys[1:]))
         assert ys[0] == 0.0
@@ -123,7 +132,7 @@ class TestProjectSeries:
         event = _interval(ts(5, 0), ts(5, 20))
         trace = _trace([(37.85, -35.0, ts(5, 0))])  # other side of the planet
         with pytest.raises(OutOfDomain, match="2017-06-10T05:00:00"):
-            project_series(trace, range(1), _projected(params, trace), frame, event)
+            project_series(trace, range(1), _rows(params, trace, event), frame, event)
 
 
 class TestRun:
@@ -413,18 +422,18 @@ _instants_us = st.one_of(st.integers(_US_MIN, _US_MAX),
 
 @given(_instants_us, _instants_us)
 def test_microsecond_time_arithmetic_equals_total_seconds(a_us, b_us):
-    # a Trace holds integer microseconds; project_series's t must keep the
-    # bits of the timedelta.total_seconds() it replaced, over every datetime
+    # a Trace holds integer microseconds; the engine's t, from seconds_since,
+    # must keep the bits of the timedelta.total_seconds() it replaced, over
+    # every datetime
     begin_us, t_us = sorted((a_us, b_us))
     begin = EPOCH + timedelta(microseconds=begin_us)
     when = EPOCH + timedelta(microseconds=t_us)
     assert utc_us(when) == t_us
     expected = (when - begin).total_seconds()
-    assert _bits((t_us - begin_us) / 10**6) == _bits(expected)
-    trace = _trace([(0.0, 0.0, when)])
+    assert _bits(*seconds_since(begin_us, [t_us])) == _bits(expected)
+    trace = _trace([(*ORIGIN, when)])
     assert list(trace.time_us) == [t_us]
-    series = project_series(trace, range(1), [(0.0, 0.0)], _frame(),
-                            _interval(begin, when))
+    (series,) = run([trace], [(_frame(), [_interval(begin, when)])]).series
     assert _bits(series.points[0][2]) == _bits(expected)
 
 
@@ -439,3 +448,36 @@ def test_run_rows_are_plain_tuples():
         x, y, t = row
         assert t == float(i)
         assert math.isfinite(x) and math.isfinite(y)
+
+
+class TestSharedRows:
+    def test_events_with_one_begin_share_rows(self):
+        events = [_interval(ts(5, 0), ts(5, 10), "e0"),
+                  _interval(ts(5, 10), ts(5, 20), "e1"),
+                  _interval(ts(5, 0), ts(5, 20), "session")]
+        walk = line_walk(ORIGIN, 40.0, ts(5, 0), 21, step_s=60)
+        result = run([_trace(walk)], [(_frame(), events)])
+        e0, e1, session = result.series
+        assert len(e0.points) == 11
+        assert all(a is b for a, b in zip(e0.points, session.points))
+        # e1 begins at 05:10, so its rows are its own: same x and y, t since 05:10
+        assert not any(a is b for a, b in zip(e1.points, session.points[10:]))
+        assert [row[:2] for row in e1.points] == [row[:2] for row in session.points[10:]]
+        assert [t for _, _, t in e1.points] == [60.0 * i for i in range(11)]
+
+    def test_frames_with_common_begins_share_t(self):
+        events = [_interval(ts(5, 0), ts(5, 10), "e0"),
+                  _interval(ts(5, 10), ts(5, 20), "e1")]
+        longer = [_interval(ts(5, 0), ts(5, 10), "e0"),
+                  _interval(ts(5, 10), ts(5, 30), "e1")]
+        walk = line_walk(ORIGIN, 40.0, ts(5, 0), 31, step_s=60)
+        frames = [(_frame("a"), events), (_frame("b", azimuth=250.0), events),
+                  (_frame("c", azimuth=120.0), longer)]
+        result = run([_trace(walk)], frames)
+        by_key = {s.key[1:]: s for s in result.series}
+        for label in ("e0", "e1"):
+            a, b, c = (by_key[frame, label].points for frame in "abc")
+            assert len(a) == 11
+            assert all(ra[2] is rb[2] is rc[2] for ra, rb, rc in zip(a, b, c))
+            assert [ra[0] for ra in a] != [rb[0] for rb in b]
+        assert len(by_key["c", "e1"].points) == 21

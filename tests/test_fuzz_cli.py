@@ -1,18 +1,20 @@
 """Fuzzing the command line with mutated GPX bytes and GeoJSON text: no input
 raises out of cli.main, the exit code is 0, 2 or 3, every CSV written
 re-parses to the exact bits of the series the engine computes, and exit 3
-means the engine itself failed, e.g. on a permutation with no fix that
-projects, never that a far fix among good ones cost the run. With --plot,
-the overlay draws one polyline per CSV, and exists only on an exit 0 that
-wrote a CSV."""
+means that the engine itself failed, e.g. on a permutation with no fix that
+projects (never that a far fix among good ones cost the run), or that a CSV
+name is too long for the file system. With --plot, the overlay draws one
+polyline per CSV, and exists only on an exit 0 that wrote a CSV. Trace file
+names come from any bytes, frame ids and labels from any text, lone
+surrogates included, and a frames document may nest to any depth."""
 
 import io
 import json
+import os
 import struct
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import datetime, timezone
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -91,6 +93,20 @@ def _gpx_bytes(draw) -> bytes:
     return _splice(text.encode("utf-8"), draw(_mostly(st.just([]), _SPLICES)))
 
 
+# any text, lone surrogates (category Cs) included: such a name has no UTF-8
+# form, and a JSON escape or a file name's undecodable byte brings it in
+_ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=4)
+
+# file name stems as bytes, undecodable ones included; the caller appends
+# each file's index, so a run's names stay distinct
+_NAME_BYTES = _mostly(st.just(b"t"), st.binary(min_size=1, max_size=4).filter(
+    lambda name: b"/" not in name and b"\0" not in name))
+
+# what a frames document nests: the whole document, or one member's value,
+# as a JSON array depth deep
+_NEST_PLACES = ["document", "id", "events", "property", "coordinates"]
+_NEST_DEPTHS = st.one_of(st.integers(1, 1200), st.sampled_from([5_000, 200_000]))
+
 _JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
                           st.floats(), st.text(max_size=4))
 _POSITION_VALUES = st.one_of(
@@ -102,7 +118,9 @@ _POSITION_VALUES = st.one_of(
 def _frames_text(draw) -> bytes:
     # at most one part is broken, so that half of the runs get past it
     broken = draw(st.sampled_from(["", "", "", "", "", "", "positions", "events",
-                                   "geometry", "members", "names", "bytes"]))
+                                   "geometry", "members", "names", "bytes",
+                                   "nesting"]))
+    nest = draw(st.sampled_from(_NEST_PLACES)) if broken == "nesting" else None
     positions = [[ORIGIN[1], ORIGIN[0]], [TARGET[1], TARGET[0]]]
     if broken == "positions":
         positions = draw(st.lists(st.one_of(
@@ -113,11 +131,20 @@ def _frames_text(draw) -> bytes:
         events = draw(st.lists(st.one_of(
             st.sampled_from([INTERVAL, f"{INTERVAL[:20]}/{LATE}"]),
             st.text(max_size=12), _JSON_SCALARS), max_size=3))
+    if nest == "events":
+        events = [INTERVAL, "NEST"]
     properties = {"events": events}
-    if broken == "names":  # an interval under the empty property name
-        properties = draw(st.sampled_from([{"": INTERVAL},
-                                           {"": INTERVAL, **properties}]))
-    feature = {"type": "Feature", "id": draw(st.sampled_from(["f0", "", None])),
+    if broken == "names":  # an interval under an odd property name, mostly ""
+        name = draw(_mostly(st.just(""), _ANY_TEXT))
+        properties = draw(st.sampled_from([{name: INTERVAL},
+                                           {name: INTERVAL, **properties}]))
+    if nest == "property":
+        properties["extra"] = "NEST"
+    if nest == "coordinates":
+        positions = ["NEST", positions[1]]
+    feature_id = "NEST" if nest == "id" else draw(
+        _mostly(st.sampled_from(["f0", "", None]), _ANY_TEXT))
+    feature = {"type": "Feature", "id": feature_id,
                "geometry": {"type": "Point" if broken == "geometry" else "LineString",
                             "coordinates": positions},
                "properties": properties}
@@ -125,6 +152,11 @@ def _frames_text(draw) -> bytes:
         feature[draw(st.sampled_from(["properties", "geometry"]))] = draw(
             st.one_of(st.lists(_JSON_SCALARS, max_size=2), _JSON_SCALARS))
     text = json.dumps({"type": "FeatureCollection", "features": [feature]})
+    if nest is not None:
+        depth = draw(_NEST_DEPTHS)
+        array = "[" * depth + "]" * depth
+        text = (array[:depth] + text + array[depth:] if nest == "document"
+                else text.replace('"NEST"', array))
     return _splice(text.encode("utf-8"), draw(_SPLICES) if broken == "bytes" else [])
 
 
@@ -154,9 +186,9 @@ def _bits(value: float) -> bytes:
     return struct.pack("<d", value)
 
 
-@given(gpx=st.lists(_gpx_bytes(), min_size=1, max_size=2),
+@given(gpx=st.lists(st.tuples(_NAME_BYTES, _gpx_bytes()), min_size=1, max_size=2),
        frames=_frames_text(), plot=st.booleans())
-@example(gpx=[gpx_doc([(*ORIGIN, ts(5, 1)), (*TARGET, ts(5, 2))]).encode()],
+@example(gpx=[(b"t", gpx_doc([(*ORIGIN, ts(5, 1)), (*TARGET, ts(5, 2))]).encode())],
          frames=frames_doc([frame_feature("f0", ORIGIN, TARGET,
                                           {"events": [INTERVAL]})]).encode(),
          plot=True)
@@ -167,8 +199,8 @@ def test_cli_survives_mutated_input(tmp_path_factory, gpx, frames, plot):
     frames_path.write_bytes(frames)
     traces_dir = base / "traces"
     traces_dir.mkdir()
-    for i, data in enumerate(gpx):
-        (traces_dir / f"t{i}.gpx").write_bytes(data)
+    for i, (name, data) in enumerate(gpx):
+        (traces_dir / os.fsdecode(name + b"%d.gpx" % i)).write_bytes(data)
     out_dir = base / "out"
     svg = base / "overlay.svg"
     args = ["--frames", str(frames_path), "--traces", str(traces_dir),
@@ -183,14 +215,19 @@ def test_cli_survives_mutated_input(tmp_path_factory, gpx, frames, plot):
     if code == 2:
         return
     frame_list, traces, report = load_inputs(frames_path, traces_dir)
+    layout = OutputLayout(out_dir=out_dir)
     if code == 3:
-        with pytest.raises(FrameLocalError) as failure:
-            run(traces, frame_list)
-        if isinstance(failure.value, OutOfDomain):
-            assert _some_permutation_projects_nothing(traces, frame_list)
+        try:
+            result = run(traces, frame_list)
+        except FrameLocalError as failure:
+            if isinstance(failure, OutOfDomain):
+                assert _some_permutation_projects_nothing(traces, frame_list)
+            return
+        # the engine ran, so writing failed: a name too long for a file
+        assert any(len(os.fsencode(layout.path_for(series).name)) > 255
+                   for series in result.series)
         return
     result = run(traces, frame_list)
-    layout = OutputLayout(out_dir=out_dir)
     expected = {layout.path_for(series): series for series in result.series}
     assert set(out_dir.iterdir()) == set(expected)
     unplotted = plot and not expected
