@@ -36,11 +36,12 @@ from .model import (
     FrameLine,
     Trace,
 )
-from .output import OutputLayout, render_overlay_svg, write_csv
+from .output import CsvFormatter, OutputLayout, render_overlay_svg, write_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "CsvFormatter",
     "Ellipsoid",
     "EventInterval",
     "EventSeries",

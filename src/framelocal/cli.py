@@ -17,7 +17,7 @@ from pathlib import Path
 from .engine import run
 from .errors import FrameLocalError, NoSeries
 from .ingest import load_inputs
-from .output import OutputLayout, render_overlay_svg, write_csv
+from .output import CsvFormatter, OutputLayout, render_overlay_svg, write_csv
 
 
 class _UsageError(Exception):
@@ -101,8 +101,9 @@ def _pipeline(args: argparse.Namespace) -> int:
         result = run([trace], frames)
         warnings += _warn(result.warnings)
         skipped_empty += result.skipped_empty
+        formatter = CsvFormatter(result.series)
         for series in result.series:
-            path = write_csv(series, layout)
+            path = write_csv(series, layout, formatter)
             written += 1
             if args.verbose:
                 print(f"framelocal: wrote {path}", file=sys.stderr)

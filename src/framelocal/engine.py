@@ -65,7 +65,8 @@ def project_series(trace: Trace, window: range,
 
     OutOfDomain rows are dropped, and one warning gives their count and the
     first of them. If no row is a tuple, that first fix's OutOfDomain is
-    raised instead. The series holds the given row tuples themselves.
+    raised instead. The series holds the given row tuples themselves and
+    records window.
     """
     rows_ok = list(map(isinstance, rows, repeat(tuple)))
     dropped = rows_ok.count(False)
@@ -82,7 +83,7 @@ def project_series(trace: Trace, window: range,
                        f"out of the projection's domain; first: {first}")
         rows = compress(rows, rows_ok)
     return EventSeries(trace_id=trace.id, frame_id=frame.id, event_label=event.label,
-                       points=tuple(rows))
+                       points=tuple(rows), window=window)
 
 
 def run(traces: list[Trace],

@@ -147,8 +147,14 @@ def build_frame_line(frame_id: str, origin_lat_deg: float, origin_lon_deg: float
 
 
 def _feature_id(feature: dict, index: int) -> str:
-    if "id" in feature and feature["id"] is not None and str(feature["id"]) != "":
-        return str(feature["id"])
+    """The id member, else the name property, else f<index>. An id is a
+    JSON string or number (RFC 7946 §3.2); null and "" count as absent."""
+    raw = feature.get("id")
+    if raw is not None and type(raw) not in (str, int, float):
+        raise NotFeatureCollection(
+            f"features[{index}]: id is neither a string, a number nor null")
+    if raw is not None and raw != "":
+        return str(raw)
     properties = feature.get("properties")
     name = properties.get("name") if isinstance(properties, dict) else None
     if isinstance(name, str) and name:

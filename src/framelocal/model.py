@@ -9,7 +9,7 @@ their values in their constructors; ingest validates a trace's fixes.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 from .errors import ReversedInterval
@@ -148,12 +148,18 @@ class EventSeries:
     the event began. Samples are in time order with t_s >= 0, unchecked: the
     engine alone guarantees both, as it clips a Trace (always time-sorted) to
     [begin, end].
+
+    window is the range of trace indices the rows were taken from, as
+    project_series records it, and None on a series built by hand. It
+    takes no part in equality. A CsvFormatter reads it to share text
+    between the series of one frame.
     """
 
     trace_id: str
     frame_id: str
     event_label: str
     points: tuple[tuple[float, float, float], ...]
+    window: range | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))

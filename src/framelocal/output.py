@@ -5,16 +5,25 @@ CSV contract: UTF-8, LF line endings, header exactly ``x,y,t``, one row per
 sample with x/y in meters and t in seconds. Numbers use the shortest
 decimal rendering that parses back to the identical double, so a written
 file re-reads bit-exactly.
+
+The series of one trace repeat numbers: a fix inside several events of one
+frame is a row of each of their series, and t values recur across events
+and frames. A CsvFormatter built from a trace's series formats each fix's
+x,y once per frame and each distinct t value once per trace.
 """
 
 from __future__ import annotations
 
+import contextlib
 import html
+import os
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import attrgetter, is_, itemgetter
 from pathlib import Path
+from typing import TextIO
 
 from .errors import NoSeries
 from .model import EventSeries, unique_name
@@ -51,16 +60,113 @@ class OutputLayout:
         return Path(self.out_dir) / f"{unique_name(stem, self._taken)}.csv"
 
 
-def write_csv(series: EventSeries, layout: OutputLayout) -> Path:
-    """Write one series to its CSV file; returns the path written."""
-    path = layout.path_for(series)
-    rows = "".join([f"{x!r},{y!r},{t!r}\n" for x, y, t in series.points])
+def _xy_texts(rows: Sequence[tuple[float, float, float]]) -> list[str]:
+    """The "x,y," text of each of one or more (x, y, t) rows, in order."""
     # repr() is the shortest round-tripping form; integral values drop ".0".
-    # Every number ends at "," or "\n", so these replacements touch only the
-    # ".0" that ends a number.
-    rows = rows.replace(".0,", ",").replace(".0\n", "\n")
+    # Each number ends at ",", so the replacement touches only the ".0" that
+    # ends a number, and no text holds the "\n" it is split at.
+    return ("\n".join([f"{x!r},{y!r}," for x, y, _ in rows])
+            .replace(".0,", ",").split("\n"))
+
+
+class _TTexts(dict):
+    """t value -> its "t\n" text, filled on first lookup. A zero is never
+    stored: 0.0 and -0.0 are one key but write "0" and "-0". Keyed by
+    value, so it takes the float t values an EventSeries holds."""
+
+    def __missing__(self, t: float) -> str:
+        text = f"{t!r}\n".replace(".0\n", "\n")
+        if t:
+            self[t] = text
+        return text
+
+
+_X, _Y, _T = itemgetter(0), itemgetter(1), itemgetter(2)
+
+
+class CsvFormatter:
+    """Formats the CSV text of the series of one trace, sharing text
+    between them.
+
+    Each fix's x,y text is formatted once per frame, over the union of the
+    windows of that frame's series, and each distinct t value's text once
+    per formatter. One frame's x,y text is held at a time: it is rebuilt
+    when a series of another frame is formatted, which happens once per
+    frame when the series come in key order, as run returns them. An x,y
+    text is reused only for the very x and y objects it was formatted
+    from. A series with no window, whose rows do not fill its window
+    (out-of-domain drops), or that the formatter was not built from, is
+    formatted alone by the same code.
+    """
+
+    def __init__(self, series: Iterable[EventSeries]) -> None:
+        # (trace id, frame id) -> the series whose rows fill their windows
+        self._frames: dict[tuple[str, str], list[EventSeries]] = {}
+        for s in series:
+            if s.window is not None and len(s.window) == len(s.points):
+                self._frames.setdefault((s.trace_id, s.frame_id), []).append(s)
+        self._t_texts = _TTexts()
+        # the held frame's key, the trace index of its first fix, and its
+        # fixes' x and y objects and x,y texts from there on
+        self._held: tuple[str, str] | None = None
+        self._start = 0
+        self._xs: list = []
+        self._ys: list = []
+        self._xy: list = []
+
+    def _hold(self, key: tuple[str, str]) -> None:
+        """Format the x,y text of the frame's union of windows, and drop
+        the text of the frame held before."""
+        group = sorted(self._frames[key], key=attrgetter("window.start"))
+        start = group[0].window.start
+        size = max(s.window.stop for s in group) - start
+        self._xs, self._ys, self._xy = [None] * size, [None] * size, [None] * size
+        done = start  # every window walked so far ends at or before done
+        for s in group:
+            lo, hi = max(s.window.start, done), s.window.stop
+            if lo < hi:
+                piece = s.points[lo - s.window.start:]
+                self._xs[lo - start:hi - start] = map(_X, piece)
+                self._ys[lo - start:hi - start] = map(_Y, piece)
+                self._xy[lo - start:hi - start] = _xy_texts(piece)
+                done = hi
+        self._held, self._start = key, start
+
+    def csv_text(self, series: EventSeries) -> str:
+        """The series' whole CSV text, header included."""
+        points = series.points
+        key = (series.trace_id, series.frame_id)
+        xy = None
+        if any(s is series for s in self._frames.get(key, ())):
+            if key != self._held:
+                self._hold(key)
+            lo = series.window.start - self._start
+            hi = lo + len(points)
+            if (all(map(is_, map(_X, points), self._xs[lo:hi]))
+                    and all(map(is_, map(_Y, points), self._ys[lo:hi]))):
+                xy = self._xy[lo:hi]
+        if xy is None:
+            xy = _xy_texts(points)
+        text = ["x,y,t\n"] * (2 * len(points) + 1)
+        text[1::2] = xy
+        text[2::2] = map(self._t_texts.__getitem__, map(_T, points))
+        return "".join(text)
+
+
+def write_csv(series: EventSeries, layout: OutputLayout,
+              formatter: CsvFormatter | None = None) -> Path:
+    """Write one series to its CSV file; returns the path written.
+
+    formatter, a CsvFormatter built from the series of this series' trace,
+    shares the text of numbers between them; without it, the series is
+    formatted alone. The CSV text is the same either way.
+    """
+    path = layout.path_for(series)
+    if formatter is None:
+        formatter = CsvFormatter([series])
+    text = formatter.csv_text(series)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("x,y,t\n" + rows)
+        handle.write(text)
     return path
 
 
@@ -118,24 +224,45 @@ def render_overlay_svg(series: Iterable[EventSeries], path: str | Path) -> Path:
     stroke = span * 0.004
     font = span * 0.03
     path.parent.mkdir(parents=True, exist_ok=True)
-    # each line is formatted as it is written, so the whole text is never
-    # held at once. A legend name that UTF-8 cannot encode (a lone surrogate,
-    # as from a file name's undecodable byte) is written as its backslash
-    # escape, the form in which stderr shows the same name.
-    with open(path, "w", encoding="utf-8", errors="backslashreplace",
-              newline="") as handle:
-        handle.write('<?xml version="1.0" encoding="UTF-8"?>\n'
-                     f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-                     f'width="800" height="{800.0 * height / width:.0f}" '
-                     f'viewBox="{min_x:.6g} {min_y:.6g} {width:.6g} {height:.6g}">\n')
-        for color, pts, _ in drawn:
-            handle.write(f'  <polyline points="{pts}" fill="none" '
-                         f'stroke="{color}" stroke-width="{stroke:.6g}" '
-                         f'stroke-linejoin="round" stroke-linecap="round"/>\n')
-        for i, (color, _, label) in enumerate(drawn):
-            handle.write(f'  <text x="{min_x + 0.4 * font:.6g}" '
-                         f'y="{min_y + (i + 1.2) * font:.6g}" font-size="{font:.6g}" '
-                         f'font-family="sans-serif" fill="{color}">'
-                         f'{html.escape(label, quote=False)}</text>\n')
-        handle.write('</svg>\n')
+    # The overlay goes to a new file beside path, which replaces path once
+    # written in full, so a failed write leaves neither a partial overlay
+    # nor the new file. Each line is formatted as it is written, so the
+    # whole text is never held at once.
+    temp, handle = _create_beside(path)
+    try:
+        with handle:
+            handle.write('<?xml version="1.0" encoding="UTF-8"?>\n'
+                         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+                         f'width="800" height="{800.0 * height / width:.0f}" '
+                         f'viewBox="{min_x:.6g} {min_y:.6g} {width:.6g} {height:.6g}">\n')
+            for color, pts, _ in drawn:
+                handle.write(f'  <polyline points="{pts}" fill="none" '
+                             f'stroke="{color}" stroke-width="{stroke:.6g}" '
+                             f'stroke-linejoin="round" stroke-linecap="round"/>\n')
+            for i, (color, _, label) in enumerate(drawn):
+                handle.write(f'  <text x="{min_x + 0.4 * font:.6g}" '
+                             f'y="{min_y + (i + 1.2) * font:.6g}" font-size="{font:.6g}" '
+                             f'font-family="sans-serif" fill="{color}">'
+                             f'{html.escape(label, quote=False)}</text>\n')
+            handle.write('</svg>\n')
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temp)
+        raise
     return path
+
+
+def _create_beside(path: Path) -> tuple[Path, TextIO]:
+    """A new file in path's directory, under a free hidden name, and its
+    handle, open for writing with the file's default permissions. A name
+    that UTF-8 cannot encode (a lone surrogate, as from a file name's
+    undecodable byte) is written as its backslash escape, the form in which
+    stderr shows the same name."""
+    while True:
+        temp = path.with_name(f".framelocal-{os.urandom(4).hex()}.tmp")
+        try:
+            return temp, open(temp, "x", encoding="utf-8",
+                              errors="backslashreplace", newline="")
+        except FileExistsError:
+            continue

@@ -1,5 +1,6 @@
 """Command-line behavior: flags, exit codes, summary line, determinism."""
 
+import errno
 import gc
 import os
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from fixtures import frame_feature, frames_doc, gpx_doc, ts, two_fields_dataset
-from framelocal import cli
+from framelocal import cli, output
 from framelocal.cli import main
 from framelocal.engine import run
 from framelocal.ingest import load_inputs
@@ -137,6 +138,47 @@ class TestExitCodes:
         assert captured.err == ("framelocal: error: frames input nests too "
                                 "deeply to parse\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("frame_id", [True, [[]], {"a": 1}],
+                             ids=["boolean", "array", "object"])
+    def test_feature_id_neither_string_nor_number_is_ingest_error(
+            self, tmp_path, capsys, frame_id):
+        frames_path, traces = _basic_inputs(tmp_path)
+        frames_path.write_text(frames_doc([
+            frame_feature("f0", ORIGIN, TARGET, {"events": [INTERVAL]}),
+            frame_feature(frame_id, ORIGIN, TARGET, {"events": [INTERVAL]})]))
+        code = main(["--frames", str(frames_path), "--traces", str(traces),
+                     "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ("framelocal: error: features[1]: id is neither "
+                                "a string, a number nor null\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_plot_write_leaves_no_overlay(self, tmp_path, capsys,
+                                                 monkeypatch):
+        frames_path, traces = _basic_inputs(tmp_path)
+        plot = tmp_path / "plots" / "overlay.svg"
+        real_open = open
+
+        def open_failing_past_csvs(file, *args, **kwargs):
+            # a file other than a CSV takes a few bytes, then the disk is full
+            handle = real_open(file, *args, **kwargs)
+            if not str(file).endswith(".csv"):
+                def write(text):
+                    type(handle).write(handle, text[:8])
+                    handle.flush()
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                handle.write = write
+            return handle
+
+        monkeypatch.setattr(output, "open", open_failing_past_csvs, raising=False)
+        code = main(["--frames", str(frames_path), "--traces", str(traces),
+                     "--out", str(tmp_path / "out"), "--plot", str(plot)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "No space left on device" in captured.err
+        assert list(plot.parent.iterdir()) == []
 
     def test_undecodable_trace_file_is_a_warning(self, tmp_path, capsys):
         frames_path, traces = _basic_inputs(tmp_path)

@@ -5,8 +5,9 @@ means that the engine itself failed, e.g. on a permutation with no fix that
 projects (never that a far fix among good ones cost the run), or that a CSV
 name is too long for the file system. With --plot, the overlay draws one
 polyline per CSV, and exists only on an exit 0 that wrote a CSV. Trace file
-names come from any bytes, frame ids and labels from any text, lone
-surrogates included, and a frames document may nest to any depth."""
+names come from any bytes, frame ids from any JSON value, labels from any
+text, lone surrogates included, and a frames document may nest to any
+depth."""
 
 import io
 import json
@@ -142,8 +143,12 @@ def _frames_text(draw) -> bytes:
         properties["extra"] = "NEST"
     if nest == "coordinates":
         positions = ["NEST", positions[1]]
+    # an id that is neither a string nor a number is an exit 2; one of 300
+    # characters makes CSV names too long for the file system, an exit 3
     feature_id = "NEST" if nest == "id" else draw(
-        _mostly(st.sampled_from(["f0", "", None]), _ANY_TEXT))
+        _mostly(st.sampled_from(["f0", "", None]),
+                st.one_of(_ANY_TEXT, _JSON_SCALARS, st.just("f" * 300),
+                          st.lists(_JSON_SCALARS, max_size=2))))
     feature = {"type": "Feature", "id": feature_id,
                "geometry": {"type": "Point" if broken == "geometry" else "LineString",
                             "coordinates": positions},

@@ -332,6 +332,27 @@ class TestParseFrames:
         frames = parse_frames(doc)
         assert [frame.id for frame, _ in frames] == ["explicit", "named", "f2"]
 
+    def test_number_ids_become_their_text(self):
+        interval = "2017-06-10T05:00:00Z/2017-06-10T05:20:00Z"
+        doc = frames_doc([frame_feature(frame_id, ORIGIN, TARGET, {"events": [interval]})
+                          for frame_id in (7, 1.5, "")])
+        frames = parse_frames(doc)
+        assert [frame.id for frame, _ in frames] == ["7", "1.5", "f2"]
+
+    @pytest.mark.parametrize("frame_id", [True, False, [[]], [], {"a": 1}, {}],
+                             ids=["true", "false", "nested-array", "array", "object",
+                                  "empty-object"])
+    def test_id_neither_string_nor_number_is_not_a_feature_collection(self, frame_id):
+        # RFC 7946 §3.2: an id is a string or a number
+        interval = "2017-06-10T05:00:00Z/2017-06-10T05:20:00Z"
+        doc = frames_doc([
+            frame_feature("ok", ORIGIN, TARGET, {"events": [interval]}),
+            frame_feature(frame_id, ORIGIN, TARGET,
+                          {"name": "named", "events": [interval]})])
+        with pytest.raises(NotFeatureCollection,
+                           match=r"^features\[1\]: id is neither a string"):
+            parse_frames(doc)
+
     def test_coordinates_are_lon_lat_order(self):
         # a due-north frame: same lon, increasing lat
         doc = frames_doc([frame_feature(

@@ -1,15 +1,27 @@
 """CSV serialization and SVG overlay rendering."""
 
 import struct
+import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
+from datetime import timedelta
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from framelocal.errors import NoSeries
-from framelocal.model import EventSeries
-from framelocal.output import OutputLayout, render_overlay_svg, write_csv
+import oracles
+from fixtures import ts
+from framelocal.engine import run
+from framelocal.errors import NoSeries, OutOfDomain
+from framelocal.ingest import build_frame_line
+from framelocal.model import EPOCH, EventInterval, EventSeries, Trace, utc_us
+from framelocal.output import CsvFormatter, OutputLayout, render_overlay_svg, write_csv
+
+ORIGIN = (-37.85, 145.0)
+# a fix the projection cannot take from ORIGIN: the far hemisphere
+FAR = (37.85, -35.0)
+BEGIN_US = utc_us(ts(5))
 
 
 def _series(points, trace_id="t", frame_id="f0", event_label="e0"):
@@ -82,6 +94,163 @@ class TestWriteCsv:
         layout = OutputLayout(out_dir=tmp_path)
         path = write_csv(_series([(-0.0, 0.0, 0.0)]), layout)
         assert path.read_bytes() == b"x,y,t\n-0,0,0\n"
+
+
+def _oracle_csv(points) -> bytes:
+    """The CSV bytes of rows, written number by number: repr, less the ".0"
+    an integral value ends in."""
+    def number(value):
+        text = repr(value)
+        return text[:-2] if text.endswith(".0") else text
+    return ("x,y,t\n" + "".join(f"{number(x)},{number(y)},{number(t)}\n"
+                                for x, y, t in points)).encode()
+
+
+def _frame(frame_id, azimuth_deg, length_m=100.0):
+    target = oracles.vincenty_direct(ORIGIN[0], ORIGIN[1], azimuth_deg, length_m)
+    return build_frame_line(frame_id, ORIGIN[0], ORIGIN[1], *target)
+
+
+def _event(begin_us, end_us, label):
+    return EventInterval(begin_utc=EPOCH + timedelta(microseconds=begin_us),
+                         end_utc=EPOCH + timedelta(microseconds=end_us), label=label)
+
+
+def _line_trace(fixes):
+    """A trace of fixes one second apart, walking away from ORIGIN."""
+    steps = [i * 1e-7 for i in range(fixes)]
+    return Trace("t", [ORIGIN[0] + d for d in steps], [ORIGIN[1] + d for d in steps],
+                 [BEGIN_US + i * 1_000_000 for i in range(fixes)])
+
+
+@st.composite
+def _trace_and_frames(draw):
+    """A trace near ORIGIN and frames whose events overlap and meet end to
+    begin at fix times, so a boundary fix lands in three series of a frame.
+    Fixes come 50 µs (t in exponent form) or whole seconds (integral t)
+    apart; one may sit at ORIGIN, which a reversed (azimuth 180) frame
+    projects to (-0.0, -0.0), and some lie out of the projection's domain."""
+    gaps = draw(st.lists(st.sampled_from([50, 1_000_000, 2_000_000]),
+                         min_size=2, max_size=24))
+    times = [BEGIN_US]
+    for gap in gaps:
+        times.append(times[-1] + gap)
+    near = st.tuples(st.floats(-1e-3, 1e-3), st.floats(-1e-3, 1e-3)).map(
+        lambda d: (ORIGIN[0] + d[0], ORIGIN[1] + d[1]))
+    positions = draw(st.lists(
+        st.integers(0, 7).flatmap(lambda i: (st.just(FAR) if i == 7 else
+                                             st.just(ORIGIN) if i == 6 else near)),
+        min_size=len(times), max_size=len(times)))
+    trace = Trace("t", [lat for lat, _ in positions], [lon for _, lon in positions],
+                  times)
+    frames = []
+    for number, azimuth in enumerate(draw(st.lists(
+            st.sampled_from([0.0, 40.0, 180.0, 270.0]), min_size=1, max_size=3))):
+        # bounds are fix indices: [a, b] and [b, c] meet at fix b, and a
+        # session [a, c] covers both
+        a, b, c = sorted(draw(st.lists(st.integers(0, len(times) - 1),
+                                       min_size=3, max_size=3)))
+        spans = [(a, b), (b, c), (a, c)] + draw(st.lists(
+            st.tuples(st.integers(0, len(times) - 1), st.integers(0, len(times) - 1))
+            .map(sorted), max_size=2))
+        events = [_event(times[lo], times[hi], f"e{k}") for k, (lo, hi) in enumerate(spans)]
+        frames.append((_frame(f"f{number}", azimuth), events))
+    return trace, frames
+
+
+@given(_trace_and_frames())
+@settings(deadline=None)
+def test_shared_formatter_writes_each_series_as_alone(tmp_path_factory, inputs):
+    trace, frames = inputs
+    try:
+        result = run([trace], frames)
+    except OutOfDomain:  # a window of far fixes only
+        assume(False)
+    shared = OutputLayout(out_dir=tmp_path_factory.mktemp("shared"))
+    alone = OutputLayout(out_dir=tmp_path_factory.mktemp("alone"))
+    formatter = CsvFormatter(result.series)
+    for series in result.series:
+        written = write_csv(series, shared, formatter).read_bytes()
+        assert written == write_csv(series, alone).read_bytes()
+        assert written == _oracle_csv(series.points)
+
+
+class TestCsvFormatter:
+    def test_run_records_each_series_window(self):
+        trace = Trace("t", [ORIGIN[0]] * 4, [ORIGIN[1]] * 4,
+                      [BEGIN_US + i * 1_000_000 for i in range(4)])
+        frames = [(_frame("f0", 0.0),
+                   [_event(BEGIN_US, BEGIN_US + 2_000_000, "e0"),
+                    _event(BEGIN_US + 1_000_000, BEGIN_US + 9_000_000, "e1")])]
+        assert [s.window for s in run([trace], frames).series] == [range(0, 3),
+                                                                   range(1, 4)]
+
+    def test_window_takes_no_part_in_equality(self):
+        rows = ((1.0, 2.0, 0.0),)
+        assert _series(rows) == EventSeries("t", "f0", "e0", rows, window=range(5, 6))
+
+    def test_group_whose_windows_do_not_match_its_rows(self, tmp_path):
+        # two series of one frame claim the same fixes with other values,
+        # a third claims a window its rows do not fill
+        first = EventSeries("t", "f0", "e0", ((1.5, 2.0, 0.0), (3.0, 4.0, 1.0)),
+                            window=range(0, 2))
+        second = EventSeries("t", "f0", "e1", ((-0.0, 0.0, 0.0), (7.25, 8.0, 1e-05)),
+                             window=range(0, 2))
+        third = EventSeries("t", "f0", "e2", ((1.5, 2.0, 0.0),), window=range(0, 2))
+        layout = OutputLayout(out_dir=tmp_path)
+        formatter = CsvFormatter([first, second, third])
+        for series in (first, second, third):
+            assert (write_csv(series, layout, formatter).read_bytes()
+                    == _oracle_csv(series.points))
+
+    def test_series_the_formatter_was_not_built_from(self, tmp_path):
+        held = EventSeries("t", "f0", "e0", ((1.0, 2.0, 3.0),), window=range(0, 1))
+        other = EventSeries("t", "f0", "e1", ((5.5, -0.0, 3.0), (6.0, 7.0, 4.0)),
+                            window=range(0, 2))
+        formatter = CsvFormatter([held])
+        path = write_csv(other, OutputLayout(out_dir=tmp_path), formatter)
+        assert path.read_bytes() == b"x,y,t\n5.5,-0,3\n6,7,4\n"
+
+    def test_t_zero_keeps_its_sign_after_a_positive_zero(self, tmp_path):
+        formatter = CsvFormatter([])
+        layout = OutputLayout(out_dir=tmp_path)
+        write_csv(_series([(0.0, 0.0, 0.0)]), layout, formatter)
+        path = write_csv(_series([(0.0, 0.0, -0.0)], event_label="e1"), layout,
+                         formatter)
+        assert path.read_bytes() == b"x,y,t\n0,0,-0\n"
+
+
+def _written_peak(frame_count, fixes, out_dir):
+    """The traced peak, above the series held, of writing one trace's
+    series over frame_count identical frames, each with two events."""
+    events = [_event(BEGIN_US, BEGIN_US + fixes * 1_000_000, "session"),
+              _event(BEGIN_US + fixes // 2 * 1_000_000,
+                     BEGIN_US + fixes * 1_000_000, "half")]
+    result = run([_line_trace(fixes)],
+                 [(_frame(f"f{n}", 40.0), events) for n in range(frame_count)])
+    layout = OutputLayout(out_dir=out_dir)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        formatter = CsvFormatter(result.series)
+        for series in result.series:
+            write_csv(series, layout, formatter)
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_formatter_holds_one_frames_text(tmp_path):
+    fixes = 4000
+    two = _written_peak(2, fixes, tmp_path / "two")
+    eight = _written_peak(8, fixes, tmp_path / "eight")
+    # one frame's x,y text as the formatter holds it: a string a fix, in a list
+    frame = _frame("f0", 40.0)
+    [series] = run([_line_trace(fixes)], [(frame, [_event(
+        BEGIN_US, BEGIN_US + fixes * 1_000_000, "session")])]).series
+    texts = [f"{x!r},{y!r}," for x, y, _ in series.points]
+    frame_text = sum(map(sys.getsizeof, texts)) + sys.getsizeof(texts)
+    assert eight - two <= frame_text
 
 
 class TestRenderOverlaySvg:
