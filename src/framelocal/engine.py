@@ -21,12 +21,20 @@ from dataclasses import dataclass
 from datetime import timedelta
 from functools import partial
 from itertools import compress, repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .errors import FrameLocalError, OutOfDomain
 from .geodesy import WGS84, HomParams, hom_fix_terms, hom_forward_terms, hom_setup
 from .ingest import WarnFn
-from .model import EPOCH, EventInterval, EventSeries, FrameLine, Trace, utc_us
+from .model import (
+    EPOCH,
+    EventInterval,
+    EventSeries,
+    FrameLine,
+    Trace,
+    union_walk,
+    utc_us,
+)
 
 
 @dataclass(frozen=True)
@@ -184,14 +192,9 @@ def _aligned(size: int, windows: Iterable[tuple[EventInterval, int, range]],
              part: Callable[..., list], *columns: Sequence) -> list:
     """A list of size entries, None outside the union of the windows, whose
     slice [start:stop] of the union holds part(*slices), with slices the
-    columns' [start:stop]. The windows are walked in start order, and each
-    fills only its part past every window walked before it, so each fix of
-    the union is computed once."""
+    columns' [start:stop]. Each part of union_walk is computed once, so
+    each fix of the union is computed once."""
     aligned: list = [None] * size
-    done = 0  # every window walked so far ends at or before done
-    for window in sorted((window for _, _, window in windows), key=attrgetter("start")):
-        start, stop = max(window.start, done), window.stop
-        if start < stop:
-            aligned[start:stop] = part(*[column[start:stop] for column in columns])
-            done = stop
+    for _, start, stop in union_walk(windows, itemgetter(2)):
+        aligned[start:stop] = part(*[column[start:stop] for column in columns])
     return aligned

@@ -9,8 +9,10 @@ their values in their constructors; ingest validates a trace's fixes.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from typing import TypeVar
 
 from .errors import ReversedInterval
 
@@ -42,6 +44,23 @@ def unique_name(base: str, taken: set[str]) -> str:
         name = f"{base}_{count}"
     taken.add(name)
     return name
+
+
+_Item = TypeVar("_Item")
+
+
+def union_walk(items: Iterable[_Item], window_of: Callable[[_Item], range]
+               ) -> Iterator[tuple[_Item, int, int]]:
+    """Each item, in its window's start order, with the part [start, stop)
+    of its window past every window walked before it; an item whose part
+    is empty is skipped. The parts cover the union of the windows, each
+    index once."""
+    done = 0  # every window walked so far ends at or before done
+    for item in sorted(items, key=lambda item: window_of(item).start):
+        start, stop = max(window_of(item).start, done), window_of(item).stop
+        if start < stop:
+            yield item, start, stop
+            done = stop
 
 
 def _require_utc(name: str, value: datetime) -> datetime:

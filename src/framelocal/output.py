@@ -18,6 +18,7 @@ import contextlib
 import html
 import os
 import re
+import stat
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
@@ -26,7 +27,7 @@ from pathlib import Path
 from typing import TextIO
 
 from .errors import NoSeries
-from .model import EventSeries, unique_name
+from .model import EventSeries, union_walk, unique_name
 
 _UNSAFE = re.compile(r"[^A-Za-z0-9_-]")
 
@@ -83,6 +84,9 @@ class _TTexts(dict):
 
 _X, _Y, _T = itemgetter(0), itemgetter(1), itemgetter(2)
 
+# the t texts a CsvFormatter keeps from earlier series before it clears them
+_T_TEXTS_KEPT = 1 << 16
+
 
 class CsvFormatter:
     """Formats the CSV text of the series of one trace, sharing text
@@ -92,19 +96,22 @@ class CsvFormatter:
     windows of that frame's series, and each distinct t value's text once
     per formatter. One frame's x,y text is held at a time: it is rebuilt
     when a series of another frame is formatted, which happens once per
-    frame when the series come in key order, as run returns them. An x,y
-    text is reused only for the very x and y objects it was formatted
+    frame when the series come in key order, as run returns them. The t
+    texts are cleared before a series once more than 65,536 are kept. An
+    x,y text is reused only for the very x and y objects it was formatted
     from. A series with no window, whose rows do not fill its window
     (out-of-domain drops), or that the formatter was not built from, is
     formatted alone by the same code.
     """
 
     def __init__(self, series: Iterable[EventSeries]) -> None:
-        # (trace id, frame id) -> the series whose rows fill their windows
+        # (trace id, frame id) -> the series whose rows fill their windows,
+        # and the ids of those series, which the formatter keeps alive
         self._frames: dict[tuple[str, str], list[EventSeries]] = {}
         for s in series:
             if s.window is not None and len(s.window) == len(s.points):
                 self._frames.setdefault((s.trace_id, s.frame_id), []).append(s)
+        self._members = {id(s) for group in self._frames.values() for s in group}
         self._t_texts = _TTexts()
         # the held frame's key, the trace index of its first fix, and its
         # fixes' x and y objects and x,y texts from there on
@@ -117,19 +124,15 @@ class CsvFormatter:
     def _hold(self, key: tuple[str, str]) -> None:
         """Format the x,y text of the frame's union of windows, and drop
         the text of the frame held before."""
-        group = sorted(self._frames[key], key=attrgetter("window.start"))
-        start = group[0].window.start
+        group = self._frames[key]
+        start = min(s.window.start for s in group)
         size = max(s.window.stop for s in group) - start
         self._xs, self._ys, self._xy = [None] * size, [None] * size, [None] * size
-        done = start  # every window walked so far ends at or before done
-        for s in group:
-            lo, hi = max(s.window.start, done), s.window.stop
-            if lo < hi:
-                piece = s.points[lo - s.window.start:]
-                self._xs[lo - start:hi - start] = map(_X, piece)
-                self._ys[lo - start:hi - start] = map(_Y, piece)
-                self._xy[lo - start:hi - start] = _xy_texts(piece)
-                done = hi
+        for s, lo, hi in union_walk(group, attrgetter("window")):
+            piece = s.points[lo - s.window.start:hi - s.window.start]
+            self._xs[lo - start:hi - start] = map(_X, piece)
+            self._ys[lo - start:hi - start] = map(_Y, piece)
+            self._xy[lo - start:hi - start] = _xy_texts(piece)
         self._held, self._start = key, start
 
     def csv_text(self, series: EventSeries) -> str:
@@ -137,7 +140,7 @@ class CsvFormatter:
         points = series.points
         key = (series.trace_id, series.frame_id)
         xy = None
-        if any(s is series for s in self._frames.get(key, ())):
+        if id(series) in self._members:
             if key != self._held:
                 self._hold(key)
             lo = series.window.start - self._start
@@ -147,6 +150,8 @@ class CsvFormatter:
                 xy = self._xy[lo:hi]
         if xy is None:
             xy = _xy_texts(points)
+        if len(self._t_texts) > _T_TEXTS_KEPT:
+            self._t_texts.clear()
         text = ["x,y,t\n"] * (2 * len(points) + 1)
         text[1::2] = xy
         text[2::2] = map(self._t_texts.__getitem__, map(_T, points))
@@ -224,11 +229,16 @@ def render_overlay_svg(series: Iterable[EventSeries], path: str | Path) -> Path:
     stroke = span * 0.004
     font = span * 0.03
     path.parent.mkdir(parents=True, exist_ok=True)
-    # The overlay goes to a new file beside path, which replaces path once
-    # written in full, so a failed write leaves neither a partial overlay
-    # nor the new file. Each line is formatted as it is written, so the
+    # A regular file goes to a new file beside path, which replaces path
+    # once written in full, so a failed write leaves neither a partial
+    # overlay nor the new file. Anything else (a device, a FIFO, a symlink)
+    # is written straight. Each line is formatted as it is written, so the
     # whole text is never held at once.
-    temp, handle = _create_beside(path)
+    try:
+        replace = stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        replace = True
+    temp, handle = _create_beside(path) if replace else (None, _open_svg(path, "w"))
     try:
         with handle:
             handle.write('<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -245,24 +255,30 @@ def render_overlay_svg(series: Iterable[EventSeries], path: str | Path) -> Path:
                              f'font-family="sans-serif" fill="{color}">'
                              f'{html.escape(label, quote=False)}</text>\n')
             handle.write('</svg>\n')
-        os.replace(temp, path)
+        if temp is not None:
+            os.replace(temp, path)
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(temp)
+        if temp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
         raise
     return path
 
 
+def _open_svg(path: Path, mode: str) -> TextIO:
+    """path opened for writing in mode, "w" or "x". A name that UTF-8
+    cannot encode (a lone surrogate, as from a file name's undecodable
+    byte) is written as its backslash escape, the form in which stderr
+    shows the same name."""
+    return open(path, mode, encoding="utf-8", errors="backslashreplace", newline="")
+
+
 def _create_beside(path: Path) -> tuple[Path, TextIO]:
     """A new file in path's directory, under a free hidden name, and its
-    handle, open for writing with the file's default permissions. A name
-    that UTF-8 cannot encode (a lone surrogate, as from a file name's
-    undecodable byte) is written as its backslash escape, the form in which
-    stderr shows the same name."""
+    handle, opened by _open_svg."""
     while True:
         temp = path.with_name(f".framelocal-{os.urandom(4).hex()}.tmp")
         try:
-            return temp, open(temp, "x", encoding="utf-8",
-                              errors="backslashreplace", newline="")
+            return temp, _open_svg(temp, "x")
         except FileExistsError:
             continue

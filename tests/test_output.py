@@ -1,5 +1,7 @@
 """CSV serialization and SVG overlay rendering."""
 
+import os
+import stat
 import struct
 import sys
 import tracemalloc
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from fixtures import ts
+from framelocal import output
 from framelocal.engine import run
 from framelocal.errors import NoSeries, OutOfDomain
 from framelocal.ingest import build_frame_line
@@ -220,14 +223,10 @@ class TestCsvFormatter:
         assert path.read_bytes() == b"x,y,t\n0,0,-0\n"
 
 
-def _written_peak(frame_count, fixes, out_dir):
-    """The traced peak, above the series held, of writing one trace's
-    series over frame_count identical frames, each with two events."""
-    events = [_event(BEGIN_US, BEGIN_US + fixes * 1_000_000, "session"),
-              _event(BEGIN_US + fixes // 2 * 1_000_000,
-                     BEGIN_US + fixes * 1_000_000, "half")]
-    result = run([_line_trace(fixes)],
-                 [(_frame(f"f{n}", 40.0), events) for n in range(frame_count)])
+def _written_peak(frames, fixes, out_dir):
+    """The traced peak, above the series held, of writing through one
+    formatter the series of one trace of fixes over frames."""
+    result = run([_line_trace(fixes)], frames)
     layout = OutputLayout(out_dir=out_dir)
     tracemalloc.start()
     try:
@@ -240,17 +239,42 @@ def _written_peak(frame_count, fixes, out_dir):
         tracemalloc.stop()
 
 
+def _texts_size(texts):
+    """The size of a list of texts."""
+    return sum(map(sys.getsizeof, texts)) + sys.getsizeof(texts)
+
+
 def test_formatter_holds_one_frames_text(tmp_path):
     fixes = 4000
-    two = _written_peak(2, fixes, tmp_path / "two")
-    eight = _written_peak(8, fixes, tmp_path / "eight")
+    end_us = BEGIN_US + fixes * 1_000_000
+    # identical frames, each with a session and its second half
+    events = [_event(BEGIN_US, end_us, "session"),
+              _event(BEGIN_US + fixes // 2 * 1_000_000, end_us, "half")]
+    two = _written_peak([(_frame(f"f{n}", 40.0), events) for n in range(2)],
+                        fixes, tmp_path / "two")
+    eight = _written_peak([(_frame(f"f{n}", 40.0), events) for n in range(8)],
+                          fixes, tmp_path / "eight")
     # one frame's x,y text as the formatter holds it: a string a fix, in a list
-    frame = _frame("f0", 40.0)
-    [series] = run([_line_trace(fixes)], [(frame, [_event(
-        BEGIN_US, BEGIN_US + fixes * 1_000_000, "session")])]).series
-    texts = [f"{x!r},{y!r}," for x, y, _ in series.points]
-    frame_text = sum(map(sys.getsizeof, texts)) + sys.getsizeof(texts)
-    assert eight - two <= frame_text
+    [series] = run([_line_trace(fixes)], [(_frame("f0", 40.0), events[:1])]).series
+    assert eight - two <= _texts_size([f"{x!r},{y!r}," for x, y, _ in series.points])
+
+
+def test_formatter_keeps_a_bounded_t_table(tmp_path, monkeypatch):
+    fixes = 4000
+    monkeypatch.setattr(output, "_T_TEXTS_KEPT", fixes)
+    end_us = BEGIN_US + fixes * 1_000_000
+
+    def frames(count):
+        # begins a microsecond apart: frames share no t value
+        return [(_frame(f"f{n}", 40.0), [_event(BEGIN_US - n, end_us, "session")])
+                for n in range(count)]
+
+    two = _written_peak(frames(2), fixes, tmp_path / "two")
+    eight = _written_peak(frames(8), fixes, tmp_path / "eight")
+    # one frame's t texts, in a table as the formatter keeps them
+    [series] = run([_line_trace(fixes)], frames(1)).series
+    table = {t: f"{t!r}\n" for _, _, t in series.points}
+    assert eight - two <= sys.getsizeof(table) + _texts_size(table.values())
 
 
 class TestRenderOverlaySvg:
@@ -333,3 +357,47 @@ class TestRenderOverlaySvg:
         series = [_series([(0.0, 5.0, 0.0)], trace_id="a&b<c>d\"e'f")]
         path = render_overlay_svg(series, tmp_path / "esc.svg")
         assert b">a&amp;b&lt;c&gt;d\"e'f / f0 / e0</text>\n" in path.read_bytes()
+
+    def test_regular_file_is_replaced(self, tmp_path):
+        # the overlay is a new file: another hard link keeps the old one
+        plot = tmp_path / "overlay.svg"
+        plot.write_text("old")
+        os.link(plot, tmp_path / "link.svg")
+        expected = render_overlay_svg([_series([(0.0, 5.0, 0.0)])],
+                                      tmp_path / "new" / "overlay.svg").read_bytes()
+        render_overlay_svg([_series([(0.0, 5.0, 0.0)])], plot)
+        assert plot.read_bytes() == expected
+        assert (tmp_path / "link.svg").read_text() == "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.svg", "new",
+                                                              "overlay.svg"]
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "target.svg"
+        target.write_text("old")
+        link = tmp_path / "overlay.svg"
+        link.symlink_to(target)
+        expected = render_overlay_svg([_series([(0.0, 5.0, 0.0)])],
+                                      tmp_path / "new" / "overlay.svg").read_bytes()
+        render_overlay_svg([_series([(0.0, 5.0, 0.0)])], link)
+        assert link.is_symlink()
+        assert target.read_bytes() == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["new", "overlay.svg",
+                                                              "target.svg"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+    def test_fifo_is_written_straight(self, tmp_path):
+        fifo = tmp_path / "overlay.svg"
+        os.mkfifo(fifo)
+        expected = render_overlay_svg([_series([(0.0, 5.0, 0.0)])],
+                                      tmp_path / "new" / "overlay.svg").read_bytes()
+        # a reader opened without blocking lets the writer open the FIFO, and
+        # the small overlay fits in the pipe's buffer
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            render_overlay_svg([_series([(0.0, 5.0, 0.0)])], fifo)
+            written = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert written == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["new", "overlay.svg"]
