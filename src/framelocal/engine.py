@@ -26,15 +26,7 @@ from operator import attrgetter, itemgetter
 from .errors import FrameLocalError, OutOfDomain
 from .geodesy import WGS84, HomParams, hom_fix_terms, hom_forward_terms, hom_setup
 from .ingest import WarnFn
-from .model import (
-    EPOCH,
-    EventInterval,
-    EventSeries,
-    FrameLine,
-    Trace,
-    union_walk,
-    utc_us,
-)
+from .model import EPOCH, EventInterval, EventSeries, FrameLine, Trace, aligned, utc_us
 
 
 @dataclass(frozen=True)
@@ -190,11 +182,8 @@ def _by_begin(windows: Iterable[tuple[EventInterval, int, range]]
 
 def _aligned(size: int, windows: Iterable[tuple[EventInterval, int, range]],
              part: Callable[..., list], *columns: Sequence) -> list:
-    """A list of size entries, None outside the union of the windows, whose
-    slice [start:stop] of the union holds part(*slices), with slices the
-    columns' [start:stop]. Each part of union_walk is computed once, so
-    each fix of the union is computed once."""
-    aligned: list = [None] * size
-    for _, start, stop in union_walk(windows, itemgetter(2)):
-        aligned[start:stop] = part(*[column[start:stop] for column in columns])
-    return aligned
+    """model.aligned over the windows, each of whose parts [start:stop]
+    holds part(*slices), with slices the columns' [start:stop]; so each fix
+    of the union is computed once."""
+    return aligned(size, windows, itemgetter(2), lambda _, start, stop: part(
+        *[column[start:stop] for column in columns]))

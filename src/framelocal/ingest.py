@@ -31,7 +31,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NoReturn
 from xml.parsers import expat
 
 from . import geodesy
@@ -198,6 +198,11 @@ def _feature_events(feature_id: str, properties: dict,
     return events
 
 
+def _no_constant(token: str) -> NoReturn:
+    # Python's JSON parser reads NaN, Infinity and -Infinity; RFC 8259 §6 does not
+    raise ValueError(f"{token} is not a JSON number")
+
+
 def parse_frames(geojson_text: str, on_warning: WarnFn | None = None
                  ) -> list[tuple[FrameLine, list[EventInterval]]]:
     """Parse a GeoJSON FeatureCollection of frame lines with event intervals.
@@ -212,7 +217,7 @@ def parse_frames(geojson_text: str, on_warning: WarnFn | None = None
     warn = on_warning if on_warning is not None else (lambda message: None)
 
     try:
-        doc = json.loads(geojson_text)
+        doc = json.loads(geojson_text, parse_constant=_no_constant)
     except ValueError as exc:  # also an integer over the int-from-string digit limit
         raise NotFeatureCollection(f"frames input is not valid JSON: {exc}") from None
     except RecursionError:  # arrays or objects nested past the parser's depth

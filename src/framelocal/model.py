@@ -8,8 +8,9 @@ their values in their constructors; ingest validates a trace's fixes.
 
 from __future__ import annotations
 
+import sys
 from array import array
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import TypeVar
@@ -36,12 +37,13 @@ def normalize_longitude(lon_deg: float) -> float:
     return lon
 
 
-def unique_name(base: str, taken: set[str]) -> str:
-    """Claim the first of base, base_2, base_3, ... that is not in taken."""
-    name, count = base, 1
+def unique_name(base: str, taken: set[str], limit: int = sys.maxsize) -> str:
+    """Claim the first of base, base_2, base_3, ... that is not in taken,
+    each with base cut so that it is at most limit characters long."""
+    name, count = base[:limit], 1
     while name in taken:
         count += 1
-        name = f"{base}_{count}"
+        name = f"{base[:limit - 1 - len(str(count))]}_{count}"
     taken.add(name)
     return name
 
@@ -49,18 +51,21 @@ def unique_name(base: str, taken: set[str]) -> str:
 _Item = TypeVar("_Item")
 
 
-def union_walk(items: Iterable[_Item], window_of: Callable[[_Item], range]
-               ) -> Iterator[tuple[_Item, int, int]]:
-    """Each item, in its window's start order, with the part [start, stop)
-    of its window past every window walked before it; an item whose part
-    is empty is skipped. The parts cover the union of the windows, each
-    index once."""
+def aligned(size: int, items: Iterable[_Item], window_of: Callable[[_Item], range],
+            part: Callable[[_Item, int, int], list]) -> list:
+    """A list of size entries, None outside the union of the items' windows.
+    The items are walked in their windows' start order, and the part
+    [start, stop) of an item's window past every window walked before it,
+    if not empty, holds part(item, start, stop). So part is called on each
+    index of the union once."""
+    result: list = [None] * size
     done = 0  # every window walked so far ends at or before done
     for item in sorted(items, key=lambda item: window_of(item).start):
         start, stop = max(window_of(item).start, done), window_of(item).stop
         if start < stop:
-            yield item, start, stop
+            result[start:stop] = part(item, start, stop)
             done = stop
+    return result
 
 
 def _require_utc(name: str, value: datetime) -> datetime:

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import TextIO
 
 from .errors import NoSeries
-from .model import EventSeries, union_walk, unique_name
+from .model import EventSeries, aligned, unique_name
 
 _UNSAFE = re.compile(r"[^A-Za-z0-9_-]")
 
@@ -47,7 +47,9 @@ class OutputLayout:
 
     out_dir is created, with its parents, when the layout is built. Name
     components are sanitized to [A-Za-z0-9_-]; a name already given out by
-    this layout instance takes the first free suffix _2, _3, ...
+    this layout instance takes the first free suffix _2, _3, ... The stem
+    is cut so that it, its suffix and ".csv" fit in 255 bytes, the longest
+    file name most file systems take.
     """
 
     out_dir: Path
@@ -58,7 +60,8 @@ class OutputLayout:
 
     def path_for(self, series: EventSeries) -> Path:
         stem = "__".join(_sanitize(part) for part in series.key)
-        return Path(self.out_dir) / f"{unique_name(stem, self._taken)}.csv"
+        # the stem is ASCII, so each character is a byte; ".csv" takes 4
+        return Path(self.out_dir) / f"{unique_name(stem, self._taken, 255 - 4)}.csv"
 
 
 def _xy_texts(rows: Sequence[tuple[float, float, float]]) -> list[str]:
@@ -94,14 +97,16 @@ class CsvFormatter:
 
     Each fix's x,y text is formatted once per frame, over the union of the
     windows of that frame's series, and each distinct t value's text once
-    per formatter. One frame's x,y text is held at a time: it is rebuilt
-    when a series of another frame is formatted, which happens once per
-    frame when the series come in key order, as run returns them. The t
-    texts are cleared before a series once more than 65,536 are kept. An
-    x,y text is reused only for the very x and y objects it was formatted
-    from. A series with no window, whose rows do not fill its window
-    (out-of-domain drops), or that the formatter was not built from, is
-    formatted alone by the same code.
+    per formatter. One frame is held at a time, as two lists built by
+    model.aligned and indexed by trace position: its fixes' rows and their
+    x,y texts. They are dropped, then built for another frame, when a
+    series of that frame is formatted, which happens once per frame when
+    the series come in key order, as run returns them. The t texts are
+    cleared before a series once more than 65,536 are kept. An x,y text is
+    reused only for the very x and y objects it was formatted from. A
+    series with no window, whose rows do not fill its window (out-of-domain
+    drops), or that the formatter was not built from, is formatted alone by
+    the same code.
     """
 
     def __init__(self, series: Iterable[EventSeries]) -> None:
@@ -113,27 +118,23 @@ class CsvFormatter:
                 self._frames.setdefault((s.trace_id, s.frame_id), []).append(s)
         self._members = {id(s) for group in self._frames.values() for s in group}
         self._t_texts = _TTexts()
-        # the held frame's key, the trace index of its first fix, and its
-        # fixes' x and y objects and x,y texts from there on
+        # the held frame's key, and its fixes' rows and x,y texts, each list
+        # indexed by trace position
         self._held: tuple[str, str] | None = None
-        self._start = 0
-        self._xs: list = []
-        self._ys: list = []
+        self._rows: list = []
         self._xy: list = []
 
     def _hold(self, key: tuple[str, str]) -> None:
-        """Format the x,y text of the frame's union of windows, and drop
-        the text of the frame held before."""
+        """Drop the held frame's lists, then build the frame's rows and
+        their x,y texts over its union of windows."""
+        self._rows = self._xy = []
         group = self._frames[key]
-        start = min(s.window.start for s in group)
-        size = max(s.window.stop for s in group) - start
-        self._xs, self._ys, self._xy = [None] * size, [None] * size, [None] * size
-        for s, lo, hi in union_walk(group, attrgetter("window")):
-            piece = s.points[lo - s.window.start:hi - s.window.start]
-            self._xs[lo - start:hi - start] = map(_X, piece)
-            self._ys[lo - start:hi - start] = map(_Y, piece)
-            self._xy[lo - start:hi - start] = _xy_texts(piece)
-        self._held, self._start = key, start
+        size = max(s.window.stop for s in group)
+        window = attrgetter("window")
+        self._rows = rows = aligned(size, group, window, lambda s, lo, hi: s.points[
+            lo - s.window.start:hi - s.window.start])
+        self._xy = aligned(size, group, window, lambda _, lo, hi: _xy_texts(rows[lo:hi]))
+        self._held = key
 
     def csv_text(self, series: EventSeries) -> str:
         """The series' whole CSV text, header included."""
@@ -143,11 +144,10 @@ class CsvFormatter:
         if id(series) in self._members:
             if key != self._held:
                 self._hold(key)
-            lo = series.window.start - self._start
-            hi = lo + len(points)
-            if (all(map(is_, map(_X, points), self._xs[lo:hi]))
-                    and all(map(is_, map(_Y, points), self._ys[lo:hi]))):
-                xy = self._xy[lo:hi]
+            rows = self._rows[series.window.start:series.window.stop]
+            if (all(map(is_, map(_X, points), map(_X, rows)))
+                    and all(map(is_, map(_Y, points), map(_Y, rows)))):
+                xy = self._xy[series.window.start:series.window.stop]
         if xy is None:
             xy = _xy_texts(points)
         if len(self._t_texts) > _T_TEXTS_KEPT:

@@ -155,6 +155,17 @@ class TestExitCodes:
                                 "a string, a number nor null\n")
         assert not (tmp_path / "out").exists()
 
+    def test_non_json_number_in_frames_file_is_ingest_error(self, tmp_path, capsys):
+        frames_path, traces = _basic_inputs(tmp_path)
+        frames_path.write_text(frames_path.read_text().replace('"f0"', "NaN"))
+        code = main(["--frames", str(frames_path), "--traces", str(traces),
+                     "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ("framelocal: error: frames input is not valid "
+                                "JSON: NaN is not a JSON number\n")
+        assert not (tmp_path / "out").exists()
+
     def test_failed_plot_write_leaves_no_overlay(self, tmp_path, capsys,
                                                  monkeypatch):
         frames_path, traces = _basic_inputs(tmp_path)
@@ -364,6 +375,23 @@ class TestBehavior:
         assert len({series.points for series in expected.values()}) == 4
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == {
             name: (tmp_path / "expected" / name).read_bytes() for name in expected}
+
+    def test_long_names_cut_to_fit(self, tmp_path, capsys):
+        frames_path, traces = _basic_inputs(tmp_path)
+        # two ids that differ only past the cut, and one a name of which fits
+        ids = ["f" * 1000, "f" * 999 + "g", "f" * 200]
+        frames_path.write_text(frames_doc(
+            [frame_feature(frame_id, ORIGIN, TARGET, {"events": [INTERVAL]})
+             for frame_id in ids]))
+        out_dir = tmp_path / "out"
+        code = main(["--frames", str(frames_path), "--traces", str(traces),
+                     "--out", str(out_dir)])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("3 series written")
+        stem = "walk__" + "f" * 245
+        assert {p.name for p in out_dir.iterdir()} == {
+            f"{stem}.csv", f"{stem[:-2]}_2.csv", f"walk__{'f' * 200}__e0.csv"}
+        assert all(len(os.fsencode(p.name)) <= 255 for p in out_dir.iterdir())
 
     def test_suffixed_trace_ids_never_collide(self, tmp_path, capsys):
         frames_path, traces = _basic_inputs(tmp_path)

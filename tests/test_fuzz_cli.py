@@ -2,9 +2,9 @@
 raises out of cli.main, the exit code is 0, 2 or 3, every CSV written
 re-parses to the exact bits of the series the engine computes, and exit 3
 means that the engine itself failed, e.g. on a permutation with no fix that
-projects (never that a far fix among good ones cost the run), or that a CSV
-name is too long for the file system. With --plot, the overlay draws one
-polyline per CSV, and exists only on an exit 0 that wrote a CSV. Trace file
+projects (never that a far fix among good ones cost the run). Every CSV
+name fits in 255 bytes. With --plot, the overlay draws one polyline per
+CSV, and exists only on an exit 0 that wrote a CSV. Trace file
 names come from any bytes, frame ids from any JSON value, labels from any
 text, lone surrogates included, and a frames document may nest to any
 depth."""
@@ -144,7 +144,7 @@ def _frames_text(draw) -> bytes:
     if nest == "coordinates":
         positions = ["NEST", positions[1]]
     # an id that is neither a string nor a number is an exit 2; one of 300
-    # characters makes CSV names too long for the file system, an exit 3
+    # characters makes CSV names that are cut to fit in 255 bytes
     feature_id = "NEST" if nest == "id" else draw(
         _mostly(st.sampled_from(["f0", "", None]),
                 st.one_of(_ANY_TEXT, _JSON_SCALARS, st.just("f" * 300),
@@ -220,21 +220,19 @@ def test_cli_survives_mutated_input(tmp_path_factory, gpx, frames, plot):
     if code == 2:
         return
     frame_list, traces, report = load_inputs(frames_path, traces_dir)
-    layout = OutputLayout(out_dir=out_dir)
     if code == 3:
         try:
-            result = run(traces, frame_list)
+            run(traces, frame_list)
         except FrameLocalError as failure:
             if isinstance(failure, OutOfDomain):
                 assert _some_permutation_projects_nothing(traces, frame_list)
             return
-        # the engine ran, so writing failed: a name too long for a file
-        assert any(len(os.fsencode(layout.path_for(series).name)) > 255
-                   for series in result.series)
-        return
+        raise AssertionError("exit 3, though the engine ran")
     result = run(traces, frame_list)
+    layout = OutputLayout(out_dir=out_dir)
     expected = {layout.path_for(series): series for series in result.series}
     assert set(out_dir.iterdir()) == set(expected)
+    assert all(len(os.fsencode(path.name)) <= 255 for path in expected)
     unplotted = plot and not expected
     assert (f"framelocal: warning: no series to plot; skipped {svg}\n"
             in err.getvalue()) == unplotted

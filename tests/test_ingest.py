@@ -186,11 +186,37 @@ class TestParseFrames:
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_position_rejected(self, value):
-        # json.loads accepts the NaN and Infinity literals json.dumps writes
+        # json.dumps writes the tokens NaN, Infinity and -Infinity, which are
+        # not JSON (RFC 8259 §6)
         doc = frames_doc([frame_feature(
             "nonfinite", (ORIGIN[0], value), TARGET,
             {"events": ["2017-06-10T05:00:00Z/2017-06-10T05:20:00Z"]})])
-        with pytest.raises(BadLineString, match="nonfinite.*finite"):
+        with pytest.raises(NotFeatureCollection, match="not a JSON number"):
+            parse_frames(doc)
+
+    @pytest.mark.parametrize("number", ["1e400", "-1e400", "1" + "0" * 400])
+    def test_position_past_the_float_range_rejected(self, number):
+        feature = frame_feature("huge", ORIGIN, TARGET, {
+            "events": ["2017-06-10T05:00:00Z/2017-06-10T05:20:00Z"]})
+        feature["geometry"]["coordinates"][0][0] = "NUMBER"
+        doc = frames_doc([feature]).replace('"NUMBER"', number)
+        with pytest.raises(BadLineString, match="huge.*finite"):
+            parse_frames(doc)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("place", ["id", "coordinate", "events"])
+    def test_non_json_number_token_rejected(self, place, token):
+        feature = frame_feature("f0", ORIGIN, TARGET, {
+            "events": ["2017-06-10T05:00:00Z/2017-06-10T05:20:00Z"]})
+        if place == "id":
+            feature["id"] = "TOKEN"
+        elif place == "coordinate":
+            feature["geometry"]["coordinates"][0][0] = "TOKEN"
+        else:
+            feature["properties"]["events"].append("TOKEN")
+        doc = frames_doc([feature]).replace('"TOKEN"', token)
+        with pytest.raises(NotFeatureCollection,
+                           match=f"not valid JSON: {token} is not a JSON number"):
             parse_frames(doc)
 
     @pytest.mark.parametrize("coordinates", [

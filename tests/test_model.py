@@ -1,6 +1,7 @@
 """Constructor enforcement for the shared domain types."""
 
 import math
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -16,6 +17,8 @@ from framelocal.model import (
     EventSeries,
     FrameLine,
     Trace,
+    aligned,
+    unique_name,
     utc_us,
 )
 
@@ -148,3 +151,55 @@ def test_utc_us_equals_timedelta_floor_division(instant):
     # for negative deltas too, and for instants outside the years 1-9999 in
     # UTC, which ingest range-checks on the integer value
     assert utc_us(instant) == (instant - EPOCH) // timedelta(microseconds=1)
+
+
+@st.composite
+def _windows(draw):
+    """A size and a list of windows within it, empty ones included."""
+    size = draw(st.integers(0, 40))
+    bounds = st.integers(0, size)
+    return size, draw(st.lists(st.tuples(bounds, bounds).map(lambda b: range(*sorted(b))),
+                               max_size=6))
+
+
+@given(_windows())
+def test_aligned_fills_the_union_of_windows_once(inputs):
+    size, windows = inputs
+    calls = []
+
+    def part(item, start, stop):
+        calls.append((item, start, stop))
+        return [(item, i) for i in range(start, stop)]
+
+    result = aligned(size, range(len(windows)), windows.__getitem__, part)
+    union = {i for window in windows for i in window}
+    assert len(result) == size
+    # part is called on each index of the union exactly once, from an item
+    # whose window holds it
+    assert Counter(i for _, start, stop in calls for i in range(start, stop)) == {
+        i: 1 for i in union}
+    assert all(windows[item].start <= start < stop <= windows[item].stop
+               for item, start, stop in calls)
+    # each value at its trace position, None everywhere else
+    for i, value in enumerate(result):
+        if i in union:
+            assert value[1] == i
+        else:
+            assert value is None
+
+
+class TestUniqueName:
+    def test_suffixes_in_order(self):
+        taken = set()
+        assert [unique_name("a", taken) for _ in range(3)] == ["a", "a_2", "a_3"]
+
+    def test_cut_to_the_limit_with_its_suffix(self):
+        taken = set()
+        names = [unique_name("x" * 10 + "y", taken, 10) for _ in range(11)]
+        assert names[:3] == ["x" * 10, "x" * 8 + "_2", "x" * 8 + "_3"]
+        assert names[10] == "x" * 7 + "_11"
+        assert all(len(name) <= 10 for name in names)
+
+    def test_short_base_is_not_cut(self):
+        taken = {"ab"}
+        assert unique_name("ab", taken, 10) == "ab_2"

@@ -259,6 +259,17 @@ def test_formatter_holds_one_frames_text(tmp_path):
     assert eight - two <= _texts_size([f"{x!r},{y!r}," for x, y, _ in series.points])
 
 
+def test_formatter_drops_the_held_frame_before_the_next(tmp_path):
+    fixes = 4000
+    events = [_event(BEGIN_US, BEGIN_US + fixes * 1_000_000, "session")]
+    one = _written_peak([(_frame("f0", 40.0), events)], fixes, tmp_path / "one")
+    two = _written_peak([(_frame(f"f{n}", 40.0), events) for n in range(2)],
+                        fixes, tmp_path / "two")
+    [series] = run([_line_trace(fixes)], [(_frame("f0", 40.0), events)]).series
+    # the second frame's lists are built once the first frame's are dropped
+    assert two - one < _texts_size([f"{x!r},{y!r}," for x, y, _ in series.points]) / 2
+
+
 def test_formatter_keeps_a_bounded_t_table(tmp_path, monkeypatch):
     fixes = 4000
     monkeypatch.setattr(output, "_T_TEXTS_KEPT", fixes)
