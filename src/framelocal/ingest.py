@@ -318,14 +318,14 @@ _ATTRIBUTE_SPACE = re.compile(r"\r\n?|[\t\n]")  # what XML reads as one space
 # only, no "/" in the tag), then the first <time> child, or else no <time>
 # at all before </trkpt>. Groups: lat, lon and the time text, "" without a
 # <time> child. No group may hold a character that XML normalizes, so each
-# is the value ElementTree reads. Any other "<trkpt" takes the empty branch
-# and reads as ("", "", ""), which no trkpt of the first branch gives.
+# is the value ElementTree reads. Any other "<trkpt" matches the optional
+# part empty and reads as ("", "", ""), which no trkpt read in full gives.
 _TRKPT = re.compile(rf"""
     <trkpt(?:
     {_S}+lat="([^"<\t\n\r]+)"{_S}+lon="([^"<\t\n\r]*)"{_S}*>
     [^<]*(?:<(?!time\b)[^<>/]*>[^<]*</[^<>]*>[^<]*)*
     (?:<time>([^<\r]*)</time>|(?:<(?!time\b|/?trkpt)[^<]*)*</trkpt>)
-    |)""", re.VERBOSE)
+    )?""", re.VERBOSE)
 _UNREAD = ("", "", "")
 
 
@@ -385,23 +385,24 @@ def _scan_fixes(document: str | bytes) -> list[tuple[str, str, str]] | None:
     return None if _UNREAD in fixes else fixes
 
 
-def _tree_fixes(root: ET.Element) -> list[tuple[str, str, str | None]]:
+def _tree_fixes(root: ET.Element) -> list[tuple[str, str, str]]:
     """(lat, lon, time text) of each trkpt in the root element's namespace,
-    in document order; the time text is None without a <time> child."""
+    in document order; the time text is "" without a <time> child."""
     # "{uri}" of the root tag, or "" for a GPX 1.0 file without a namespace
     ns = root.tag[:root.tag.rfind("}") + 1]
-    return [(elem.get("lat", ""), elem.get("lon", ""), elem.findtext(ns + "time"))
+    return [(elem.get("lat", ""), elem.get("lon", ""), elem.findtext(ns + "time", ""))
             for elem in root.iter(ns + "trkpt")]
 
 
-def _trace_from_fixes(fixes: list[tuple[str, str, str | None]], trace_id: str,
+def _trace_from_fixes(fixes: list[tuple[str, str, str]], trace_id: str,
                       warn: WarnFn) -> Trace:
     """The Trace of the fixes with a usable position and time: a latitude in
-    [-90, 90], a finite longitude, normalized to (-180, 180], and a time in
-    the years 1 to 9999 in UTC. Each other fix is skipped with a warning."""
+    [-90, 90], a finite longitude, kept as read in (-180, 180] and reduced
+    to it otherwise, and a time in the years 1 to 9999 in UTC. Each other
+    fix is skipped with a warning."""
     lats, lons, times = [], [], []  # Trace makes arrays of them
     for lat_text, lon_text, time_text in fixes:
-        if time_text is None or not time_text.strip():
+        if not time_text.strip():
             warn("track point without <time> skipped")
             continue
         try:
@@ -427,7 +428,8 @@ def _trace_from_fixes(fixes: list[tuple[str, str, str | None]], trace_id: str,
                  "is out of range in UTC")
             continue
         lats.append(lat)
-        lons.append(normalize_longitude(lon))
+        # normalize_longitude would move some in-range values: -73.98 by 2e-14
+        lons.append(lon if -180.0 < lon <= 180.0 else normalize_longitude(lon))
         times.append(time_us)
 
     if not times:
@@ -486,7 +488,8 @@ def load_inputs(frames_path: str | Path, traces_dir: str | Path,
                           report.warnings.append((str(frames_path), message)))
 
     if not traces_dir.is_dir():
-        raise NoTraces(f"traces directory {traces_dir} does not exist")
+        state = "is not a directory" if traces_dir.exists() else "does not exist"
+        raise NoTraces(f"traces directory {traces_dir} {state}")
     files = _gpx_files(traces_dir, recurse)
     if not files:
         raise NoTraces(f"no .gpx files found in {traces_dir}")

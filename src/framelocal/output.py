@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import html
+import math
 import os
 import re
 import stat
@@ -168,7 +169,7 @@ def write_csv(series: EventSeries, layout: OutputLayout,
     """
     path = layout.path_for(series)
     if formatter is None:
-        formatter = CsvFormatter([series])
+        formatter = CsvFormatter(())
     text = formatter.csv_text(series)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
@@ -187,21 +188,17 @@ def render_overlay_svg(series: Iterable[EventSeries], path: str | Path) -> Path:
     read once, in order, and each series is folded into running bounds and
     its polyline text, so no coordinate list spans the run.
     """
-    series = iter(series)
-    first = next(series, None)
-    if first is None:
-        raise NoSeries("no series to plot")
     path = Path(path)
 
-    # the bounds are left folds over the run's coordinates, seeded with its
-    # first ones, so they equal min() and max() over them all, ties included
-    min_x = max_x = first.points[0][0]
-    min_y = max_y = -first.points[0][1]  # SVG y grows downward
+    # the bounds are left folds over the run's coordinates, seeded with
+    # infinities, so they equal min() and max() over them all, ties included
+    min_x = min_y = math.inf
+    max_x = max_y = -math.inf
     color_of: dict[str, str] = {}  # frame id -> palette color, in first-seen order
     drawn: list[tuple[str, str, str]] = []  # (color, points, legend label)
-    for s in chain([first], series):
+    for s in series:
         xs = [x for x, _, _ in s.points]
-        ys = [-y for _, y, _ in s.points]
+        ys = [-y for _, y, _ in s.points]  # SVG y grows downward
         min_x, max_x = min(chain([min_x], xs)), max(chain([max_x], xs))
         min_y, max_y = min(chain([min_y], ys)), max(chain([max_y], ys))
         # one % operation formats the series' x, -y pairs, interleaved
@@ -210,6 +207,8 @@ def render_overlay_svg(series: Iterable[EventSeries], path: str | Path) -> Path:
         color = color_of.setdefault(s.frame_id, _PALETTE[len(color_of) % len(_PALETTE)])
         drawn.append((color, ("%.6g,%.6g " * len(xs) % tuple(flat))[:-1],
                       f"{s.trace_id} / {s.frame_id} / {s.event_label}"))
+    if not drawn:
+        raise NoSeries("no series to plot")
 
     def _ensure_span(lo: float, hi: float) -> tuple[float, float]:
         if hi - lo < 1.0:

@@ -64,6 +64,21 @@ class TestExitCodes:
         assert code == 2
         assert "threept" in captured.err
 
+    @pytest.mark.parametrize("make, state", [
+        (lambda path: path.write_text("x"), "is not a directory"),
+        (lambda path: None, "does not exist")], ids=["file", "missing"])
+    def test_traces_that_are_no_directory_is_ingest_error(self, tmp_path, capsys,
+                                                          make, state):
+        frames_path, _ = _basic_inputs(tmp_path)
+        make(tmp_path / "traces.gpx")
+        code = main(["--frames", str(frames_path), "--traces",
+                     str(tmp_path / "traces.gpx"), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (f"framelocal: error: traces directory "
+                                f"{tmp_path / 'traces.gpx'} {state}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_projection_failure_is_processing_error(self, tmp_path, capsys):
         frames_path, traces = _basic_inputs(tmp_path)
         far_origin, far_target = (37.85, -35.0), (37.84, -35.001)
@@ -480,8 +495,8 @@ class TestStreaming:
             args += ["--plot", str(tmp_path / "overlay.svg")]
         assert main(args) == 0
         assert capsys.readouterr().out.startswith("8 series written")
-        # the renderer holds its first series and the one it is folding
-        kept = [0, 2, 2, 2] if plot else [0, 0, 0, 0]
+        # the renderer holds only the series it is folding
+        kept = [0, 1, 1, 1] if plot else [0, 0, 0, 0]
         assert calls == [(["a"], kept[0]), (["b"], kept[1]), (["c"], kept[2]),
                          (["walk"], kept[3])]
         assert sum(ref() is not None for ref in returned) == 0

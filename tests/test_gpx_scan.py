@@ -74,10 +74,8 @@ def _unparsable(time_text: str) -> str:
 
 
 def _tree_fixes(data):
-    """The ElementTree extractor's fixes, with a missing time read as ""
-    as the scanner reads it."""
-    return [(lat, lon, time or "") for lat, lon, time in
-            ingest._tree_fixes(ingest._read_xml(data, ET.fromstring))]
+    """The ElementTree extractor's fixes of data."""
+    return ingest._tree_fixes(ingest._read_xml(data, ET.fromstring))
 
 
 def _outcome(read):
@@ -273,8 +271,7 @@ def _gpx_documents(draw) -> bytes:
 def test_both_extractors_read_the_same(data):
     # max_examples comes from the active profile (tests/conftest.py)
     def tree(warn):
-        return ingest._trace_from_fixes(
-            ingest._tree_fixes(ingest._read_xml(data, ET.fromstring)), "t", warn)
+        return ingest._trace_from_fixes(_tree_fixes(data), "t", warn)
 
     reference = _outcome(tree)
     assert _outcome(lambda warn: ingest.parse_gpx(data, "t", warn)) == reference

@@ -2,6 +2,7 @@
 
 import json
 import math
+from array import array
 from datetime import datetime, timezone
 
 import pytest
@@ -30,7 +31,7 @@ from framelocal.ingest import (
     parse_gpx,
     parse_interval,
 )
-from framelocal.model import EventInterval, utc_us
+from framelocal.model import EventInterval, normalize_longitude, utc_us
 
 ORIGIN = (-37.85, 145.0)
 TARGET = (-37.84, 145.001)
@@ -530,9 +531,19 @@ class TestParseGpx:
         assert warnings == [f"track point skipped: longitude {lon} is not finite"]
 
     def test_longitude_normalized(self):
-        text = gpx_doc([(10.0, 190.0, ts(5, 0)), (10.0, -180.0, ts(5, 1)),
-                        (10.0, 540.0, ts(5, 2))])
-        assert list(parse_gpx(text, "t").lon_deg) == [-170.0, 180.0, 180.0]
+        # in range, bit for bit: normalize_longitude gives -73.98000000000002
+        lons = [190.0, -180.0, 540.0, -73.98, -0.1, 180.0]
+        text = gpx_doc([(10.0, lon, ts(5, i)) for i, lon in enumerate(lons)])
+        assert (parse_gpx(text, "t").lon_deg.tobytes()
+                == array("d", [-170.0, 180.0, 180.0, -73.98, -0.1, 180.0]).tobytes())
+
+    @given(lon=st.floats(allow_nan=False, allow_infinity=False))
+    @settings(deadline=None)
+    def test_longitude_kept_in_range_else_normalized(self, lon):
+        # max_examples comes from the active profile (tests/conftest.py)
+        expected = lon if -180.0 < lon <= 180.0 else normalize_longitude(lon)
+        trace = parse_gpx(gpx_doc([(10.0, lon, ts(5))]), "t")
+        assert trace.lon_deg.tobytes() == array("d", [expected]).tobytes()
 
     @pytest.mark.parametrize("lat, lon", [
         ("-3_7.85", "145.0"), ("-37.85", "1_45"), ("-37.85", "\uff11\uff14\uff15")])
