@@ -9,7 +9,7 @@ meters along the frame direction, and seconds since the event began.
 """
 
 from . import errors
-from .engine import RunResult, clip_to_event, project_series, run
+from .engine import RunResult, clip_to_event, prepare, project_series, run
 from .geodesy import (
     Ellipsoid,
     GeodesicSolution,
@@ -67,6 +67,7 @@ __all__ = [
     "parse_frames",
     "parse_gpx",
     "parse_interval",
+    "prepare",
     "project_series",
     "render_overlay_svg",
     "run",

@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from itertools import chain
 from pathlib import Path
 
-from .engine import run
+from .engine import prepare, run
 from .errors import FrameLocalError, NoSeries
 from .ingest import load_inputs
 from .output import CsvFormatter, OutputLayout, render_overlay_svg, write_csv
@@ -78,8 +78,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _pipeline(args: argparse.Namespace) -> int:
-    """Load, then run and write the CSVs one trace at a time, drawing the
-    plot from the written series as they come; return the exit code."""
+    """Load, set up each frame's projection once, then run and write the
+    CSVs one trace at a time, drawing the plot from the written series as
+    they come; return the exit code."""
     try:
         frames, traces, report = load_inputs(args.frames, args.traces,
                                              recurse=args.recurse)
@@ -98,7 +99,7 @@ def _pipeline(args: argparse.Namespace) -> int:
     def written_series(trace):
         """Run and report one trace; yield each series once its CSV is written."""
         nonlocal written, skipped_empty, warnings
-        result = run([trace], frames)
+        result = run([trace], prepared)
         warnings += _warn(result.warnings)
         skipped_empty += result.skipped_empty
         formatter = CsvFormatter(result.series)
@@ -110,6 +111,7 @@ def _pipeline(args: argparse.Namespace) -> int:
             yield series
 
     try:
+        prepared = prepare(frames)
         layout = OutputLayout(out_dir=Path(args.out))
         # traces come sorted by unique ids, so each trace's key-sorted series
         # in turn are the run's (trace, frame, event) order

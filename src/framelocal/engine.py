@@ -1,8 +1,9 @@
 """Core pipeline: iterate every (trace, frame, event) permutation, clip each
 trace to the event interval, project the surviving points into frame-local
-coordinates, and shift time to seconds since the event began. The part of
-a fix's projection that depends on no frame is computed once per trace; a
-fix inside several events of one frame is projected into that frame once.
+coordinates, and shift time to seconds since the event began. Each frame's
+projection is set up once, by prepare. The part of a fix's projection that
+depends on no frame is computed once per trace; a fix inside several events
+of one frame is projected into that frame once.
 A fix's time since an event begin is computed once per trace and begin,
 and its (x, y, t) row once per frame and begin, so series share them.
 
@@ -86,12 +87,37 @@ def project_series(trace: Trace, window: range,
                        points=tuple(rows), window=window)
 
 
+class PreparedFrames(tuple):
+    """Frames as prepare returns them: per frame, in input order, the
+    (frame, its events' (event, begin_us) pairs, its HomParams) triple."""
+
+    __slots__ = ()
+
+
+def prepare(frames: Iterable[tuple[FrameLine, Iterable[EventInterval]]]
+            ) -> PreparedFrames:
+    """Set up each frame's projection, on WGS84 like the frame's azimuth,
+    and each of its events' begin in integer UTC microseconds; run takes
+    the result in place of frames. A PreparedFrames is returned as it is,
+    so prepare(prepare(frames)) is prepare(frames)."""
+    if isinstance(frames, PreparedFrames):
+        return frames
+    return PreparedFrames(
+        (frame, tuple((event, utc_us(event.begin_utc)) for event in events),
+         hom_setup(WGS84, frame.origin_lat_deg, frame.origin_lon_deg,
+                   frame.azimuth_deg))
+        for frame, events in frames)
+
+
 def run(traces: list[Trace],
-        frames: list[tuple[FrameLine, list[EventInterval]]]) -> RunResult:
+        frames: list[tuple[FrameLine, list[EventInterval]]] | PreparedFrames
+        ) -> RunResult:
     """Process every (trace, frame, event) permutation.
 
-    Projection setup happens once per frame, on WGS84 like the frame's
-    azimuth. For each trace, every event of every frame is clipped first.
+    frames go through prepare first, so a caller that runs several trace
+    lists through one set of frames passes prepare(frames), to set each
+    frame up once in all. For each trace, every event of every frame is
+    clipped first.
     Then lists aligned with the trace's columns are filled, each over a
     union of windows and with each fix of it computed once (see _aligned):
     - once per trace, the frame-independent hom_fix_terms of each fix in
@@ -112,10 +138,7 @@ def run(traces: list[Trace],
     and is reported for the first failing permutation in that order.
     Projection errors carry the offending permutation and point.
     """
-    prepared = [(frame, [(event, utc_us(event.begin_utc)) for event in events],
-                 hom_setup(WGS84, frame.origin_lat_deg, frame.origin_lon_deg,
-                           frame.azimuth_deg))
-                for frame, events in frames]
+    prepared = prepare(frames)
     series: list[EventSeries] = []
     warnings: list[tuple[str, str]] = []
     skipped_empty = 0

@@ -42,19 +42,33 @@ def _sanitize(part: str) -> str:
     return cleaned if cleaned else "_"
 
 
+class _CaseFolded(set):
+    """A set of names, held and looked up case-folded. The names are
+    ASCII, so lower() folds them as a file system that ignores case does."""
+
+    def __contains__(self, name: str) -> bool:  # type: ignore[override]
+        return super().__contains__(name.lower())
+
+    def add(self, name: str) -> None:
+        super().add(name.lower())
+
+
 @dataclass
 class OutputLayout:
     """Names output files ``<trace>__<frame>__<event>.csv`` under out_dir.
 
     out_dir is created, with its parents, when the layout is built. Name
     components are sanitized to [A-Za-z0-9_-]; a name already given out by
-    this layout instance takes the first free suffix _2, _3, ... The stem
-    is cut so that it, its suffix and ".csv" fit in 255 bytes, the longest
-    file name most file systems take.
+    this layout instance, compared case-folded, takes the first free suffix
+    _2, _3, ... So no two names differ only in case, and no file of the run
+    replaces another on a file system that ignores case. The stem is cut
+    so that it, its suffix and ".csv" fit in 255 bytes, the longest file
+    name most file systems take.
     """
 
     out_dir: Path
-    _taken: set[str] = field(default_factory=set, init=False, repr=False)
+    _taken: _CaseFolded = field(default_factory=_CaseFolded,
+                                init=False, repr=False)
 
     def __post_init__(self) -> None:
         Path(self.out_dir).mkdir(parents=True, exist_ok=True)
@@ -165,14 +179,23 @@ def write_csv(series: EventSeries, layout: OutputLayout,
 
     formatter, a CsvFormatter built from the series of this series' trace,
     shares the text of numbers between them; without it, the series is
-    formatted alone. The CSV text is the same either way.
+    formatted alone. The CSV text is the same either way. If the write
+    fails once the file is open, the file is removed before the error
+    propagates, so no partial CSV is left; a file that could not be opened
+    is left as it is.
     """
     path = layout.path_for(series)
     if formatter is None:
         formatter = CsvFormatter(())
     text = formatter.csv_text(series)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    handle = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with handle:
+            handle.write(text)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(path)
+        raise
     return path
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from fixtures import frame_feature, frames_doc, gpx_doc, ts, two_fields_dataset
-from framelocal import cli, output
+from framelocal import cli, engine, output
 from framelocal.cli import main
 from framelocal.engine import run
 from framelocal.ingest import load_inputs
@@ -205,6 +205,42 @@ class TestExitCodes:
         assert code == 3
         assert "No space left on device" in captured.err
         assert list(plot.parent.iterdir()) == []
+
+    def test_failed_csv_write_leaves_no_partial_csv(self, tmp_path, capsys,
+                                                    monkeypatch):
+        frames_path, traces = _corpus(tmp_path / "in", 3)
+        out_dir = tmp_path / "out"
+        real_open = open
+        opened = []
+
+        def open_failing_third_csv(file, *args, **kwargs):
+            # the third CSV takes 100 bytes, then the disk is full
+            handle = real_open(file, *args, **kwargs)
+            opened.append(Path(file).name)
+            if len(opened) == 3:
+                def write(text):
+                    type(handle).write(handle, text[:100])
+                    handle.flush()
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                handle.write = write
+            return handle
+
+        monkeypatch.setattr(output, "open", open_failing_third_csv, raising=False)
+        code = main(["--frames", str(frames_path), "--traces", str(traces),
+                     "--out", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "No space left on device" in captured.err
+        assert opened == ["p0__f0__e0.csv", "p0__f0__e1.csv", "p1__f0__e0.csv"]
+        # each CSV left re-reads whole: as the series it names, written alone
+        frames, loaded, _ = load_inputs(frames_path, traces)
+        expected = OutputLayout(out_dir=tmp_path / "expected")
+        for series in run(loaded, frames).series:
+            write_csv(series, expected)
+        assert (tmp_path / "expected" / opened[2]).stat().st_size > 100
+        assert sorted(p.name for p in out_dir.iterdir()) == opened[:2]
+        for path in out_dir.iterdir():
+            assert path.read_bytes() == (tmp_path / "expected" / path.name).read_bytes()
 
     def test_undecodable_trace_file_is_a_warning(self, tmp_path, capsys):
         frames_path, traces = _basic_inputs(tmp_path)
@@ -422,6 +458,24 @@ class TestBehavior:
         assert {p.name for p in out_dir.iterdir()} == {
             "x__f0__e0.csv", "x_2__f0__e0.csv", "x_2_2__f0__e0.csv"}
 
+    def test_names_distinct_case_folded(self, tmp_path, capsys):
+        frames_path, traces = _basic_inputs(tmp_path)
+        frames_path.write_text(frames_doc(
+            [frame_feature(frame_id, ORIGIN, TARGET, {"events": [INTERVAL]})
+             for frame_id in ("Pitch", "pitch")]))
+        for name in ("x/Run.gpx", "y/run.gpx"):
+            (traces / name).parent.mkdir()
+            (traces / name).write_text((traces / "walk.gpx").read_text())
+        (traces / "walk.gpx").unlink()
+        out_dir = tmp_path / "out"
+        code = main(["--frames", str(frames_path), "--traces", str(traces),
+                     "--out", str(out_dir), "--recurse"])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("4 series written")
+        assert {p.name for p in out_dir.iterdir()} == {
+            "Run__Pitch__e0.csv", "Run__pitch__e0_2.csv",
+            "run__Pitch__e0_3.csv", "run__pitch__e0_4.csv"}
+
     def test_import_loads_no_network_modules(self):
         probe = ("import sys, framelocal.cli; print(sorted(m for m in ("
                  "'xml.sax', 'urllib.request', 'http.client', 'email') "
@@ -502,6 +556,23 @@ class TestStreaming:
         assert sum(ref() is not None for ref in returned) == 0
         if plot:
             assert (tmp_path / "overlay.svg").read_text().count("<polyline ") == 8
+
+    def test_each_frame_set_up_once_per_run(self, tmp_path, capsys, monkeypatch):
+        frames_path, traces, _, _ = two_fields_dataset(tmp_path)
+        for name in ("player2", "player3"):
+            (traces / f"{name}.gpx").write_text((traces / "player1.gpx").read_text())
+        setups = []
+        real_setup = engine.hom_setup
+
+        def hom_setup(*args):
+            setups.append(args)
+            return real_setup(*args)
+
+        monkeypatch.setattr(engine, "hom_setup", hom_setup)
+        assert main(["--frames", str(frames_path), "--traces", str(traces),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.startswith("6 series written")
+        assert len(setups) == 2
 
     def test_out_dir_made_once_and_never_per_csv(self, tmp_path, capsys,
                                                  monkeypatch):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from fixtures import line_walk, ts
 from framelocal import engine
-from framelocal.engine import clip_to_event, project_series, run, seconds_since
+from framelocal.engine import clip_to_event, prepare, project_series, run, seconds_since
 from framelocal.errors import OutOfDomain
 from framelocal.geodesy import WGS84, hom_forward_many, hom_setup
 from framelocal.ingest import build_frame_line
@@ -222,6 +222,32 @@ class TestRun:
         a_series_before = [s for s in only_a.series if s.frame_id == "a"]
         a_series_after = [s for s in both.series if s.frame_id == "a"]
         assert a_series_before == a_series_after
+
+
+class TestPrepare:
+    def test_run_takes_prepared_frames_alike(self):
+        events = [_interval(ts(5, 0), ts(5, 10), "e0"),
+                  _interval(ts(5, 5), ts(5, 15), "e1")]
+        missed = [_interval(ts(7, 0), ts(7, 10), "late")]
+        traces = [_trace([(*ORIGIN, ts(5, 1)), (0.0, 0.0, ts(5, 2)),
+                          (*ORIGIN, ts(5, 7))], "glitchy"),
+                  _trace([(*ORIGIN, ts(5, 6))], "plain")]
+        frames = [(_frame("f0"), events), (_frame("idle"), missed),
+                  (_frame("f1", azimuth=250.0), events)]
+        direct = run(traces, frames)
+        prepared = run(traces, prepare(frames))
+        assert len(direct.warnings) == 2 and direct.skipped_empty == 2
+        assert prepared.series == direct.series
+        assert prepared.skipped_empty == direct.skipped_empty
+        assert prepared.warnings == direct.warnings
+
+    def test_prepared_frames_prepare_to_themselves(self):
+        frames = [(_frame("f0"), [_interval(ts(5, 0), ts(5, 10))]),
+                  (_frame("f1", azimuth=250.0), [])]
+        prepared = prepare(frames)
+        assert prepare(prepared) is prepared
+        assert [(frame.id, [event.label for event, _ in pairs])
+                for frame, pairs, _ in prepared] == [("f0", ["e0"]), ("f1", [])]
 
 
 def _counting_seams(monkeypatch):

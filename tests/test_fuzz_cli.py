@@ -3,11 +3,12 @@ raises out of cli.main, the exit code is 0, 2 or 3, every CSV written
 re-parses to the exact bits of the series the engine computes, and exit 3
 means that the engine itself failed, e.g. on a permutation with no fix that
 projects (never that a far fix among good ones cost the run). Every CSV
-name fits in 255 bytes. With --plot, the overlay draws one polyline per
-CSV, and exists only on an exit 0 that wrote a CSV. Trace file
-names come from any bytes, frame ids from any JSON value, labels from any
-text, lone surrogates included, and a frames document may nest to any
-depth."""
+name fits in 255 bytes, and no two are equal case-folded. With --plot, the
+overlay draws one polyline per CSV, and exists only on an exit 0 that
+wrote a CSV. Trace file names come from any bytes, frame ids from any JSON
+value, labels from any text, lone surrogates included, and a frames
+document may nest to any depth. A second trace file name or frame id may
+be the first's with its case swapped."""
 
 import io
 import json
@@ -156,7 +157,11 @@ def _frames_text(draw) -> bytes:
     if broken == "members":  # a non-object member (null is allowed)
         feature[draw(st.sampled_from(["properties", "geometry"]))] = draw(
             st.one_of(st.lists(_JSON_SCALARS, max_size=2), _JSON_SCALARS))
-    text = json.dumps({"type": "FeatureCollection", "features": [feature]})
+    features = [feature]
+    if (nest is None and isinstance(feature_id, str)
+            and feature_id.swapcase() != feature_id and draw(st.booleans())):
+        features.append({**feature, "id": feature_id.swapcase()})
+    text = json.dumps({"type": "FeatureCollection", "features": features})
     if nest is not None:
         depth = draw(_NEST_DEPTHS)
         array = "[" * depth + "]" * depth
@@ -192,20 +197,28 @@ def _bits(value: float) -> bytes:
 
 
 @given(gpx=st.lists(st.tuples(_NAME_BYTES, _gpx_bytes()), min_size=1, max_size=2),
-       frames=_frames_text(), plot=st.booleans())
+       frames=_frames_text(), plot=st.booleans(), swap_case=st.booleans())
 @example(gpx=[(b"t", gpx_doc([(*ORIGIN, ts(5, 1)), (*TARGET, ts(5, 2))]).encode())],
          frames=frames_doc([frame_feature("f0", ORIGIN, TARGET,
                                           {"events": [INTERVAL]})]).encode(),
-         plot=True)
+         plot=True, swap_case=False)
+@example(gpx=[(b"t", gpx_doc([(*ORIGIN, ts(5, 1)), (*TARGET, ts(5, 2))]).encode())] * 2,
+         frames=frames_doc([frame_feature(frame_id, ORIGIN, TARGET,
+                                          {"events": [INTERVAL]})
+                            for frame_id in ("f0", "F0")]).encode(),
+         plot=False, swap_case=True)
 @settings(deadline=None)
-def test_cli_survives_mutated_input(tmp_path_factory, gpx, frames, plot):
+def test_cli_survives_mutated_input(tmp_path_factory, gpx, frames, plot, swap_case):
     base = tmp_path_factory.mktemp("fuzz")
     frames_path = base / "frames.geojson"
     frames_path.write_bytes(frames)
     traces_dir = base / "traces"
     traces_dir.mkdir()
-    for i, (name, data) in enumerate(gpx):
-        (traces_dir / os.fsdecode(name + b"%d.gpx" % i)).write_bytes(data)
+    stems = [name + b"%d" % i for i, (name, _) in enumerate(gpx)]
+    if swap_case and len(stems) == 2 and stems[0].swapcase() != stems[0]:
+        stems[1] = stems[0].swapcase()
+    for stem, (_, data) in zip(stems, gpx):
+        (traces_dir / os.fsdecode(stem + b".gpx")).write_bytes(data)
     out_dir = base / "out"
     svg = base / "overlay.svg"
     args = ["--frames", str(frames_path), "--traces", str(traces_dir),
@@ -233,6 +246,7 @@ def test_cli_survives_mutated_input(tmp_path_factory, gpx, frames, plot):
     expected = {layout.path_for(series): series for series in result.series}
     assert set(out_dir.iterdir()) == set(expected)
     assert all(len(os.fsencode(path.name)) <= 255 for path in expected)
+    assert len({path.name.casefold() for path in expected}) == len(expected)
     unplotted = plot and not expected
     assert (f"framelocal: warning: no series to plot; skipped {svg}\n"
             in err.getvalue()) == unplotted

@@ -1,5 +1,6 @@
 """CSV serialization and SVG overlay rendering."""
 
+import errno
 import os
 import stat
 import struct
@@ -65,6 +66,28 @@ class TestWriteCsv:
         assert first.name == "a_b__f0__e0.csv"
         assert second.name == "a_b__f0__e0_2.csv"
         assert first.exists() and second.exists()
+
+    def test_names_compared_case_folded(self, tmp_path):
+        layout = OutputLayout(out_dir=tmp_path)
+        names = [layout.path_for(_series([(0.0, 0.0, 0.0)], trace_id=trace_id,
+                                         event_label=label)).name
+                 for trace_id, label in (("Run", "e0"), ("run", "e0"),
+                                         ("RUN", "e0"), ("RUN", "E0_2"))]
+        assert names == ["Run__f0__e0.csv", "run__f0__e0_2.csv",
+                         "RUN__f0__e0_3.csv", "RUN__f0__E0_2_2.csv"]
+
+    def test_file_that_fails_to_open_is_left(self, tmp_path, monkeypatch):
+        layout = OutputLayout(out_dir=tmp_path)
+        kept = tmp_path / "t__f0__e0.csv"
+        kept.write_text("x,y,t\n1,2,3\n")
+
+        def open_refused(file, *args, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied", str(file))
+
+        monkeypatch.setattr(output, "open", open_refused, raising=False)
+        with pytest.raises(PermissionError):
+            write_csv(_series([(0.0, 0.0, 0.0)]), layout)
+        assert kept.read_text() == "x,y,t\n1,2,3\n"
 
     def test_walk_rows_in_order(self, tmp_path):
         layout = OutputLayout(out_dir=tmp_path)
