@@ -36,12 +36,11 @@ from .model import (
     FrameLine,
     Trace,
 )
-from .output import CsvFormatter, OutputLayout, render_overlay_svg, write_csv
+from .output import OutputLayout, csv_texts, render_overlay_svg, write_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CsvFormatter",
     "Ellipsoid",
     "EventInterval",
     "EventSeries",
@@ -56,6 +55,7 @@ __all__ = [
     "__version__",
     "build_frame_line",
     "clip_to_event",
+    "csv_texts",
     "errors",
     "format_interval",
     "geodesic_inverse",

@@ -17,7 +17,7 @@ from pathlib import Path
 from .engine import prepare, run
 from .errors import FrameLocalError, NoSeries
 from .ingest import load_inputs
-from .output import CsvFormatter, OutputLayout, render_overlay_svg, write_csv
+from .output import OutputLayout, csv_texts, render_overlay_svg, write_csv
 
 
 class _UsageError(Exception):
@@ -102,9 +102,10 @@ def _pipeline(args: argparse.Namespace) -> int:
         result = run([trace], prepared)
         warnings += _warn(result.warnings)
         skipped_empty += result.skipped_empty
-        formatter = CsvFormatter(result.series)
-        for series in result.series:
-            path = write_csv(series, layout, formatter)
+        for series, text in csv_texts(result.series):
+            path = write_csv(series, layout, text)
+            # dropped before the next text is built and while the plot folds series
+            del text
             written += 1
             if args.verbose:
                 print(f"framelocal: wrote {path}", file=sys.stderr)

@@ -267,8 +267,8 @@ def hom_setup(ellipsoid: Ellipsoid, origin_lat_deg: float, origin_lon_deg: float
     e2 = ellipsoid.eccentricity_sq
     e = math.sqrt(e2)
     alpha = math.radians(az_line)
-    ((_, sin_phi0, cos_phi0, t0, _),) = hom_fix_terms(ellipsoid, (origin_lat_deg,),
-                                                      (lon_c,))
+    ((sin_phi0, cos_phi0, t0, _),) = hom_fix_terms(ellipsoid, (origin_lat_deg,),
+                                                   (lon_c,))
     con = 1.0 - e2 * sin_phi0 * sin_phi0
 
     b_pow = math.sqrt(1.0 + e2 * cos_phi0 ** 4 / (1.0 - e2))
@@ -316,13 +316,13 @@ def hom_fix_terms(ellipsoid: Ellipsoid, lats_deg: Sequence[float],
                   lons_deg: Sequence[float]) -> list[tuple | OutOfDomain]:
     """The frame-independent half of the projection, one entry per point.
 
-    An entry is (lon_deg, sin phi, cos phi, t(phi), lambda): the longitude
-    as given, for the domain check, the sine and cosine of the latitude phi,
-    its isometric colatitude factor t (1 at the equator, toward 0 at the
-    north pole) on the ellipsoid, and the normalized longitude lambda in
-    radians. A point poleward of the projection's latitude limit gets an
-    OutOfDomain instance instead. Entries depend on no frame, so one list
-    serves every frame through hom_forward_terms.
+    An entry is (sin phi, cos phi, t(phi), lambda): the sine and cosine of
+    the latitude phi, its isometric colatitude factor t (1 at the equator,
+    toward 0 at the north pole) on the ellipsoid, and the longitude lambda
+    in radians, reduced to (-pi, pi] (NaN for a non-finite longitude). A
+    point poleward of the projection's latitude limit gets an OutOfDomain
+    instance instead. Entries depend on no frame, so one list serves every
+    frame through hom_forward_terms.
     """
     radians, sin, cos, tan, normalize = (math.radians, math.sin, math.cos,
                                          math.tan, normalize_longitude)
@@ -337,7 +337,7 @@ def hom_fix_terms(ellipsoid: Ellipsoid, lats_deg: Sequence[float],
         phi = radians(lat_deg)
         sin_phi = sin(phi)
         s = e * sin_phi
-        append((lon_deg, sin_phi, cos(phi),
+        append((sin_phi, cos(phi),
                 tan(quarter_pi - 0.5 * phi) * ((1.0 + s) / (1.0 - s)) ** half_e,
                 radians(normalize(lon_deg))))
     return terms
@@ -348,13 +348,13 @@ def hom_forward_terms(params: HomParams, terms: Sequence[tuple | OutOfDomain]
     """The per-frame half of the projection: map hom_fix_terms entries,
     computed on params.ellipsoid, to frame-local (x, y) meters, with the
     same per-point results as hom_forward_many."""
-    radians, sin, cos, log, atan2 = math.radians, math.sin, math.cos, math.log, math.atan2
+    sin, cos, log, atan2 = math.sin, math.cos, math.log, math.atan2
     pi, two_pi = math.pi, 2.0 * math.pi
     e_num, b_pow = params.e_num, params.b_pow
     a_m, half_a_m = params.a_m, 0.5 * params.a_m
     sin_g0, cos_g0 = params.sin_gamma0, params.cos_gamma0
     sin_phi0, cos_phi0 = params.sin_phi0, params.cos_phi0
-    lon_c, lon0 = params.origin_lon_deg, params.lon0_rad
+    lam_c, lon0 = math.radians(params.origin_lon_deg), params.lon0_rad
     u0, v0, reversed_line = params.u0_m, params.v0_m, params.reversed_line
     results: list[tuple[float, float] | OutOfDomain] = []
     append = results.append
@@ -362,21 +362,20 @@ def hom_forward_terms(params: HomParams, terms: Sequence[tuple | OutOfDomain]
         if entry.__class__ is not tuple:  # a polar point's OutOfDomain
             append(entry)
             continue
-        lon_deg, sin_phi, cos_phi, t, lam = entry
+        sin_phi, cos_phi, t, lam = entry
         # Within 90 degrees of arc of the origin means a non-negative
-        # spherical dot product. The reduction mod 360 turns an infinite
-        # longitude into NaN, and NaN fails the comparison, so non-finite
-        # input is rejected.
-        dlon = radians((lon_deg - lon_c) % 360.0)
-        if not (sin_phi0 * sin_phi + cos_phi0 * cos_phi * cos(dlon) >= 0.0):
+        # spherical dot product. A non-finite longitude's lambda is NaN,
+        # and NaN fails the comparison, so non-finite input is rejected.
+        if not (sin_phi0 * sin_phi + cos_phi0 * cos_phi * cos(lam - lam_c) >= 0.0):
             append(OutOfDomain("point lies in the hemisphere opposite the origin"))
             continue
 
         # Hotine skew coordinates: u along the formulation centerline, v
         # perpendicular to it, right-positive.
         q = e_num / t ** b_pow
-        big_s = 0.5 * (q - 1.0 / q)
-        big_t = 0.5 * (q + 1.0 / q)
+        inv_q = 1.0 / q
+        big_s = 0.5 * (q - inv_q)
+        big_t = 0.5 * (q + inv_q)
         dlam = lam - lon0
         if dlam < -pi:
             dlam += two_pi

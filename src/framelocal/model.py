@@ -175,7 +175,7 @@ class EventSeries:
 
     window is the range of trace indices the rows were taken from, as
     project_series records it, and None on a series built by hand. It
-    takes no part in equality. A CsvFormatter reads it to share text
+    takes no part in equality. output.csv_texts reads it to share text
     between the series of one frame.
     """
 

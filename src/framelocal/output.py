@@ -8,8 +8,9 @@ file re-reads bit-exactly.
 
 The series of one trace repeat numbers: a fix inside several events of one
 frame is a row of each of their series, and t values recur across events
-and frames. A CsvFormatter built from a trace's series formats each fix's
-x,y once per frame and each distinct t value once per trace.
+and frames. csv_texts, given a trace's series in key order, formats each
+fix's x,y once per frame and each distinct t value once per call, holding
+one frame's text at a time.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import math
 import os
 import re
 import stat
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, groupby
 from operator import attrgetter, is_, itemgetter
 from pathlib import Path
 from typing import TextIO
@@ -102,92 +103,79 @@ class _TTexts(dict):
 
 _X, _Y, _T = itemgetter(0), itemgetter(1), itemgetter(2)
 
-# the t texts a CsvFormatter keeps from earlier series before it clears them
+# the t texts csv_texts keeps from earlier series before it clears them
 _T_TEXTS_KEPT = 1 << 16
 
 
-class CsvFormatter:
-    """Formats the CSV text of the series of one trace, sharing text
-    between them.
+def _fills_window(series: EventSeries) -> bool:
+    return series.window is not None and len(series.window) == len(series.points)
 
-    Each fix's x,y text is formatted once per frame, over the union of the
-    windows of that frame's series, and each distinct t value's text once
-    per formatter. One frame is held at a time, as two lists built by
-    model.aligned and indexed by trace position: its fixes' rows and their
-    x,y texts. They are dropped, then built for another frame, when a
-    series of that frame is formatted, which happens once per frame when
-    the series come in key order, as run returns them. The t texts are
-    cleared before a series once more than 65,536 are kept. An x,y text is
-    reused only for the very x and y objects it was formatted from. A
-    series with no window, whose rows do not fill its window (out-of-domain
-    drops), or that the formatter was not built from, is formatted alone by
-    the same code.
+
+def _frame_texts(group: Sequence[EventSeries]) -> tuple[list, list]:
+    """The rows of the group's series that fill their windows, and the
+    rows' x,y texts, over the union of those windows: two lists built by
+    model.aligned and indexed by trace position."""
+    size = max((s.window.stop for s in group), default=0)
+    window = attrgetter("window")
+    rows = aligned(size, group, window, lambda s, lo, hi: s.points[
+        lo - s.window.start:hi - s.window.start])
+    return rows, aligned(size, group, window, lambda _, lo, hi: _xy_texts(rows[lo:hi]))
+
+
+def _csv_text(series: EventSeries, rows: list, xy: list, t_texts: _TTexts) -> str:
+    """The series' whole CSV text, header included, taking the x,y texts
+    of its window from xy where the rows at its window are its very x and
+    y objects."""
+    points = series.points
+    shared = _fills_window(series)
+    if shared:
+        window = slice(series.window.start, series.window.stop)
+        held = rows[window]
+        shared = (all(map(is_, map(_X, points), map(_X, held)))
+                  and all(map(is_, map(_Y, points), map(_Y, held))))
+    text = ["x,y,t\n"] * (2 * len(points) + 1)
+    text[1::2] = xy[window] if shared else _xy_texts(points)
+    text[2::2] = map(t_texts.__getitem__, map(_T, points))
+    return "".join(text)
+
+
+def csv_texts(series: Iterable[EventSeries]) -> Iterator[tuple[EventSeries, str]]:
+    """Yield each series with its whole CSV text, header included, in the
+    order given, sharing text between them.
+
+    Consecutive series of one (trace, frame) form a group. Each fix's x,y
+    text is formatted once per group, over the union of the windows of the
+    group's series, and each distinct t value's text once per call. One
+    group is held at a time, as two lists indexed by trace position: its
+    fixes' rows and their x,y texts, dropped before the next group's are
+    built. The t texts are cleared before a series once more than 65,536
+    are kept. An x,y text is reused only for the very x and y objects it
+    was formatted from. A series with no window, or whose rows do not fill
+    its window (out-of-domain drops), is formatted alone by the same code.
     """
-
-    def __init__(self, series: Iterable[EventSeries]) -> None:
-        # (trace id, frame id) -> the series whose rows fill their windows,
-        # and the ids of those series, which the formatter keeps alive
-        self._frames: dict[tuple[str, str], list[EventSeries]] = {}
-        for s in series:
-            if s.window is not None and len(s.window) == len(s.points):
-                self._frames.setdefault((s.trace_id, s.frame_id), []).append(s)
-        self._members = {id(s) for group in self._frames.values() for s in group}
-        self._t_texts = _TTexts()
-        # the held frame's key, and its fixes' rows and x,y texts, each list
-        # indexed by trace position
-        self._held: tuple[str, str] | None = None
-        self._rows: list = []
-        self._xy: list = []
-
-    def _hold(self, key: tuple[str, str]) -> None:
-        """Drop the held frame's lists, then build the frame's rows and
-        their x,y texts over its union of windows."""
-        self._rows = self._xy = []
-        group = self._frames[key]
-        size = max(s.window.stop for s in group)
-        window = attrgetter("window")
-        self._rows = rows = aligned(size, group, window, lambda s, lo, hi: s.points[
-            lo - s.window.start:hi - s.window.start])
-        self._xy = aligned(size, group, window, lambda _, lo, hi: _xy_texts(rows[lo:hi]))
-        self._held = key
-
-    def csv_text(self, series: EventSeries) -> str:
-        """The series' whole CSV text, header included."""
-        points = series.points
-        key = (series.trace_id, series.frame_id)
-        xy = None
-        if id(series) in self._members:
-            if key != self._held:
-                self._hold(key)
-            rows = self._rows[series.window.start:series.window.stop]
-            if (all(map(is_, map(_X, points), map(_X, rows)))
-                    and all(map(is_, map(_Y, points), map(_Y, rows)))):
-                xy = self._xy[series.window.start:series.window.stop]
-        if xy is None:
-            xy = _xy_texts(points)
-        if len(self._t_texts) > _T_TEXTS_KEPT:
-            self._t_texts.clear()
-        text = ["x,y,t\n"] * (2 * len(points) + 1)
-        text[1::2] = xy
-        text[2::2] = map(self._t_texts.__getitem__, map(_T, points))
-        return "".join(text)
+    t_texts = _TTexts()
+    for _, group in groupby(series, attrgetter("trace_id", "frame_id")):
+        group = list(group)
+        rows, xy = _frame_texts([s for s in group if _fills_window(s)])
+        for s in group:
+            if len(t_texts) > _T_TEXTS_KEPT:
+                t_texts.clear()
+            yield s, _csv_text(s, rows, xy, t_texts)
+        del rows, xy  # before the next group's lists are built
 
 
-def write_csv(series: EventSeries, layout: OutputLayout,
-              formatter: CsvFormatter | None = None) -> Path:
+def write_csv(series: EventSeries, layout: OutputLayout, text: str | None = None) -> Path:
     """Write one series to its CSV file; returns the path written.
 
-    formatter, a CsvFormatter built from the series of this series' trace,
-    shares the text of numbers between them; without it, the series is
-    formatted alone. The CSV text is the same either way. If the write
-    fails once the file is open, the file is removed before the error
+    text is the series' CSV text, as csv_texts yields it; without it, the
+    series is formatted alone, by csv_texts((series,)). If the write fails
+    once the file is open, the file is removed before the error
     propagates, so no partial CSV is left; a file that could not be opened
     is left as it is.
     """
     path = layout.path_for(series)
-    if formatter is None:
-        formatter = CsvFormatter(())
-    text = formatter.csv_text(series)
+    if text is None:
+        ((_, text),) = csv_texts((series,))
     handle = open(path, "w", encoding="utf-8", newline="")
     try:
         with handle:

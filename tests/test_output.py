@@ -20,7 +20,7 @@ from framelocal.engine import run
 from framelocal.errors import NoSeries, OutOfDomain
 from framelocal.ingest import build_frame_line
 from framelocal.model import EPOCH, EventInterval, EventSeries, Trace, utc_us
-from framelocal.output import CsvFormatter, OutputLayout, render_overlay_svg, write_csv
+from framelocal.output import OutputLayout, csv_texts, render_overlay_svg, write_csv
 
 ORIGIN = (-37.85, 145.0)
 # a fix the projection cannot take from ORIGIN: the far hemisphere
@@ -155,7 +155,9 @@ def _trace_and_frames(draw):
     begin at fix times, so a boundary fix lands in three series of a frame.
     Fixes come 50 µs (t in exponent form) or whole seconds (integral t)
     apart; one may sit at ORIGIN, which a reversed (azimuth 180) frame
-    projects to (-0.0, -0.0), and some lie out of the projection's domain."""
+    projects to (-0.0, -0.0), and some lie out of the projection's domain.
+    A frame may take an earlier frame's id, so that their series share keys
+    and, in run's key order, one (trace, frame) group."""
     gaps = draw(st.lists(st.sampled_from([50, 1_000_000, 2_000_000]),
                          min_size=2, max_size=24))
     times = [BEGIN_US]
@@ -180,28 +182,36 @@ def _trace_and_frames(draw):
             st.tuples(st.integers(0, len(times) - 1), st.integers(0, len(times) - 1))
             .map(sorted), max_size=2))
         events = [_event(times[lo], times[hi], f"e{k}") for k, (lo, hi) in enumerate(spans)]
-        frames.append((_frame(f"f{number}", azimuth), events))
+        frame_id = draw(st.sampled_from([f"f{number}"] + [f.id for f, _ in frames]))
+        frames.append((_frame(frame_id, azimuth), events))
     return trace, frames
 
 
-@given(_trace_and_frames())
+@given(_trace_and_frames(), st.data())
 @settings(deadline=None)
-def test_shared_formatter_writes_each_series_as_alone(tmp_path_factory, inputs):
+def test_shared_formatter_writes_each_series_as_alone(tmp_path_factory, inputs, data):
     trace, frames = inputs
     try:
         result = run([trace], frames)
     except OutOfDomain:  # a window of far fixes only
         assume(False)
-    shared = OutputLayout(out_dir=tmp_path_factory.mktemp("shared"))
-    alone = OutputLayout(out_dir=tmp_path_factory.mktemp("alone"))
-    formatter = CsvFormatter(result.series)
-    for series in result.series:
-        written = write_csv(series, shared, formatter).read_bytes()
-        assert written == write_csv(series, alone).read_bytes()
-        assert written == _oracle_csv(series.points)
+    # run's key order, and a drawn order, which splits a frame's series
+    # into several groups and puts series of other frames between them
+    for order in (result.series, data.draw(st.permutations(result.series))):
+        shared = OutputLayout(out_dir=tmp_path_factory.mktemp("shared"))
+        alone = OutputLayout(out_dir=tmp_path_factory.mktemp("alone"))
+        yielded = []
+        for series, text in csv_texts(order):
+            yielded.append(series)
+            written = write_csv(series, shared, text).read_bytes()
+            assert written == write_csv(series, alone).read_bytes()
+            assert written == _oracle_csv(series.points)
+        assert list(map(id, yielded)) == list(map(id, order))
 
 
 class TestCsvFormatter:
+    """csv_texts, the CSV formatter that shares text between series."""
+
     def test_run_records_each_series_window(self):
         trace = Trace("t", [ORIGIN[0]] * 4, [ORIGIN[1]] * 4,
                       [BEGIN_US + i * 1_000_000 for i in range(4)])
@@ -224,39 +234,30 @@ class TestCsvFormatter:
                              window=range(0, 2))
         third = EventSeries("t", "f0", "e2", ((1.5, 2.0, 0.0),), window=range(0, 2))
         layout = OutputLayout(out_dir=tmp_path)
-        formatter = CsvFormatter([first, second, third])
-        for series in (first, second, third):
-            assert (write_csv(series, layout, formatter).read_bytes()
+        for series, text in csv_texts([first, second, third]):
+            assert (write_csv(series, layout, text).read_bytes()
                     == _oracle_csv(series.points))
 
-    def test_series_the_formatter_was_not_built_from(self, tmp_path):
-        held = EventSeries("t", "f0", "e0", ((1.0, 2.0, 3.0),), window=range(0, 1))
-        other = EventSeries("t", "f0", "e1", ((5.5, -0.0, 3.0), (6.0, 7.0, 4.0)),
-                            window=range(0, 2))
-        formatter = CsvFormatter([held])
-        path = write_csv(other, OutputLayout(out_dir=tmp_path), formatter)
-        assert path.read_bytes() == b"x,y,t\n5.5,-0,3\n6,7,4\n"
-
     def test_t_zero_keeps_its_sign_after_a_positive_zero(self, tmp_path):
-        formatter = CsvFormatter([])
         layout = OutputLayout(out_dir=tmp_path)
-        write_csv(_series([(0.0, 0.0, 0.0)]), layout, formatter)
-        path = write_csv(_series([(0.0, 0.0, -0.0)], event_label="e1"), layout,
-                         formatter)
-        assert path.read_bytes() == b"x,y,t\n0,0,-0\n"
+        series = [_series([(0.0, 0.0, 0.0)]),
+                  _series([(0.0, 0.0, -0.0)], event_label="e1")]
+        paths = [write_csv(s, layout, text) for s, text in csv_texts(series)]
+        assert paths[1].read_bytes() == b"x,y,t\n0,0,-0\n"
 
 
 def _written_peak(frames, fixes, out_dir):
-    """The traced peak, above the series held, of writing through one
-    formatter the series of one trace of fixes over frames."""
+    """The traced peak, above the series held, of writing with the texts of
+    one csv_texts call the series of one trace of fixes over frames, each
+    text dropped once written, as the CLI drops it."""
     result = run([_line_trace(fixes)], frames)
     layout = OutputLayout(out_dir=out_dir)
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        formatter = CsvFormatter(result.series)
-        for series in result.series:
-            write_csv(series, layout, formatter)
+        for series, text in csv_texts(result.series):
+            write_csv(series, layout, text)
+            del text
         return tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
