@@ -24,7 +24,6 @@ from .geodesy import (
 from .ingest import (
     IngestReport,
     build_frame_line,
-    format_interval,
     load_inputs,
     parse_frames,
     parse_gpx,
@@ -57,7 +56,6 @@ __all__ = [
     "clip_to_event",
     "csv_texts",
     "errors",
-    "format_interval",
     "geodesic_inverse",
     "hom_forward",
     "hom_forward_many",

@@ -66,8 +66,7 @@ def project_series(trace: Trace, window: range,
 
     OutOfDomain rows are dropped, and one warning gives their count and the
     first of them. If no row is a tuple, that first fix's OutOfDomain is
-    raised instead. The series holds the given row tuples themselves and
-    records window.
+    raised instead. The series holds the given row tuples themselves.
     """
     rows_ok = list(map(isinstance, rows, repeat(tuple)))
     dropped = rows_ok.count(False)
@@ -84,7 +83,7 @@ def project_series(trace: Trace, window: range,
                        f"out of the projection's domain; first: {first}")
         rows = compress(rows, rows_ok)
     return EventSeries(trace_id=trace.id, frame_id=frame.id, event_label=event.label,
-                       points=tuple(rows), window=window)
+                       points=tuple(rows))
 
 
 class PreparedFrames(tuple):
@@ -130,7 +129,8 @@ def run(traces: list[Trace],
       OutOfDomain, over the union of the frame's windows with that begin
     Each event's series takes its window's slice of its begin's rows, so
     events with a common begin share row tuples, and frames with common
-    event begins share t floats.
+    event begins share t floats. A series whose rows fill its window gets
+    its EventSeries._source: one token per trace and frame, and the window.
     Series are sorted by (trace id, frame id, event label).
     Samples dropped as out of domain become one warning per permutation, in
     input order (traces, then frames, then events). A failure in any
@@ -171,16 +171,20 @@ def run(traces: list[Trace],
                                  fix_terms)
             rows = {begin_us: _aligned(size, begun, _rows, projected, t_since[begin_us])
                     for begin_us, begun in _by_begin(windows).items()}
+            token = object()
             for event, begin_us, window in windows:
                 where = (f"trace {trace.id!r}, frame {frame.id!r}, "
                          f"event {event.label!r}")
                 try:
-                    series.append(project_series(
+                    cut = project_series(
                         trace, window, rows[begin_us][window.start:window.stop],
                         frame, event,
-                        on_warning=lambda message: warnings.append((where, message))))
+                        on_warning=lambda message: warnings.append((where, message)))
                 except FrameLocalError as exc:
                     raise type(exc)(f"{where}: {exc}") from exc
+                if len(cut.points) == len(window):  # no out-of-domain drops
+                    object.__setattr__(cut, "_source", (token, window))
+                series.append(cut)
     series.sort(key=attrgetter("key"))
     return RunResult(series=tuple(series), skipped_empty=skipped_empty,
                      warnings=tuple(warnings))

@@ -120,14 +120,6 @@ def parse_interval(text: str, label: str = "e0",
         raise MalformedInterval(f"{text!r}: {exc}") from None
 
 
-def format_interval(interval: EventInterval) -> str:
-    """Render an interval in the canonical UTC ``Z`` form that parses back
-    to an equal value."""
-    def _one(instant: datetime) -> str:
-        return instant.isoformat().replace("+00:00", "Z")
-    return f"{_one(interval.begin_utc)}/{_one(interval.end_utc)}"
-
-
 def build_frame_line(frame_id: str, origin_lat_deg: float, origin_lon_deg: float,
                      target_lat_deg: float, target_lon_deg: float) -> FrameLine:
     """Derive azimuth and length on WGS84 for a two-point frame line. An

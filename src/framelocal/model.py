@@ -11,9 +11,9 @@ from __future__ import annotations
 import sys
 from array import array
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import TypeVar
+from typing import ClassVar, TypeVar
 
 from .errors import ReversedInterval
 
@@ -173,17 +173,20 @@ class EventSeries:
     engine alone guarantees both, as it clips a Trace (always time-sorted) to
     [begin, end].
 
-    window is the range of trace indices the rows were taken from, as
-    project_series records it, and None on a series built by hand. It
-    takes no part in equality. output.csv_texts reads it to share text
-    between the series of one frame.
+    _source, not a field, is set by engine.run alone, on a series whose
+    rows fill its window: a (token, window) pair, with window the range of
+    trace indices the rows were taken from, and token shared by the series
+    cut from one trace's projection into one frame in one run call, whose
+    x and y at a trace index are one pair of objects. A series built by
+    hand or by dataclasses.replace has None. output.csv_texts reads it to
+    share text between the series of one frame.
     """
 
     trace_id: str
     frame_id: str
     event_label: str
     points: tuple[tuple[float, float, float], ...]
-    window: range | None = field(default=None, compare=False)
+    _source: ClassVar[tuple[object, range] | None] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))

@@ -8,9 +8,9 @@ file re-reads bit-exactly.
 
 The series of one trace repeat numbers: a fix inside several events of one
 frame is a row of each of their series, and t values recur across events
-and frames. csv_texts, given a trace's series in key order, formats each
-fix's x,y once per frame and each distinct t value once per call, holding
-one frame's text at a time.
+and frames. csv_texts, given a trace's series as engine.run returns them,
+formats each fix's x,y once per frame and each distinct t value once per
+call, holding one frame's text at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import stat
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, groupby
-from operator import attrgetter, is_, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import TextIO
 
@@ -101,40 +101,40 @@ class _TTexts(dict):
         return text
 
 
-_X, _Y, _T = itemgetter(0), itemgetter(1), itemgetter(2)
+_T = itemgetter(2)
 
 # the t texts csv_texts keeps from earlier series before it clears them
 _T_TEXTS_KEPT = 1 << 16
 
 
-def _fills_window(series: EventSeries) -> bool:
-    return series.window is not None and len(series.window) == len(series.points)
+def _token(series: EventSeries) -> object:
+    """The token of EventSeries._source, or else a new object, which
+    equals no other."""
+    return series._source[0] if series._source else object()
 
 
-def _frame_texts(group: Sequence[EventSeries]) -> tuple[list, list]:
-    """The rows of the group's series that fill their windows, and the
-    rows' x,y texts, over the union of those windows: two lists built by
-    model.aligned and indexed by trace position."""
-    size = max((s.window.stop for s in group), default=0)
-    window = attrgetter("window")
-    rows = aligned(size, group, window, lambda s, lo, hi: s.points[
-        lo - s.window.start:hi - s.window.start])
-    return rows, aligned(size, group, window, lambda _, lo, hi: _xy_texts(rows[lo:hi]))
+def _window(series: EventSeries) -> range:
+    """The window of EventSeries._source, or else the range of the
+    series' own rows."""
+    return series._source[1] if series._source else range(len(series.points))
 
 
-def _csv_text(series: EventSeries, rows: list, xy: list, t_texts: _TTexts) -> str:
+def _frame_texts(group: Sequence[EventSeries]) -> list:
+    """The x,y texts of the rows of the group's series, over the union of
+    their windows: a list built by model.aligned, indexed by trace
+    position."""
+    def part(series: EventSeries, lo: int, hi: int) -> list[str]:
+        start = _window(series).start
+        return _xy_texts(series.points[lo - start:hi - start])
+    return aligned(max(_window(s).stop for s in group), group, _window, part)
+
+
+def _csv_text(series: EventSeries, xy: list, t_texts: _TTexts) -> str:
     """The series' whole CSV text, header included, taking the x,y texts
-    of its window from xy where the rows at its window are its very x and
-    y objects."""
-    points = series.points
-    shared = _fills_window(series)
-    if shared:
-        window = slice(series.window.start, series.window.stop)
-        held = rows[window]
-        shared = (all(map(is_, map(_X, points), map(_X, held)))
-                  and all(map(is_, map(_Y, points), map(_Y, held))))
+    of its rows from xy at its window."""
+    points, window = series.points, _window(series)
     text = ["x,y,t\n"] * (2 * len(points) + 1)
-    text[1::2] = xy[window] if shared else _xy_texts(points)
+    text[1::2] = xy[window.start:window.stop]
     text[2::2] = map(t_texts.__getitem__, map(_T, points))
     return "".join(text)
 
@@ -143,25 +143,25 @@ def csv_texts(series: Iterable[EventSeries]) -> Iterator[tuple[EventSeries, str]
     """Yield each series with its whole CSV text, header included, in the
     order given, sharing text between them.
 
-    Consecutive series of one (trace, frame) form a group. Each fix's x,y
+    Consecutive series cut by engine.run from one trace's projection into
+    one frame (one EventSeries._source token) form a group. Each fix's x,y
     text is formatted once per group, over the union of the windows of the
     group's series, and each distinct t value's text once per call. One
-    group is held at a time, as two lists indexed by trace position: its
-    fixes' rows and their x,y texts, dropped before the next group's are
-    built. The t texts are cleared before a series once more than 65,536
-    are kept. An x,y text is reused only for the very x and y objects it
-    was formatted from. A series with no window, or whose rows do not fill
-    its window (out-of-domain drops), is formatted alone by the same code.
+    group is held at a time, as a list of x,y texts indexed by trace
+    position, dropped before the next group's is built. The t texts are
+    cleared before a series once more than 65,536 are kept. Every other
+    series (built by hand or by dataclasses.replace, or with out-of-domain
+    drops) is a group of its own, formatted alone by the same code.
     """
     t_texts = _TTexts()
-    for _, group in groupby(series, attrgetter("trace_id", "frame_id")):
+    for _, group in groupby(series, _token):
         group = list(group)
-        rows, xy = _frame_texts([s for s in group if _fills_window(s)])
+        xy = _frame_texts(group)
         for s in group:
             if len(t_texts) > _T_TEXTS_KEPT:
                 t_texts.clear()
-            yield s, _csv_text(s, rows, xy, t_texts)
-        del rows, xy  # before the next group's lists are built
+            yield s, _csv_text(s, xy, t_texts)
+        del xy  # before the next group's list is built
 
 
 def write_csv(series: EventSeries, layout: OutputLayout, text: str | None = None) -> Path:

@@ -25,7 +25,6 @@ from framelocal.errors import (
 )
 from framelocal.ingest import (
     _parse_instant,
-    format_interval,
     load_inputs,
     parse_frames,
     parse_gpx,
@@ -112,7 +111,11 @@ class TestParseInterval:
         interval = EventInterval(begin_utc=begin,
                                  end_utc=begin + timedelta(seconds=extra * 1e-3),
                                  label="e0")
-        assert parse_interval(format_interval(interval)) == interval
+        # the canonical UTC "Z" form parses back to an equal interval
+        text = "/".join(instant.isoformat().replace("+00:00", "Z")
+                        for instant in (interval.begin_utc, interval.end_utc))
+        assert text.count("Z") == 2
+        assert parse_interval(text) == interval
 
     @given(text=st.one_of(
         st.datetimes(timezones=st.none() | st.timezones()).map(

@@ -7,7 +7,9 @@ import struct
 import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from datetime import timedelta
+from operator import attrgetter
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -150,14 +152,16 @@ def _line_trace(fixes):
 
 
 @st.composite
-def _trace_and_frames(draw):
-    """A trace near ORIGIN and frames whose events overlap and meet end to
-    begin at fix times, so a boundary fix lands in three series of a frame.
+def _traces_and_frames(draw):
+    """Two traces of one id, with the same fix times but drawn positions,
+    and frames whose events overlap and meet end to begin at fix times, so
+    a boundary fix lands in three series of a frame, and each series of one
+    trace has one of the other of equal key and window.
     Fixes come 50 µs (t in exponent form) or whole seconds (integral t)
     apart; one may sit at ORIGIN, which a reversed (azimuth 180) frame
     projects to (-0.0, -0.0), and some lie out of the projection's domain.
     A frame may take an earlier frame's id, so that their series share keys
-    and, in run's key order, one (trace, frame) group."""
+    and, in run's key order, interleave by label."""
     gaps = draw(st.lists(st.sampled_from([50, 1_000_000, 2_000_000]),
                          min_size=2, max_size=24))
     times = [BEGIN_US]
@@ -165,12 +169,14 @@ def _trace_and_frames(draw):
         times.append(times[-1] + gap)
     near = st.tuples(st.floats(-1e-3, 1e-3), st.floats(-1e-3, 1e-3)).map(
         lambda d: (ORIGIN[0] + d[0], ORIGIN[1] + d[1]))
-    positions = draw(st.lists(
-        st.integers(0, 7).flatmap(lambda i: (st.just(FAR) if i == 7 else
-                                             st.just(ORIGIN) if i == 6 else near)),
-        min_size=len(times), max_size=len(times)))
-    trace = Trace("t", [lat for lat, _ in positions], [lon for _, lon in positions],
-                  times)
+    traces = []
+    for _ in range(2):
+        positions = draw(st.lists(
+            st.integers(0, 7).flatmap(lambda i: (st.just(FAR) if i == 7 else
+                                                 st.just(ORIGIN) if i == 6 else near)),
+            min_size=len(times), max_size=len(times)))
+        traces.append(Trace("t", [lat for lat, _ in positions],
+                            [lon for _, lon in positions], times))
     frames = []
     for number, azimuth in enumerate(draw(st.lists(
             st.sampled_from([0.0, 40.0, 180.0, 270.0]), min_size=1, max_size=3))):
@@ -184,59 +190,90 @@ def _trace_and_frames(draw):
         events = [_event(times[lo], times[hi], f"e{k}") for k, (lo, hi) in enumerate(spans)]
         frame_id = draw(st.sampled_from([f"f{number}"] + [f.id for f, _ in frames]))
         frames.append((_frame(frame_id, azimuth), events))
-    return trace, frames
+    return traces, frames
 
 
-@given(_trace_and_frames(), st.data())
+@given(_traces_and_frames(), st.data())
 @settings(deadline=None)
 def test_shared_formatter_writes_each_series_as_alone(tmp_path_factory, inputs, data):
-    trace, frames = inputs
+    traces, frames = inputs
     try:
-        result = run([trace], frames)
+        # one run call per trace, as the CLI makes them
+        every = [s for trace in traces for s in run([trace], frames).series]
     except OutOfDomain:  # a window of far fixes only
         assume(False)
-    # run's key order, and a drawn order, which splits a frame's series
-    # into several groups and puts series of other frames between them
-    for order in (result.series, data.draw(st.permutations(result.series))):
+    alone = OutputLayout(out_dir=tmp_path_factory.mktemp("alone"))
+    written_alone = {id(s): write_csv(s, alone).read_bytes() for s in every}
+    assert all(written_alone[id(s)] == _oracle_csv(s.points) for s in every)
+    # each run's key order in turn; both runs' series merged by key, so
+    # that series of equal keys and windows from the two runs meet; and a
+    # drawn order, which splits a frame's series into several groups and
+    # puts series of other frames and of the other run between them
+    for order in (every, sorted(every, key=attrgetter("key")),
+                  data.draw(st.permutations(every))):
         shared = OutputLayout(out_dir=tmp_path_factory.mktemp("shared"))
-        alone = OutputLayout(out_dir=tmp_path_factory.mktemp("alone"))
         yielded = []
         for series, text in csv_texts(order):
             yielded.append(series)
-            written = write_csv(series, shared, text).read_bytes()
-            assert written == write_csv(series, alone).read_bytes()
-            assert written == _oracle_csv(series.points)
+            assert write_csv(series, shared, text).read_bytes() == written_alone[id(series)]
         assert list(map(id, yielded)) == list(map(id, order))
 
 
 class TestCsvFormatter:
     """csv_texts, the CSV formatter that shares text between series."""
 
-    def test_run_records_each_series_window(self):
-        trace = Trace("t", [ORIGIN[0]] * 4, [ORIGIN[1]] * 4,
-                      [BEGIN_US + i * 1_000_000 for i in range(4)])
-        frames = [(_frame("f0", 0.0),
-                   [_event(BEGIN_US, BEGIN_US + 2_000_000, "e0"),
-                    _event(BEGIN_US + 1_000_000, BEGIN_US + 9_000_000, "e1")])]
-        assert [s.window for s in run([trace], frames).series] == [range(0, 3),
-                                                                   range(1, 4)]
+    def test_formats_each_fix_xy_once_per_frame(self, tmp_path, monkeypatch):
+        # in two frames, a session over fixes 1-8 and back-to-back events
+        # that meet at fix 5, as on a pitch: fix 5 is a row of three series
+        # of a frame, fixes 1-4 and 6-8 of two
+        events = [_event(BEGIN_US + 1_000_000, BEGIN_US + 8_000_000, "session"),
+                  _event(BEGIN_US + 1_000_000, BEGIN_US + 5_000_000, "first"),
+                  _event(BEGIN_US + 5_000_000, BEGIN_US + 8_000_000, "second")]
+        result = run([_line_trace(10)],
+                     [(_frame("f0", 0.0), events), (_frame("f1", 40.0), events)])
+        formatted, xy_texts = [], output._xy_texts
 
-    def test_window_takes_no_part_in_equality(self):
-        rows = ((1.0, 2.0, 0.0),)
-        assert _series(rows) == EventSeries("t", "f0", "e0", rows, window=range(5, 6))
+        def counted(rows):
+            formatted.extend(rows)
+            return xy_texts(rows)
 
-    def test_group_whose_windows_do_not_match_its_rows(self, tmp_path):
-        # two series of one frame claim the same fixes with other values,
-        # a third claims a window its rows do not fill
-        first = EventSeries("t", "f0", "e0", ((1.5, 2.0, 0.0), (3.0, 4.0, 1.0)),
-                            window=range(0, 2))
-        second = EventSeries("t", "f0", "e1", ((-0.0, 0.0, 0.0), (7.25, 8.0, 1e-05)),
-                             window=range(0, 2))
-        third = EventSeries("t", "f0", "e2", ((1.5, 2.0, 0.0),), window=range(0, 2))
+        monkeypatch.setattr(output, "_xy_texts", counted)
         layout = OutputLayout(out_dir=tmp_path)
-        for series, text in csv_texts([first, second, third]):
+        for series, text in csv_texts(result.series):
             assert (write_csv(series, layout, text).read_bytes()
                     == _oracle_csv(series.points))
+        assert sum(len(s.points) for s in result.series) == 2 * (8 + 5 + 4)
+        # the rows of fixes 1-8 in each frame, each formatted once
+        assert len(formatted) == 2 * 8
+        assert (sorted((x, y) for x, y, _ in formatted)
+                == sorted({(x, y) for s in result.series for x, y, _ in s.points}))
+
+    def test_group_whose_windows_do_not_match_its_rows(self, tmp_path):
+        # fix 4 is out of the projection's domain, so the session drops it;
+        # beside the engine's series of the frame are a series rebuilt from
+        # one of them with x and y swapped and a series built by hand, each
+        # of the same key and length as an engine series of the frame
+        trace = Trace("t", [ORIGIN[0] + i * 1e-6 for i in range(4)] + [FAR[0]],
+                      [ORIGIN[1] + i * 2e-6 for i in range(4)] + [FAR[1]],
+                      [BEGIN_US + i * 1_000_000 for i in range(5)])
+        frames = [(_frame("f0", 40.0),
+                   [_event(BEGIN_US, BEGIN_US + 2_000_000, "e0"),
+                    _event(BEGIN_US + 1_000_000, BEGIN_US + 3_000_000, "e1"),
+                    _event(BEGIN_US, BEGIN_US + 4_000_000, "session")])]
+        first, second, dropped = run([trace], frames).series
+        assert len(dropped.points) == 4
+        rebuilt = replace(first, points=tuple((y, x, t) for x, y, t in first.points))
+        by_hand = EventSeries("t", "f0", "e1", ((-0.0, 0.0, 0.0), (7.25, 8.0, 1e-05),
+                                                (1.5, 2.0, 2.0)))
+        for order in ([first, rebuilt, second, by_hand, dropped],
+                      [rebuilt, first, by_hand, second, dropped],
+                      [dropped, first, second, rebuilt, by_hand]):
+            shared = OutputLayout(out_dir=tmp_path / "shared")
+            alone = OutputLayout(out_dir=tmp_path / "alone")
+            for series, text in csv_texts(order):
+                written = write_csv(series, shared, text).read_bytes()
+                assert written == write_csv(series, alone).read_bytes()
+                assert written == _oracle_csv(series.points)
 
     def test_t_zero_keeps_its_sign_after_a_positive_zero(self, tmp_path):
         layout = OutputLayout(out_dir=tmp_path)
