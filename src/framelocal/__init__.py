@@ -17,7 +17,6 @@ from .geodesy import (
     WGS84,
     geodesic_inverse,
     hom_forward,
-    hom_forward_many,
     hom_inverse,
     hom_setup,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "errors",
     "geodesic_inverse",
     "hom_forward",
-    "hom_forward_many",
     "hom_inverse",
     "hom_setup",
     "load_inputs",

@@ -27,7 +27,6 @@ __all__ = [
     "geodesic_inverse",
     "hom_setup",
     "hom_forward",
-    "hom_forward_many",
     "hom_inverse",
 ]
 
@@ -346,8 +345,16 @@ def hom_fix_terms(ellipsoid: Ellipsoid, lats_deg: Sequence[float],
 def hom_forward_terms(params: HomParams, terms: Sequence[tuple | OutOfDomain]
                       ) -> list[tuple[float, float] | OutOfDomain]:
     """The per-frame half of the projection: map hom_fix_terms entries,
-    computed on params.ellipsoid, to frame-local (x, y) meters, with the
-    same per-point results as hom_forward_many."""
+    computed on params.ellipsoid, to frame-local (x, y) meters, one result
+    per entry.
+
+    x is perpendicular to the reference direction (right-positive), y runs
+    along it. A point more than 90 degrees of arc from the origin, or
+    poleward of the projection's latitude limit, gets an OutOfDomain
+    instance in place of its (x, y); nothing is raised. A caller projecting
+    the same points into several frames runs hom_fix_terms once and this
+    per frame.
+    """
     sin, cos, log, atan2 = math.sin, math.cos, math.log, math.atan2
     pi, two_pi = math.pi, 2.0 * math.pi
     e_num, b_pow = params.e_num, params.b_pow
@@ -398,27 +405,12 @@ def hom_forward_terms(params: HomParams, terms: Sequence[tuple | OutOfDomain]
     return results
 
 
-def hom_forward_many(params: HomParams, lats_deg: Sequence[float],
-                     lons_deg: Sequence[float]
-                     ) -> list[tuple[float, float] | OutOfDomain]:
-    """Project points to frame-local (x, y) meters, one result per point.
-
-    x is perpendicular to the reference direction (right-positive), y runs
-    along it. A point more than 90 degrees of arc from the origin, or
-    poleward of the projection's latitude limit, gets an OutOfDomain
-    instance in place of its (x, y); nothing is raised. The work is split in
-    two: hom_fix_terms, which depends only on the point and the ellipsoid,
-    and hom_forward_terms, the per-frame rest. A caller projecting the same
-    points into several frames can run the first once and the second per
-    frame.
-    """
-    return hom_forward_terms(params, hom_fix_terms(params.ellipsoid, lats_deg, lons_deg))
-
-
 def hom_forward(params: HomParams, lat_deg: float, lon_deg: float) -> tuple[float, float]:
-    """Project one point to frame-local (x, y) meters with hom_forward_many;
-    a point outside the projection's domain raises its OutOfDomain."""
-    (result,) = hom_forward_many(params, (lat_deg,), (lon_deg,))
+    """Project one point to frame-local (x, y) meters with hom_fix_terms and
+    hom_forward_terms; a point outside the projection's domain raises its
+    OutOfDomain."""
+    terms = hom_fix_terms(params.ellipsoid, (lat_deg,), (lon_deg,))
+    (result,) = hom_forward_terms(params, terms)
     if isinstance(result, OutOfDomain):
         raise result
     return result

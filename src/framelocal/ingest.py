@@ -277,15 +277,36 @@ def _xml_number(text: str) -> float:
     return float(text)
 
 
-def _well_formed(document: str | bytes) -> None:
-    """Raise unless one namespace-aware expat pass without handlers, the
-    parser ElementTree uses, finds document well-formed."""
-    expat.ParserCreate(namespace_separator="}").Parse(document, True)
+def _root_namespace_is_unprefixed(document: str | bytes) -> bool:
+    """Raise unless one namespace-aware expat pass, the parser ElementTree
+    uses, finds document well-formed. True when the root element's namespace
+    holds exactly the unprefixed element names (Namespaces in XML 1.0 §6):
+    the root is in the default namespace, no default namespace is declared
+    or undeclared below the root, and no prefix is bound to the root's
+    namespace."""
+    parser = expat.ParserCreate(namespace_separator="}")
+    declarations: list[tuple[str | None, str]] = []  # (prefix, namespace)
+    root: list[tuple[str, int]] = []  # (namespace, declarations up to its tag)
+
+    def start_root(tag: str, attributes: dict) -> None:
+        root.append((tag.rpartition("}")[0], len(declarations)))
+        parser.StartElementHandler = None  # expat calls it for the root alone
+
+    parser.StartElementHandler = start_root
+    # expat gives xmlns="" as None: it undeclares the default namespace
+    parser.StartNamespaceDeclHandler = lambda prefix, uri: declarations.append(
+        (prefix, uri or ""))
+    parser.Parse(document, True)
+    ((namespace, on_root),) = root
+    return (dict(declarations[:on_root]).get(None, "") == namespace
+            and all(prefix is not None for prefix, _ in declarations[on_root:])
+            and all(prefix is None for prefix, uri in declarations if uri == namespace))
 
 
 def _read_xml(gpx_text: str | bytes, parse: Callable):
-    """parse(gpx_text), where parse is _well_formed or ET.fromstring; bytes
-    that fail under their encoding declaration are retried as UTF-8 text."""
+    """parse(gpx_text), where parse is an expat pass such as ET.fromstring;
+    bytes that fail under their encoding declaration are retried as UTF-8
+    text."""
     try:
         return parse(gpx_text)
     except (expat.ExpatError, ET.ParseError, LookupError, ValueError) as exc:
@@ -302,10 +323,6 @@ def _read_xml(gpx_text: str | bytes, parse: Callable):
 _S = r"[ \t\r\n]"  # XML white space; \s would also take other characters
 _DECLARATION = re.compile(rf"<\?xml{_S}[^?]*\?>")
 _ENCODING = re.compile(rf"""encoding{_S}*={_S}*["']([^"']*)""")
-_ROOT_NAME = re.compile(r"<([^ \t\r\n/>]+)")
-# groups: prefix (None for the default namespace), quote, value
-_NAMESPACE = re.compile(rf"""xmlns(?::([^ \t\r\n=]+))?{_S}*={_S}*(["'])([^<]*?)\2""")
-_ATTRIBUTE_SPACE = re.compile(r"\r\n?|[\t\n]")  # what XML reads as one space
 # A trkpt start tag with a non-empty lat and a lon, leaf children (text
 # only, no "/" in the tag), then the first <time> child, or else no <time>
 # at all before </trkpt>. Groups: lat, lon and the time text, "" without a
@@ -324,24 +341,24 @@ _UNREAD = ("", "", "")
 def _scan_fixes(document: str | bytes) -> list[tuple[str, str, str]] | None:
     """(lat, lon, time text) of each trkpt in document order, read by one
     regular expression; None when the document is outside the canonical
-    subset in which the expression reads what ElementTree reads from a
-    well-formed document (XML 1.0 §2.8-2.11, GPX 1.1). Well-formedness is
-    the caller's to check. The subset:
+    subset in which the expression reads what ElementTree reads (XML 1.0
+    §2.8-2.11, GPX 1.1). A document the expression reads gets one expat
+    pass, which raises MalformedXml as ElementTree's path does unless the
+    document is well-formed, and reads its namespaces. The subset:
     - UTF-8 text: no NUL (UTF-16 and UTF-32 text has one), and a declared
       encoding, if any, of UTF-8 or ASCII
     - no "<!" (DOCTYPE, comment, CDATA), no "&" (entity or character
       reference) and no processing instruction after the XML declaration
-    - an unprefixed root element, the only one that may declare a default
-      namespace, and no prefix bound to that namespace
-    - every "<trkpt" opens an element that _TRKPT reads, and every
-      "xmlns" starts a declaration that _NAMESPACE reads
+    - every "<trkpt" opens an element that _TRKPT reads
+    - as expat reads the namespaces: the root element in the default
+      namespace, no default namespace declared or undeclared below the
+      root, and no prefix bound to the root's namespace
     """
-    if isinstance(document, bytes):
-        try:
-            document = document.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-    text = document.removeprefix("\ufeff")
+    try:
+        text = document.decode("utf-8") if isinstance(document, bytes) else document
+    except UnicodeDecodeError:
+        return None
+    text = text.removeprefix("\ufeff")
     declaration = _DECLARATION.match(text)
     body = declaration.end() if declaration else 0
     if declaration:
@@ -354,27 +371,11 @@ def _scan_fixes(document: str | bytes) -> list[tuple[str, str, str]] | None:
     if ("\x00" in text or "&" in text or ("!" in text and "<!" in text)
             or (text.find("?", body) != -1 and text.find("<?", body) != -1)):
         return None
-    root = _ROOT_NAME.search(text, body)  # no other markup precedes it
-    if root is None or ":" in root.group(1):
-        return None
-    declarations = list(_NAMESPACE.finditer(text))
-    # a match from "xmlns" inside an attribute value can swallow a real
-    # declaration; any other stray match only adds a binding
-    if any(d.group().count("xmlns") != 1 for d in declarations):
-        return None
-    defaults = [d for d in declarations if d.group(1) is None]
-    if defaults:
-        # the root's start tag ends at or after its first ">"
-        if len(defaults) > 1 or defaults[0].start() > text.find(">", root.start()):
-            return None
-        namespace = _ATTRIBUTE_SPACE.sub(" ", defaults[0].group(3))
-        if any(d.group(1) is not None
-               and _ATTRIBUTE_SPACE.sub(" ", d.group(3)) == namespace
-               for d in declarations):
-            return None
     fixes = _TRKPT.findall(text)
     # finding _UNREAD in the list is cheaper than counting "<trkpt" in the text
-    return None if _UNREAD in fixes else fixes
+    if _UNREAD in fixes or not _read_xml(document, _root_namespace_is_unprefixed):
+        return None
+    return fixes
 
 
 def _tree_fixes(root: ET.Element) -> list[tuple[str, str, str]]:
@@ -444,8 +445,6 @@ def parse_gpx(gpx_text: str | bytes, trace_id: str,
     fixes = _scan_fixes(gpx_text)
     if fixes is None:
         fixes = _tree_fixes(_read_xml(gpx_text, ET.fromstring))
-    else:  # ElementTree checks well-formedness itself; the scanner does not
-        _read_xml(gpx_text, _well_formed)
     return _trace_from_fixes(fixes, trace_id, warn)
 
 

@@ -14,7 +14,7 @@ from fixtures import line_walk, ts
 from framelocal import engine
 from framelocal.engine import clip_to_event, prepare, project_series, run, seconds_since
 from framelocal.errors import OutOfDomain
-from framelocal.geodesy import WGS84, hom_forward_many, hom_setup
+from framelocal.geodesy import WGS84, hom_fix_terms, hom_forward_terms, hom_setup
 from framelocal.ingest import build_frame_line
 from framelocal.model import EPOCH, EventInterval, Trace, utc_us
 
@@ -37,7 +37,7 @@ def _interval(begin, end, label="e0"):
 
 
 def _projected(params, trace):
-    return hom_forward_many(params, trace.lat_deg, trace.lon_deg)
+    return hom_forward_terms(params, hom_fix_terms(WGS84, trace.lat_deg, trace.lon_deg))
 
 
 def _rows(params, trace, event):

@@ -14,8 +14,9 @@ from framelocal.geodesy import (
     Ellipsoid,
     WGS84,
     geodesic_inverse,
+    hom_fix_terms,
     hom_forward,
-    hom_forward_many,
+    hom_forward_terms,
     hom_inverse,
     hom_setup,
 )
@@ -300,6 +301,8 @@ def _hex(value: float) -> str:
 
 
 class TestHomForwardMany:
+    """The batch kernel: hom_fix_terms, then hom_forward_terms."""
+
     @pytest.mark.parametrize("probe, x_bits, y_bits", GOLDEN_XY)
     def test_scalar_bits_frozen(self, probe, x_bits, y_bits):
         olat, olon, azimuth, lat, lon = probe
@@ -312,15 +315,15 @@ class TestHomForwardMany:
             by_setup.setdefault((olat, olon, azimuth), []).append(
                 (lat, lon, x_bits, y_bits))
         for setup, rows in by_setup.items():
-            results = hom_forward_many(hom_setup(WGS84, *setup),
-                                       [row[0] for row in rows], [row[1] for row in rows])
+            results = hom_forward_terms(hom_setup(WGS84, *setup), hom_fix_terms(
+                WGS84, [row[0] for row in rows], [row[1] for row in rows]))
             assert [(_hex(x), _hex(y)) for x, y in results] == [row[2:] for row in rows]
 
     def test_out_of_domain_returned_with_scalar_messages(self):
         params = hom_setup(WGS84, 0.0, 0.0, 0.0)
         lats = [89.95, 0.0, 0.0, 0.0]
         lons = [0.0, 170.0, 89.698247, 0.001]
-        results = hom_forward_many(params, lats, lons)
+        results = hom_forward_terms(params, hom_fix_terms(WGS84, lats, lons))
         messages = [str(r) for r in results[:3]]
         assert all(isinstance(r, OutOfDomain) for r in results[:3])
         assert messages == ["latitude 89.95 is poleward of ±89.9",
@@ -333,7 +336,8 @@ class TestHomForwardMany:
             assert str(raised.value) == message
 
     def test_empty_input(self):
-        assert hom_forward_many(hom_setup(WGS84, 0.0, 0.0, 0.0), [], []) == []
+        assert hom_fix_terms(WGS84, [], []) == []
+        assert hom_forward_terms(hom_setup(WGS84, 0.0, 0.0, 0.0), []) == []
 
 
 class TestHomInverse:

@@ -90,8 +90,10 @@ def _outcome(read):
 
 
 @pytest.mark.parametrize("document, count", [
-    (GARMIN_FILE, 5), (PHONE_FILE, 5), (GPX10_FILE, 5)],
-    ids=["garmin-1.1-ns3-extensions", "phone-1.1-one-line", "gpx-1.0-no-namespace"])
+    (GARMIN_FILE, 5), (PHONE_FILE, 5), (GPX10_FILE, 5),
+    (_gpx().replace("<gpx ", '<gpx creator="a>b" '), 1)],
+    ids=["garmin-1.1-ns3-extensions", "phone-1.1-one-line", "gpx-1.0-no-namespace",
+         "gt-in-a-root-value-before-xmlns"])
 def test_canonical_shapes_take_the_scanner(document, count):
     data = document.encode("utf-8")
     scanned = ingest._scan_fixes(data)
@@ -114,18 +116,25 @@ def test_canonical_shapes_take_the_scanner(document, count):
     (f'{_UTF8}<g:gpx version="1.1" xmlns:g="{GPX11}"><g:trk><g:trkseg>'
      f'{_FIX.replace("<", "<g:").replace("<g:/", "</g:")}{_TRAP}'
      "</g:trkseg></g:trk></g:gpx>".encode(), []),
+    (f'{_UTF8}<xml:gpx version="1.1"><trk><trkseg>'
+     f'{_FIX.replace("<", "<xml:").replace("<xml:/", "</xml:")}{_TRAP}'
+     "</trkseg></trk></xml:gpx>".encode(), []),
+    (_gpx(f'</trkseg><trkseg xmlns:g="{GPX11}">'
+          f'{_FIX.replace("<", "<g:").replace("<g:/", "</g:")}').encode(), []),
     (_gpx(f'{_FIX}</trkseg><trkseg xmlns="{GARMIN}">{_TRAP}').encode(), []),
+    (_gpx(f'{_FIX}</trkseg><trkseg xmlns="">{_TRAP}').encode(), []),
     (_gpx(_FIX + '<trkpt lat="3.5" lon="4.5"><time>2017-06-10T05:00:01Z\u00c3\u00a9'
           "</time></trkpt>", prolog=_UTF8.replace("UTF-8", "ISO-8859-1")
           ).encode("latin-1"), [_unparsable("2017-06-10T05:00:01Z\u00c3\u00a9")]),
     (_gpx(prolog=_UTF8.replace("UTF-8", "UTF-16")).encode("utf-16-le"), []),
 ], ids=["comment", "cdata", "entity", "character-reference", "doctype",
         "processing-instruction", "prefix-bound-to-gpx",
-        "prefix-bound-after-xmlns-in-a-value", "prefixed-root",
-        "default-namespace-redeclared", "latin-1-declaration", "utf-16-without-bom"])
+        "prefix-bound-after-xmlns-in-a-value", "prefixed-root", "root-in-the-xml-namespace",
+        "prefix-bound-to-gpx-below-the-root", "default-namespace-redeclared",
+        "default-namespace-undeclared", "latin-1-declaration", "utf-16-without-bom"])
 def test_other_shapes_take_element_tree(data, warnings):
-    # each file holds a trap that the scanner would misread without the rule
-    # that sends the file to ElementTree
+    # each file holds a trap that the scanner would misread, or a fix it
+    # would miss, without the rule that sends the file to ElementTree
     assert ingest._scan_fixes(data) is None
     seen = []
     trace = ingest.parse_gpx(data, "t", seen.append)
@@ -135,15 +144,36 @@ def test_other_shapes_take_element_tree(data, warnings):
 
 
 def test_scanned_file_still_checked_for_well_formedness():
-    # the scanner reads the fixes of a file whose root is never closed;
-    # parse_gpx rejects it as ElementTree does
+    # the scanner's expression reads every fix of a file whose root is never
+    # closed; its expat pass rejects the file as ElementTree does
     data = GARMIN_FILE.removesuffix("</gpx>\n").encode()
-    assert ingest._scan_fixes(data) is not None
-    with pytest.raises(MalformedXml) as scanned:
-        ingest.parse_gpx(data, "t")
-    with pytest.raises(MalformedXml) as tree:
-        ingest._read_xml(data, ET.fromstring)
-    assert str(scanned.value) == str(tree.value)
+    assert ingest._UNREAD not in ingest._TRKPT.findall(data.decode())
+    messages = []
+    for read in ingest._scan_fixes, lambda d: ingest.parse_gpx(d, "t"), _tree_fixes:
+        with pytest.raises(MalformedXml) as raised:
+            read(data)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1] == messages[2]
+
+
+@pytest.mark.parametrize("document", [GARMIN_FILE, PHONE_FILE, GPX10_FILE],
+                         ids=["garmin", "phone", "gpx-1.0"])
+def test_scanned_file_gets_one_xml_parse(document, monkeypatch):
+    # the expat pass that checks well-formedness also reads the namespaces
+    parsers = []
+    create = ingest.expat.ParserCreate
+
+    def counted_create(*args, **kwargs):
+        parsers.append(create(*args, **kwargs))
+        return parsers[-1]
+
+    def no_tree(*args, **kwargs):
+        raise AssertionError("ElementTree parsed a file the scanner reads")
+
+    monkeypatch.setattr(ingest.expat, "ParserCreate", counted_create)
+    monkeypatch.setattr(ingest.ET, "fromstring", no_tree)
+    ingest.parse_gpx(document.encode("utf-8"), "t")
+    assert len(parsers) == 1
 
 
 # -- generated and mutated GPX ----------------------------------------------
@@ -276,8 +306,10 @@ def test_both_extractors_read_the_same(data):
     reference = _outcome(tree)
     assert _outcome(lambda warn: ingest.parse_gpx(data, "t", warn)) == reference
     error = reference[2]
+    if error is not None and error[0] == "MalformedXml":
+        return  # the scanner raises it too, or leaves the file to ElementTree
     scanned = ingest._scan_fixes(data)
-    if scanned is None or (error is not None and error[0] == "MalformedXml"):
-        return  # parse_gpx reads through the scanner only a well-formed file
+    if scanned is None:
+        return
     assert scanned == _tree_fixes(data)
     assert _outcome(lambda warn: ingest._trace_from_fixes(scanned, "t", warn)) == reference
