@@ -16,9 +16,9 @@ interpreted as UTC, with a warning.
 Traces are GPX 1.0/1.1; only trk/trkseg/trkpt with lat/lon attributes and
 a <time> child are consumed, read in the root element's namespace. GPX
 times are UTC by that format's definition. Files in a canonical subset of
-XML (see _scan_fixes) are read by one regular expression over the text;
-every other well-formed file is read through ElementTree, with the same
-result.
+XML (see _scan_fixes), told by the prolog and namespaces that one expat
+pass reads, are read by one regular expression over the text; every other
+well-formed file is read through ElementTree, with the same result.
 """
 
 from __future__ import annotations
@@ -277,14 +277,18 @@ def _xml_number(text: str) -> float:
     return float(text)
 
 
-def _root_namespace_is_unprefixed(document: str | bytes) -> bool:
+def _expat_gate(document: str | bytes) -> bool:
     """Raise unless one namespace-aware expat pass, the parser ElementTree
-    uses, finds document well-formed. True when the root element's namespace
-    holds exactly the unprefixed element names (Namespaces in XML 1.0 §6):
-    the root is in the default namespace, no default namespace is declared
-    or undeclared below the root, and no prefix is bound to the root's
-    namespace."""
+    uses, finds document well-formed. True when the pass finds nothing that
+    the scanner's expression would misread: no encoding declared but UTF-8
+    or ASCII (XML 1.0 §4.3.3), no processing instruction (§2.6), and a root
+    element whose namespace holds exactly the unprefixed element names
+    (Namespaces in XML 1.0 §6): the root is in the default namespace, no
+    default namespace is declared or undeclared below the root, and no
+    prefix is bound to the root's namespace."""
     parser = expat.ParserCreate(namespace_separator="}")
+    encoding: list[str] = []  # the XML declaration's, if it has one
+    instructions: list[str] = []  # the target of each processing instruction
     declarations: list[tuple[str | None, str]] = []  # (prefix, namespace)
     root: list[tuple[str, int]] = []  # (namespace, declarations up to its tag)
 
@@ -292,13 +296,19 @@ def _root_namespace_is_unprefixed(document: str | bytes) -> bool:
         root.append((tag.rpartition("}")[0], len(declarations)))
         parser.StartElementHandler = None  # expat calls it for the root alone
 
+    # expat reports the XML declaration to the first handler, never the second
+    parser.XmlDeclHandler = lambda version, name, standalone: encoding.append(
+        name or "utf-8")
+    parser.ProcessingInstructionHandler = lambda target, data: instructions.append(target)
     parser.StartElementHandler = start_root
     # expat gives xmlns="" as None: it undeclares the default namespace
     parser.StartNamespaceDeclHandler = lambda prefix, uri: declarations.append(
         (prefix, uri or ""))
     parser.Parse(document, True)
     ((namespace, on_root),) = root
-    return (dict(declarations[:on_root]).get(None, "") == namespace
+    return (not instructions
+            and all(name.lower() in ("utf-8", "us-ascii", "ascii") for name in encoding)
+            and dict(declarations[:on_root]).get(None, "") == namespace
             and all(prefix is not None for prefix, _ in declarations[on_root:])
             and all(prefix is None for prefix, uri in declarations if uri == namespace))
 
@@ -321,8 +331,6 @@ def _read_xml(gpx_text: str | bytes, parse: Callable):
 
 
 _S = r"[ \t\r\n]"  # XML white space; \s would also take other characters
-_DECLARATION = re.compile(rf"<\?xml{_S}[^?]*\?>")
-_ENCODING = re.compile(rf"""encoding{_S}*={_S}*["']([^"']*)""")
 # A trkpt start tag with a non-empty lat and a lon, leaf children (text
 # only, no "/" in the tag), then the first <time> child, or else no <time>
 # at all before </trkpt>. Groups: lat, lon and the time text, "" without a
@@ -344,13 +352,13 @@ def _scan_fixes(document: str | bytes) -> list[tuple[str, str, str]] | None:
     subset in which the expression reads what ElementTree reads (XML 1.0
     §2.8-2.11, GPX 1.1). A document the expression reads gets one expat
     pass, which raises MalformedXml as ElementTree's path does unless the
-    document is well-formed, and reads its namespaces. The subset:
-    - UTF-8 text: no NUL (UTF-16 and UTF-32 text has one), and a declared
-      encoding, if any, of UTF-8 or ASCII
-    - no "<!" (DOCTYPE, comment, CDATA), no "&" (entity or character
-      reference) and no processing instruction after the XML declaration
+    document is well-formed, and reads its prolog and namespaces. The subset:
+    - UTF-8 text with no NUL (UTF-16 and UTF-32 text has one)
+    - no "<!" (DOCTYPE, comment, CDATA) and no "&" (entity or character
+      reference)
     - every "<trkpt" opens an element that _TRKPT reads
-    - as expat reads the namespaces: the root element in the default
+    - as expat reads the document: no processing instruction, a declared
+      encoding, if any, of UTF-8 or ASCII, the root element in the default
       namespace, no default namespace declared or undeclared below the
       root, and no prefix bound to the root's namespace
     """
@@ -358,22 +366,13 @@ def _scan_fixes(document: str | bytes) -> list[tuple[str, str, str]] | None:
         text = document.decode("utf-8") if isinstance(document, bytes) else document
     except UnicodeDecodeError:
         return None
-    text = text.removeprefix("\ufeff")
-    declaration = _DECLARATION.match(text)
-    body = declaration.end() if declaration else 0
-    if declaration:
-        encoding = _ENCODING.search(declaration.group())
-        if encoding and encoding.group(1).lower() not in ("utf-8", "us-ascii", "ascii"):
-            return None
-    # a two-character mark is looked for only if its rare second character
-    # occurs at all: one character is found by memchr, "<!" and "<?" are not
-    # (about 10x slower on a 1.9 MB file, where "<" is every 10th character)
-    if ("\x00" in text or "&" in text or ("!" in text and "<!" in text)
-            or (text.find("?", body) != -1 and text.find("<?", body) != -1)):
+    # "<!" is looked for only if "!" occurs at all: memchr finds one character,
+    # not two (about 10x faster on a 1.9 MB file, where "<" is every 10th one)
+    if "\x00" in text or "&" in text or ("!" in text and "<!" in text):
         return None
     fixes = _TRKPT.findall(text)
     # finding _UNREAD in the list is cheaper than counting "<trkpt" in the text
-    if _UNREAD in fixes or not _read_xml(document, _root_namespace_is_unprefixed):
+    if _UNREAD in fixes or not _read_xml(document, _expat_gate):
         return None
     return fixes
 

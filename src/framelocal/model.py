@@ -157,10 +157,6 @@ class EventInterval:
                 f"begin {self.begin_utc.isoformat()}"
             )
 
-    @property
-    def duration_s(self) -> float:
-        return (self.end_utc - self.begin_utc).total_seconds()
-
 
 @dataclass(frozen=True)
 class EventSeries:

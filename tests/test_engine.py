@@ -432,8 +432,8 @@ class TestRunProperties:
                     else:
                         assert series is not None
                         assert len(series.points) == expected
-                        assert all(0.0 <= t <= event.duration_s
-                                   for _, _, t in series.points)
+                        duration_s = (event.end_utc - event.begin_utc).total_seconds()
+                        assert all(0.0 <= t <= duration_s for _, _, t in series.points)
 
 
 def _bits(value):

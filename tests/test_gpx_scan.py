@@ -69,6 +69,12 @@ def _gpx(segment: str = _FIX, root_attributes: str = "", prolog: str = _UTF8) ->
             f"<trk><trkseg>{segment}</trkseg></trk></gpx>")
 
 
+# prologs that the scanner reads as expat reads them
+BOM_FILE = "\ufeff" + _gpx()
+STANDALONE_FILE = _gpx(prolog="<?xml version='1.0' encoding='utf-8' standalone='yes'?>")
+UNDECLARED_FILE = _gpx(prolog="")
+
+
 def _unparsable(time_text: str) -> str:
     return f"track point with unparsable time {time_text!r} skipped"
 
@@ -91,9 +97,11 @@ def _outcome(read):
 
 @pytest.mark.parametrize("document, count", [
     (GARMIN_FILE, 5), (PHONE_FILE, 5), (GPX10_FILE, 5),
-    (_gpx().replace("<gpx ", '<gpx creator="a>b" '), 1)],
+    (_gpx().replace("<gpx ", '<gpx creator="a>b" '), 1),
+    (BOM_FILE, 1), (STANDALONE_FILE, 1), (UNDECLARED_FILE, 1)],
     ids=["garmin-1.1-ns3-extensions", "phone-1.1-one-line", "gpx-1.0-no-namespace",
-         "gt-in-a-root-value-before-xmlns"])
+         "gt-in-a-root-value-before-xmlns", "utf-8-bom", "single-quoted-standalone",
+         "no-declaration"])
 def test_canonical_shapes_take_the_scanner(document, count):
     data = document.encode("utf-8")
     scanned = ingest._scan_fixes(data)
@@ -110,6 +118,8 @@ def test_canonical_shapes_take_the_scanner(document, count):
     (_gpx(_FIX.replace("00Z", "00&#90;")).encode(), []),
     (_gpx(prolog=f"<!DOCTYPE gpx [<!ENTITY unused '{_TRAP}'>]>").encode(), []),
     (_gpx(f"{_FIX}<?note {_TRAP}?>").encode(), []),
+    (_gpx(prolog=f"{_UTF8}<?note {_TRAP}?>").encode(), []),
+    (_gpx(prolog=f"<?note {_TRAP}?>").encode(), []),
     (_gpx(_FIX.replace("time>", "g:time>"), f' xmlns:g="{GPX11}"').encode(), []),
     (_gpx(_FIX.replace("time>", "g:time>"),
           " creator='xmlns:x=\"'" f' xmlns:g="{GPX11}"').encode(), []),
@@ -128,7 +138,8 @@ def test_canonical_shapes_take_the_scanner(document, count):
           ).encode("latin-1"), [_unparsable("2017-06-10T05:00:01Z\u00c3\u00a9")]),
     (_gpx(prolog=_UTF8.replace("UTF-8", "UTF-16")).encode("utf-16-le"), []),
 ], ids=["comment", "cdata", "entity", "character-reference", "doctype",
-        "processing-instruction", "prefix-bound-to-gpx",
+        "processing-instruction", "processing-instruction-in-the-prolog",
+        "processing-instruction-first", "prefix-bound-to-gpx",
         "prefix-bound-after-xmlns-in-a-value", "prefixed-root", "root-in-the-xml-namespace",
         "prefix-bound-to-gpx-below-the-root", "default-namespace-redeclared",
         "default-namespace-undeclared", "latin-1-declaration", "utf-16-without-bom"])
@@ -156,10 +167,13 @@ def test_scanned_file_still_checked_for_well_formedness():
     assert messages[0] == messages[1] == messages[2]
 
 
-@pytest.mark.parametrize("document", [GARMIN_FILE, PHONE_FILE, GPX10_FILE],
-                         ids=["garmin", "phone", "gpx-1.0"])
+@pytest.mark.parametrize("document", [
+    GARMIN_FILE, PHONE_FILE, GPX10_FILE, BOM_FILE, STANDALONE_FILE, UNDECLARED_FILE],
+    ids=["garmin", "phone", "gpx-1.0", "utf-8-bom", "single-quoted-standalone",
+         "no-declaration"])
 def test_scanned_file_gets_one_xml_parse(document, monkeypatch):
-    # the expat pass that checks well-formedness also reads the namespaces
+    # the expat pass that checks well-formedness also reads the prolog and
+    # the namespaces
     parsers = []
     create = ingest.expat.ParserCreate
 
@@ -197,7 +211,7 @@ _MUTATIONS = [
     "empty-time", "nested-time", "time-after-extensions", "xmlns-redeclared",
     "trkpt-in-wpt", "trkpt-in-rte", "nested-trkpt", "junk-after-root", "latin-1",
     "utf-16", "ascii", "prefix-bound", "prefixed-time", "prefixed-root",
-    "xmlns-in-value", "splice"]
+    "xmlns-in-value", "prolog-pi", "no-declaration", "splice"]
 
 
 @st.composite
@@ -272,7 +286,10 @@ def _gpx_documents(draw) -> bytes:
     encoding = ("ISO-8859-1" if "latin-1" in mutations else "UTF-16"
                 if "utf-16" in mutations else "US-ASCII" if "ascii" in mutations
                 else "UTF-8")
-    prolog = [f'<?xml version="1.0" encoding="{encoding}"?>']
+    prolog = [] if "no-declaration" in mutations and encoding == "UTF-8" else [
+        f'<?xml version="1.0" encoding="{encoding}"?>']
+    if "prolog-pi" in mutations:
+        prolog.append(f"<?note {_TRAP}?>")
     if "doctype" in mutations:
         prolog.append("<!DOCTYPE gpx>")
     text = newline.join([

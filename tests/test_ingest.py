@@ -41,7 +41,7 @@ class TestParseInterval:
         interval = parse_interval("2017-06-10T05:00:00Z/2017-06-10T05:20:00Z")
         assert interval.begin_utc == ts(5, 0)
         assert interval.end_utc == ts(5, 20)
-        assert interval.duration_s == 1200.0
+        assert (interval.end_utc - interval.begin_utc).total_seconds() == 1200.0
         assert interval.label == "e0"
 
     def test_offset_normalized_to_utc(self):
@@ -95,7 +95,7 @@ class TestParseInterval:
         interval = parse_interval(
             "2017-06-10T05:00:00.250Z/2017-06-10T05:00:01.750Z")
         assert interval.begin_utc.microsecond == 250000
-        assert interval.duration_s == 1.5
+        assert (interval.end_utc - interval.begin_utc).total_seconds() == 1.5
 
     def test_custom_label(self):
         assert parse_interval("2017-06-10T05:00:00Z/2017-06-10T05:20:00Z",
