@@ -66,7 +66,9 @@ def project_series(trace: Trace, window: range,
 
     OutOfDomain rows are dropped, and one warning gives their count and the
     first of them. If no row is a tuple, that first fix's OutOfDomain is
-    raised instead. The series holds the given row tuples themselves.
+    raised instead. The series holds the given row tuples themselves and
+    computes nothing per fix. It gets no EventSeries._source: run alone
+    sets that, on the series whose shared rows it vouches for.
     """
     rows_ok = list(map(isinstance, rows, repeat(tuple)))
     dropped = rows_ok.count(False)
@@ -97,8 +99,13 @@ def prepare(frames: Iterable[tuple[FrameLine, Iterable[EventInterval]]]
             ) -> PreparedFrames:
     """Set up each frame's projection, on WGS84 like the frame's azimuth,
     and each of its events' begin in integer UTC microseconds; run takes
-    the result in place of frames. A PreparedFrames is returned as it is,
-    so prepare(prepare(frames)) is prepare(frames)."""
+    the result in place of frames. The result is a PreparedFrames: per
+    frame, in input order, the (frame, ((event, begin_us), ...), params)
+    triple, with params from one hom_setup call. run(traces,
+    prepare(frames)) gives the same RunResult as run(traces, frames). A
+    PreparedFrames is returned as it is, so prepare(prepare(frames)) is
+    prepare(frames), and a caller that runs traces in several calls sets
+    each frame up once in all."""
     if isinstance(frames, PreparedFrames):
         return frames
     return PreparedFrames(
@@ -129,8 +136,11 @@ def run(traces: list[Trace],
       OutOfDomain, over the union of the frame's windows with that begin
     Each event's series takes its window's slice of its begin's rows, so
     events with a common begin share row tuples, and frames with common
-    event begins share t floats. A series whose rows fill its window gets
-    its EventSeries._source: one token per trace and frame, and the window.
+    event begins share t floats. A series whose rows fill its window (no
+    out-of-domain drops) gets its EventSeries._source: a private token,
+    one per trace and frame in this call, and the window. Its series hold
+    one pair of x and y objects per fix, so output.csv_texts formats them
+    once per frame.
     Series are sorted by (trace id, frame id, event label).
     Samples dropped as out of domain become one warning per permutation, in
     input order (traces, then frames, then events). A failure in any

@@ -350,10 +350,10 @@ def hom_forward_terms(params: HomParams, terms: Sequence[tuple | OutOfDomain]
 
     x is perpendicular to the reference direction (right-positive), y runs
     along it. A point more than 90 degrees of arc from the origin, or
-    poleward of the projection's latitude limit, gets an OutOfDomain
-    instance in place of its (x, y); nothing is raised. A caller projecting
-    the same points into several frames runs hom_fix_terms once and this
-    per frame.
+    poleward of the projection's latitude limit, gets in place of its
+    (x, y) the OutOfDomain instance that hom_forward raises for it; nothing
+    is raised. A caller projecting the same points into several frames,
+    as engine.run does, runs hom_fix_terms once and this per frame.
     """
     sin, cos, log, atan2 = math.sin, math.cos, math.log, math.atan2
     pi, two_pi = math.pi, 2.0 * math.pi

@@ -331,17 +331,22 @@ def _read_xml(gpx_text: str | bytes, parse: Callable):
 
 
 _S = r"[ \t\r\n]"  # XML white space; \s would also take other characters
+_LEAF = r"<(?!time\b)[^<>/]*>[^<]*</[^<>]*>"  # a child element other than <time>, text only
 # A trkpt start tag with a non-empty lat and a lon, leaf children (text
 # only, no "/" in the tag), then the first <time> child, or else no <time>
 # at all before </trkpt>. Groups: lat, lon and the time text, "" without a
 # <time> child. No group may hold a character that XML normalizes, so each
 # is the value ElementTree reads. Any other "<trkpt" matches the optional
 # part empty and reads as ("", "", ""), which no trkpt read in full gives.
+# The tail that ends a trkpt without <time> may not start where a leaf child
+# does: else a failed match would retry it from every split of N leaf
+# children, in O(N) each. Where the children end it never starts at a leaf
+# child, so the guard changes no match.
 _TRKPT = re.compile(rf"""
     <trkpt(?:
     {_S}+lat="([^"<\t\n\r]+)"{_S}+lon="([^"<\t\n\r]*)"{_S}*>
-    [^<]*(?:<(?!time\b)[^<>/]*>[^<]*</[^<>]*>[^<]*)*
-    (?:<time>([^<\r]*)</time>|(?:<(?!time\b|/?trkpt)[^<]*)*</trkpt>)
+    [^<]*(?:{_LEAF}[^<]*)*
+    (?:<time>([^<\r]*)</time>|(?!{_LEAF})(?:<(?!time\b|/?trkpt)[^<]*)*</trkpt>)
     )?""", re.VERBOSE)
 _UNREAD = ("", "", "")
 

@@ -9,6 +9,7 @@ their values in their constructors; ingest validates a trace's fixes.
 from __future__ import annotations
 
 import sys
+import weakref
 from array import array
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -37,13 +38,30 @@ def normalize_longitude(lon_deg: float) -> float:
     return lon
 
 
+# per taken set, by its id while it lives: the last count claimed for each
+# (base cut to limit, limit)
+_LAST_COUNTS: dict[int, dict[tuple[str, int], int]] = {}
+
+
 def unique_name(base: str, taken: set[str], limit: int = sys.maxsize) -> str:
     """Claim the first of base, base_2, base_3, ... that is not in taken,
-    each with base cut so that it is at most limit characters long."""
-    name, count = base[:limit], 1
-    while name in taken:
+    each with base cut so that it is at most limit characters long.
+
+    taken must only grow. Then every name up to the last one claimed from
+    the same cut base and limit is still in taken, so the probe starts past
+    it, and n claims of one base make O(n) membership tests in all."""
+    last = _LAST_COUNTS.get(id(taken))
+    if last is None:
+        last = _LAST_COUNTS[id(taken)] = {}
+        weakref.finalize(taken, _LAST_COUNTS.pop, id(taken))
+    key = (base[:limit], limit)
+    count = last.get(key, 0)
+    while True:
         count += 1
-        name = f"{base[:limit - 1 - len(str(count))]}_{count}"
+        name = key[0] if count == 1 else f"{base[:limit - 1 - len(str(count))]}_{count}"
+        if name not in taken:
+            break
+    last[key] = count
     taken.add(name)
     return name
 
@@ -57,7 +75,8 @@ def aligned(size: int, items: Iterable[_Item], window_of: Callable[[_Item], rang
     The items are walked in their windows' start order, and the part
     [start, stop) of an item's window past every window walked before it,
     if not empty, holds part(item, start, stop). So part is called on each
-    index of the union once."""
+    index of the union once. It builds engine.run's lists aligned with a
+    trace's columns and output.csv_texts' x,y texts of one frame."""
     result: list = [None] * size
     done = 0  # every window walked so far ends at or before done
     for item in sorted(items, key=lambda item: window_of(item).start):

@@ -144,14 +144,18 @@ def csv_texts(series: Iterable[EventSeries]) -> Iterator[tuple[EventSeries, str]
     order given, sharing text between them.
 
     Consecutive series cut by engine.run from one trace's projection into
-    one frame (one EventSeries._source token) form a group. Each fix's x,y
-    text is formatted once per group, over the union of the windows of the
-    group's series, and each distinct t value's text once per call. One
-    group is held at a time, as a list of x,y texts indexed by trace
-    position, dropped before the next group's is built. The t texts are
-    cleared before a series once more than 65,536 are kept. Every other
-    series (built by hand or by dataclasses.replace, or with out-of-domain
-    drops) is a group of its own, formatted alone by the same code.
+    one frame (one EventSeries._source token) form a group; so one trace's
+    series in key order, as run returns them, make one group per frame.
+    Each fix's x,y text is formatted once per group, over the union of the
+    windows of the group's series (a list built by model.aligned, indexed
+    by trace position), and each distinct t value's text once per call,
+    in a table keyed by value that never stores a zero, so -0.0 still
+    writes -0. One group's list is held at a time, dropped before the next
+    group's is built. The t texts are cleared before a series once more
+    than 65,536 are kept. Every other series (built by hand or by
+    dataclasses.replace, or with out-of-domain drops) is a group of its
+    own, formatted alone by the same code, so a series' text is the same
+    either way.
     """
     t_texts = _TTexts()
     for _, group in groupby(series, _token):

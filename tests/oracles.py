@@ -1,15 +1,21 @@
 """Independent reference implementations used only by the test suite.
 
-Nothing here imports from the library's geodesy module: the direct geodesic
-solver, the meridian-arc series, the exact spherical oblique Mercator (built
-from 3-D vector rotation rather than projection series), and a second,
-separately written oblique Mercator for the ellipsoid. Agreement between
-these and the library is what the tests assert.
+Nothing here imports from the package under test, or from anything outside
+the standard library: the direct geodesic solver, the meridian-arc series,
+the exact spherical oblique Mercator (built from 3-D vector rotation rather
+than projection series), a second, separately written oblique Mercator for
+the ellipsoid, and a reader of the command line's inputs and outputs
+written from README.md alone. Agreement between these and the library is
+what the tests assert.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import re
+import xml.etree.ElementTree as ET
+from itertools import count
 
 WGS84_A = 6378137.0
 WGS84_F = 1.0 / 298.257223563
@@ -213,3 +219,223 @@ def hom_reference_xy(lat_c: float, lon_c: float, azimuth_deg: float,
     if flip:
         x, y = -x, -y
     return x, y
+
+
+# -- the command line's outputs, from README.md alone -----------------------
+
+class NoFixProjects(Exception):
+    """A permutation with fixes in its interval, none of which the
+    projection takes: README.md makes that run exit 3."""
+
+
+class _Undecided(Exception):
+    """An input on which README.md does not decide the output."""
+
+
+# xsd:dateTime, as GPX 1.1 declares its times; no offset means UTC
+_DATETIME = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)(?:\.(\d{1,6}))?"
+                       r"(Z|[+-]\d\d:\d\d)?")
+# an XML number: collapsed white space around a decimal, with an exponent
+_NUMBER = re.compile(r"[ \t\r\n]*[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?[ \t\r\n]*")
+_SAFE = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-")
+_DAY_US = 86_400 * 10**6
+
+
+def _days_since_1970(year: int, month: int, day: int) -> int:
+    """Days from 1970-01-01 to a proleptic Gregorian date (the days-from-
+    civil algorithm: years taken from March, in 400-year eras)."""
+    year -= month <= 2
+    era, year_of_era = divmod(year, 400)
+    day_of_year = (153 * (month + (-3 if month > 2 else 9)) + 2) // 5 + day - 1
+    day_of_era = year_of_era * 365 + year_of_era // 4 - year_of_era // 100 + day_of_year
+    return era * 146_097 + day_of_era - 719_468
+
+
+# the first and the last microsecond of the years 1-9999 in UTC
+_FIRST_US = _days_since_1970(1, 1, 1) * _DAY_US
+_LAST_US = _days_since_1970(10_000, 1, 1) * _DAY_US - 1
+
+
+def utc_microseconds(text: str) -> int | None:
+    """Integer UTC microseconds since 1970 of an xsd:dateTime, or None if
+    the text is not one, names no real date or time, or falls outside the
+    years 1-9999 in UTC."""
+    match = _DATETIME.fullmatch(text)
+    if match is None:
+        return None
+    year, month, day, hour, minute, second = map(int, match.groups()[:6])
+    month_days = (31, 29 if year % 4 == 0 and (year % 100 != 0 or year % 400 == 0) else 28,
+                  31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+    offset = match[8] or "Z"
+    offset_h, offset_m = (0, 0) if offset == "Z" else (int(offset[1:3]), int(offset[4:6]))
+    if not (year >= 1 and 1 <= month <= 12 and 1 <= day <= month_days[month - 1]
+            and hour < 24 and minute < 60 and second < 60 and offset_h < 24 and offset_m < 60):
+        return None
+    if match[7] is not None and len(match[7]) not in (3, 6):
+        # README states no grammar for fractions; Python 3.10 reads 3 or 6 digits
+        raise _Undecided(text)
+    offset_s = (-1 if offset[0] == "-" else 1) * (offset_h * 3600 + offset_m * 60)
+    seconds = ((_days_since_1970(year, month, day) * 24 + hour) * 60 + minute) * 60 + second
+    us = (seconds - offset_s) * 10**6 + int((match[7] or "").ljust(6, "0"))
+    return us if _FIRST_US <= us <= _LAST_US else None
+
+
+def _interval(text: str) -> tuple[int, int] | None:
+    """(begin, end) UTC microseconds of a start/end interval, or None."""
+    parts = text.split("/")
+    ends = [utc_microseconds(part) for part in parts] if len(parts) == 2 else [None]
+    return None if None in ends else (ends[0], ends[1])
+
+
+def read_frames(text: str) -> list[tuple[str, tuple[float, float], tuple[float, float],
+                                         list[tuple[str, int, int]]]]:
+    """(id, origin, target, events) of each frame of a frames document that
+    the command line reads without error: origin and target as (lat, lon),
+    each event as (label, begin, end) in UTC microseconds."""
+    frames = []
+    for index, feature in enumerate(json.loads(text)["features"]):
+        properties = feature.get("properties") or {}
+        frame_id = feature.get("id")
+        if frame_id is None or frame_id == "":
+            name = properties.get("name")
+            frame_id = name if isinstance(name, str) and name else f"f{index}"
+        elif not isinstance(frame_id, str):
+            frame_id = json.dumps(frame_id)  # a number becomes its text
+        (lon1, lat1), (lon2, lat2) = feature["geometry"]["coordinates"]
+        events = []
+        if isinstance(properties.get("events"), list):
+            events = [(f"e{i}", *_interval(item)) for i, item in enumerate(properties["events"])]
+        for key, value in properties.items():  # an events array is no string
+            interval = _interval(value) if isinstance(value, str) and key else None
+            if interval is not None:
+                events.append((key, *interval))
+        frames.append((frame_id, (lat1, lon1), (lat2, lon2), events))
+    return frames
+
+
+def _xml_number(text: str | None) -> float | None:
+    """The finite value of an XML number attribute, or None."""
+    if text is None or _NUMBER.fullmatch(text) is None:
+        return None
+    value = float(text)
+    return value if math.isfinite(value) else None
+
+
+def read_gpx(data: bytes) -> list[tuple[float, float, int]]:
+    """The usable fixes of a GPX file as (lat, lon, UTC microseconds),
+    stably sorted by time: the trk/trkseg/trkpt elements in the root's
+    namespace with a numeric, finite lat in [-90, 90] and lon and a <time>
+    in the years 1-9999, the lon reduced into (-180, 180]. Empty for a file
+    the command line skips."""
+    try:
+        root = ET.fromstring(data)
+    except ET.ParseError:
+        return []
+    ns = root.tag[:root.tag.find("}") + 1]
+    fixes = []
+    for point in root.iterfind(f"{ns}trk/{ns}trkseg/{ns}trkpt"):
+        lat, lon = _xml_number(point.get("lat")), _xml_number(point.get("lon"))
+        time = point.find(f"{ns}time")
+        us = None if time is None else utc_microseconds(time.text or "")
+        if lat is not None and lon is not None and us is not None and -90.0 <= lat <= 90.0:
+            fixes.append((lat, lon if -180.0 < lon <= 180.0 else wrap_lon(lon), us))
+    return sorted(fixes, key=lambda fix: fix[2])
+
+
+def geodesic_azimuth(lat1_deg: float, lon1_deg: float, lat2_deg: float,
+                     lon2_deg: float) -> float:
+    """Initial azimuth in degrees of the geodesic from point 1 to point 2:
+    the azimuth and distance for which vincenty_direct reaches point 2,
+    found by Newton's method from the great-circle solution."""
+    azimuth, distance = great_circle_inverse(lat1_deg, lon1_deg, lat2_deg, lon2_deg, WGS84_A)
+    east = math.cos(math.radians(lat2_deg))  # degrees of longitude to degrees of arc
+
+    def miss(az: float, dist: float) -> tuple[float, float]:
+        lat, lon = vincenty_direct(lat1_deg, lon1_deg, az, dist)
+        return lat - lat2_deg, wrap_lon(lon - lon2_deg) * east
+
+    for _ in range(10):
+        north, west = miss(azimuth, distance)
+        # the miss's derivatives in azimuth (a, c) and distance (b, d)
+        north_az, west_az = miss(azimuth + 1e-6, distance)
+        north_m, west_m = miss(azimuth, distance + 1e-2)
+        a, c = (north_az - north) / 1e-6, (west_az - west) / 1e-6
+        b, d = (north_m - north) / 1e-2, (west_m - west) / 1e-2
+        det = a * d - b * c
+        azimuth -= (north * d - b * west) / det
+        distance -= (a * west - c * north) / det
+    return azimuth % 360.0
+
+
+def _arc_cosine(origin: tuple[float, float], lat_deg: float, lon_deg: float) -> float:
+    """The cosine of the arc from origin to the point, on the sphere."""
+    phi0, phi = math.radians(origin[0]), math.radians(lat_deg)
+    return (math.sin(phi0) * math.sin(phi)
+            + math.cos(phi0) * math.cos(phi) * math.cos(math.radians(lon_deg - origin[1])))
+
+
+def _csv_name(stem: str, taken: set[str]) -> str:
+    """The first of stem, stem_2, ... that is new case-folded, the stem cut
+    so that the name with ".csv" fits in 255 bytes; claimed in taken."""
+    for n in count(1):
+        suffix = "" if n == 1 else f"_{n}"
+        name = stem[:255 - len(".csv") - len(suffix)] + suffix  # ASCII: a character a byte
+        if name.casefold() not in taken:
+            taken.add(name.casefold())
+            return f"{name}.csv"
+
+
+def cli_outputs(frames_text: str, trace_files: dict[str, bytes]
+                ) -> tuple[dict[str, list[tuple[float, float, float]]], int] | None:
+    """What a command line run that exits 0 writes: each CSV's name and
+    rows, with x, y from hom_reference_xy, and the count of empty
+    permutations. trace_files maps each .gpx file name to its bytes. None
+    where README.md does not decide: a time with a fraction of other than
+    3 or 6 digits, or a fix in an interval within 1 degree of the 90-degree
+    arc at which the projection's domain ends. Raises NoFixProjects for a
+    run that exits 3."""
+    try:
+        return _cli_outputs(frames_text, trace_files)
+    except _Undecided:
+        return None
+
+
+def _cli_outputs(frames_text: str, trace_files: dict[str, bytes]
+                 ) -> tuple[dict[str, list[tuple[float, float, float]]], int]:
+    frames = [(frame_id, origin, geodesic_azimuth(*origin, *target), events)
+              for frame_id, origin, target, events in read_frames(frames_text)]
+    traces, ids = [], set()
+    for name in sorted(trace_files, key=lambda name: (name[:-len(".gpx")], name)):
+        stem = name[:-len(".gpx")]
+        trace_id = next(candidate for n in count(1)
+                        if (candidate := stem if n == 1 else f"{stem}_{n}") not in ids)
+        ids.add(trace_id)
+        fixes = read_gpx(trace_files[name])
+        if fixes:
+            traces.append((trace_id, fixes))
+
+    series, empty = [], 0
+    for trace_id, fixes in sorted(traces, key=lambda trace: trace[0]):
+        for frame_id, origin, azimuth, events in frames:
+            for label, begin, end in events:
+                window = [fix for fix in fixes if begin <= fix[2] <= end]
+                if not window:
+                    empty += 1
+                    continue
+                rows = []
+                for lat, lon, us in window:
+                    cosine = _arc_cosine(origin, lat, lon)
+                    if abs(cosine) < math.sin(math.radians(1.0)):
+                        raise _Undecided(f"({lat}, {lon})")
+                    if cosine > 0.0 and abs(lat) <= 89.9:
+                        rows.append((*hom_reference_xy(*origin, azimuth, lat, lon),
+                                     (us - begin) / 10**6))
+                if not rows:
+                    raise NoFixProjects(f"{trace_id}, {frame_id}, {label}")
+                series.append(((trace_id, frame_id, label), rows))
+    taken: set[str] = set()
+    files = {}
+    for key, rows in sorted(series, key=lambda item: item[0]):
+        stem = "__".join("".join(c if c in _SAFE else "_" for c in part) for part in key)
+        files[_csv_name(stem, taken)] = rows
+    return files, empty

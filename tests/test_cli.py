@@ -458,6 +458,27 @@ class TestBehavior:
         assert {p.name for p in out_dir.iterdir()} == {
             "x__f0__e0.csv", "x_2__f0__e0.csv", "x_2_2__f0__e0.csv"}
 
+    def test_many_nested_files_of_one_name(self, tmp_path, capsys):
+        # dated folders that each hold a track.gpx: ids are claimed in path
+        # order, so the file of day n gets track, track_2, ... track_<n + 1>
+        frames_path, traces = _basic_inputs(tmp_path)
+        (traces / "walk.gpx").unlink()
+        days = 200
+        for day in range(days):
+            folder = traces / "2017" / f"day{day:03d}"
+            folder.mkdir(parents=True)
+            (folder / "track.gpx").write_text(gpx_doc(
+                [(ORIGIN[0], ORIGIN[1], ts(5) + timedelta(seconds=day))]))
+        out_dir = tmp_path / "out"
+        code = main(["--frames", str(frames_path), "--traces", str(traces),
+                     "--out", str(out_dir), "--recurse"])
+        assert code == 0
+        assert capsys.readouterr().out.startswith(f"{days} series written")
+        for day in range(days):
+            trace_id = "track" if day == 0 else f"track_{day + 1}"
+            rows = (out_dir / f"{trace_id}__f0__e0.csv").read_text().split("\n")
+            assert rows[1].endswith(f",{day}")
+
     def test_names_distinct_case_folded(self, tmp_path, capsys):
         frames_path, traces = _basic_inputs(tmp_path)
         frames_path.write_text(frames_doc(

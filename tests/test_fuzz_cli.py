@@ -8,10 +8,16 @@ overlay draws one polyline per CSV, and exists only on an exit 0 that
 wrote a CSV. Trace file names come from any bytes, frame ids from any JSON
 value, labels from any text, lone surrogates included, and a frames
 document may nest to any depth. A second trace file name or frame id may
-be the first's with its case swapped."""
+be the first's with its case swapped.
+
+A run that exits 0 on inputs drawn unmutated is also checked against a
+reader written from README.md alone (oracles.cli_outputs): the file set,
+every t bit for bit, x,y against hom_reference_xy and the summary's
+counts."""
 
 import io
 import json
+import math
 import os
 import struct
 from contextlib import redirect_stderr, redirect_stdout
@@ -20,6 +26,7 @@ from datetime import datetime, timezone
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from fixtures import frame_feature, frames_doc, gpx_doc, iso, ts
 from framelocal.cli import main
 from framelocal.engine import clip_to_event, run
@@ -92,7 +99,7 @@ def _gpx_bytes(draw) -> bytes:
          ' xmlns="http://www.topografix.com/GPX/1/1"']))
     text = (f'<?xml version="1.0" encoding="UTF-8"?><gpx version="1.1"{xmlns}>'
             f"<trk><trkseg>{rows}</trkseg></trk></gpx>")
-    return _splice(text.encode("utf-8"), draw(_mostly(st.just([]), _SPLICES)))
+    return text.encode("utf-8")
 
 
 # any text, lone surrogates (category Cs) included: such a name has no UTF-8
@@ -117,7 +124,8 @@ _POSITION_VALUES = st.one_of(
 
 
 @st.composite
-def _frames_text(draw) -> bytes:
+def _frames_text(draw) -> tuple[bytes, str]:
+    """A frames document and the part of it that is broken, if any."""
     # at most one part is broken, so that half of the runs get past it
     broken = draw(st.sampled_from(["", "", "", "", "", "", "positions", "events",
                                    "geometry", "members", "names", "bytes",
@@ -167,7 +175,7 @@ def _frames_text(draw) -> bytes:
         array = "[" * depth + "]" * depth
         text = (array[:depth] + text + array[depth:] if nest == "document"
                 else text.replace('"NEST"', array))
-    return _splice(text.encode("utf-8"), draw(_SPLICES) if broken == "bytes" else [])
+    return _splice(text.encode("utf-8"), draw(_SPLICES) if broken == "bytes" else []), broken
 
 
 def _projects(params, lat_deg, lon_deg) -> bool:
@@ -196,29 +204,40 @@ def _bits(value: float) -> bytes:
     return struct.pack("<d", value)
 
 
-@given(gpx=st.lists(st.tuples(_NAME_BYTES, _gpx_bytes()), min_size=1, max_size=2),
-       frames=_frames_text(), plot=st.booleans(), swap_case=st.booleans())
-@example(gpx=[(b"t", gpx_doc([(*ORIGIN, ts(5, 1)), (*TARGET, ts(5, 2))]).encode())],
-         frames=frames_doc([frame_feature("f0", ORIGIN, TARGET,
-                                          {"events": [INTERVAL]})]).encode(),
-         plot=True, swap_case=False)
-@example(gpx=[(b"t", gpx_doc([(*ORIGIN, ts(5, 1)), (*TARGET, ts(5, 2))]).encode())] * 2,
-         frames=frames_doc([frame_feature(frame_id, ORIGIN, TARGET,
-                                          {"events": [INTERVAL]})
-                            for frame_id in ("f0", "F0")]).encode(),
+# (file name bytes, GPX bytes, splices into them)
+_TRACE_FILES = st.lists(st.tuples(_NAME_BYTES, _gpx_bytes(), _mostly(st.just([]), _SPLICES)),
+                        min_size=1, max_size=2)
+_ONE_FRAME = frames_doc([frame_feature("f0", ORIGIN, TARGET, {"events": [INTERVAL]})]).encode()
+_TWO_FIXES = gpx_doc([(*ORIGIN, ts(5, 1)), (*TARGET, ts(5, 2))]).encode()
+
+
+@given(gpx=_TRACE_FILES, frames=_frames_text(), plot=st.booleans(), swap_case=st.booleans())
+@example(gpx=[(b"t", _TWO_FIXES, [])], frames=(_ONE_FRAME, ""), plot=True, swap_case=False)
+@example(gpx=[(b"t", _TWO_FIXES, [])] * 2,
+         frames=(frames_doc([frame_feature(frame_id, ORIGIN, TARGET,
+                                           {"events": [INTERVAL]})
+                             for frame_id in ("f0", "F0")]).encode(), ""),
          plot=False, swap_case=True)
+# fixes on both ends of the interval, one at a fraction of a second into it
+# and one past it
+@example(gpx=[(b"t", gpx_doc([(*ORIGIN, ts(5)), (*TARGET, ts(5, 0, 0, 123457)),
+                               (*ORIGIN, ts(5, 20)), (*TARGET, ts(5, 21))]).encode(), [])],
+         frames=(_ONE_FRAME, ""), plot=False, swap_case=False)
 @settings(deadline=None)
 def test_cli_survives_mutated_input(tmp_path_factory, gpx, frames, plot, swap_case):
+    frames, broken = frames
     base = tmp_path_factory.mktemp("fuzz")
     frames_path = base / "frames.geojson"
     frames_path.write_bytes(frames)
     traces_dir = base / "traces"
     traces_dir.mkdir()
-    stems = [name + b"%d" % i for i, (name, _) in enumerate(gpx)]
+    stems = [name + b"%d" % i for i, (name, _, _) in enumerate(gpx)]
     if swap_case and len(stems) == 2 and stems[0].swapcase() != stems[0]:
         stems[1] = stems[0].swapcase()
-    for stem, (_, data) in zip(stems, gpx):
-        (traces_dir / os.fsdecode(stem + b".gpx")).write_bytes(data)
+    trace_files = {os.fsdecode(stem + b".gpx"): _splice(data, splices)
+                   for stem, (_, data, splices) in zip(stems, gpx)}
+    for name, data in trace_files.items():
+        (traces_dir / name).write_bytes(data)
     out_dir = base / "out"
     svg = base / "overlay.svg"
     args = ["--frames", str(frames_path), "--traces", str(traces_dir),
@@ -262,3 +281,27 @@ def test_cli_survives_mutated_input(tmp_path_factory, gpx, frames, plot, swap_ca
         assert header == "x,y,t"
         assert [[_bits(float(cell)) for cell in row.split(",")] for row in rows] == [
             [_bits(x), _bits(y), _bits(t)] for x, y, t in series.points]
+    if broken in ("", "names") and not any(splices for _, _, splices in gpx):
+        _check_against_the_readme(frames, trace_files, out_dir, out.getvalue())
+
+
+def _check_against_the_readme(frames: bytes, trace_files: dict[str, bytes], out_dir,
+                              summary: str) -> None:
+    """The files, t bits, x,y and counts of a run that exited 0 on inputs
+    drawn unmutated, against the reader written from README.md alone."""
+    expected = oracles.cli_outputs(frames.decode("utf-8"), trace_files)
+    if expected is None:  # an input on which README.md does not decide
+        return
+    files, empty = expected
+    assert sorted(path.name for path in out_dir.iterdir()) == sorted(files)
+    assert summary.startswith(f"{len(files)} series written, {empty} permutations "
+                              "skipped (empty), ")
+    for name, rows in files.items():
+        written = [tuple(map(float, line.split(",")))
+                   for line in (out_dir / name).read_text(encoding="utf-8").split("\n")[1:-1]]
+        assert [_bits(t) for _, _, t in written] == [_bits(t) for _, _, t in rows]
+        for (x, y, _), (x_ref, y_ref, _) in zip(written, rows):
+            # 1 mm at frame scale; the azimuth the oracle solves for agrees
+            # with the package's to about 1e-9 rad, which far fixes magnify
+            tolerance = 1e-3 + 1e-8 * math.hypot(x_ref, y_ref)
+            assert abs(x - x_ref) <= tolerance and abs(y - y_ref) <= tolerance

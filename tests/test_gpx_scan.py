@@ -4,6 +4,7 @@ and checks on generated and mutated GPX that parse_gpx reads every file as
 the ElementTree path does, and that wherever the scanner accepts a file
 both extractors give the same fixes, Trace, warnings and exceptions."""
 
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -74,6 +75,12 @@ BOM_FILE = "\ufeff" + _gpx()
 STANDALONE_FILE = _gpx(prolog="<?xml version='1.0' encoding='utf-8' standalone='yes'?>")
 UNDECLARED_FILE = _gpx(prolog="")
 
+# a fix whose leaf children end in one the expression cannot read, so that
+# an expression which gave children back on failure would take time
+# quadratic in their number
+LEAVES_THEN_NESTED_FILE = _gpx('<trkpt lat="1.5" lon="2.5">' + "<a>x</a>" * 100_000
+                               + "<ext><y/></ext><time>2017-06-10T05:00:00Z</time></trkpt>")
+
 
 def _unparsable(time_text: str) -> str:
     return f"track point with unparsable time {time_text!r} skipped"
@@ -137,18 +144,24 @@ def test_canonical_shapes_take_the_scanner(document, count):
           "</time></trkpt>", prolog=_UTF8.replace("UTF-8", "ISO-8859-1")
           ).encode("latin-1"), [_unparsable("2017-06-10T05:00:01Z\u00c3\u00a9")]),
     (_gpx(prolog=_UTF8.replace("UTF-8", "UTF-16")).encode("utf-16-le"), []),
+    (LEAVES_THEN_NESTED_FILE.encode(), []),
 ], ids=["comment", "cdata", "entity", "character-reference", "doctype",
         "processing-instruction", "processing-instruction-in-the-prolog",
         "processing-instruction-first", "prefix-bound-to-gpx",
         "prefix-bound-after-xmlns-in-a-value", "prefixed-root", "root-in-the-xml-namespace",
         "prefix-bound-to-gpx-below-the-root", "default-namespace-redeclared",
-        "default-namespace-undeclared", "latin-1-declaration", "utf-16-without-bom"])
+        "default-namespace-undeclared", "latin-1-declaration", "utf-16-without-bom",
+        "100000-leaf-children-then-a-nested-one"])
 def test_other_shapes_take_element_tree(data, warnings):
     # each file holds a trap that the scanner would misread, or a fix it
-    # would miss, without the rule that sends the file to ElementTree
+    # would miss, without the rule that sends the file to ElementTree; and
+    # each is read in time linear in its size: seconds, where a quadratic
+    # scan of the 100,000 leaf children would take tens of minutes
+    started = time.perf_counter()
     assert ingest._scan_fixes(data) is None
     seen = []
     trace = ingest.parse_gpx(data, "t", seen.append)
+    assert time.perf_counter() - started < 10.0
     assert (list(trace.lat_deg), list(trace.lon_deg), list(trace.time_us)) == (
         [1.5], [2.5], [utc_us(ts(5))])
     assert seen == warnings

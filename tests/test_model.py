@@ -1,6 +1,8 @@
 """Constructor enforcement for the shared domain types."""
 
 import math
+import random
+import sys
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 
@@ -203,3 +205,39 @@ class TestUniqueName:
     def test_short_base_is_not_cut(self):
         taken = {"ab"}
         assert unique_name("ab", taken, 10) == "ab_2"
+
+    def test_claims_of_one_base_make_a_bounded_number_of_membership_tests(self):
+        class Counted(set):
+            tests = 0
+
+            def __contains__(self, name):
+                self.tests += 1
+                return super().__contains__(name)
+
+        taken = Counted()
+        names = [unique_name("track", taken) for _ in range(20_000)]
+        assert names == ["track"] + [f"track_{count}" for count in range(2, 20_001)]
+        # the first free of track, track_2, ... probed from track each time
+        # would make 200,010,000 tests
+        assert taken.tests <= 2 * 20_000
+
+    def test_names_are_the_first_free_whatever_else_is_claimed(self):
+        def first_free(base, taken, limit):
+            name, count = base[:limit], 1
+            while name in taken:
+                count += 1
+                name = f"{base[:limit - 1 - len(str(count))]}_{count}"
+            taken.add(name)
+            return name
+
+        rng = random.Random(7)
+        taken, expected = set(), set()
+        for _ in range(3_000):
+            base = rng.choice(["a", "a_2", "a_1", "b" * 12, "b" * 11 + "c", "b" * 8 + "_2"])
+            limit = rng.choice([sys.maxsize, 10])
+            if rng.random() < 0.1:  # a name claimed some other way
+                taken.add(base)
+                expected.add(base)
+            else:
+                assert unique_name(base, taken, limit) == first_free(base, expected, limit)
+        assert taken == expected
