@@ -17,7 +17,7 @@ from pathlib import Path
 from .engine import prepare, run
 from .errors import FrameLocalError, NoSeries
 from .ingest import load_inputs
-from .output import OutputLayout, csv_texts, render_overlay_svg, write_csv
+from .output import OutputLayout, csv_texts, render_overlay_svg, shown, write_csv
 
 
 class _UsageError(Exception):
@@ -27,7 +27,7 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        _say(f"{self.prog}: error: {message}")
         raise _UsageError(message)
 
 
@@ -62,7 +62,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError:
         return 1
     if args.jobs < 1:
-        print("framelocal: error: --jobs must be >= 1", file=sys.stderr)
+        _say("framelocal: error: --jobs must be >= 1")
         return 1
 
     # The pipeline builds no per-fix or per-file reference cycles, so the
@@ -85,14 +85,14 @@ def _pipeline(args: argparse.Namespace) -> int:
         frames, traces, report = load_inputs(args.frames, args.traces,
                                              recurse=args.recurse)
     except FrameLocalError as exc:
-        print(f"framelocal: error: {exc}", file=sys.stderr)
+        _say(f"framelocal: error: {exc}")
         return 2
 
     warnings = _warn(report.warnings)
     if args.verbose:
         events = sum(len(frame_events) for _, frame_events in frames)
-        print(f"framelocal: loaded {len(frames)} frames, {events} events, "
-              f"{len(traces)} traces", file=sys.stderr)
+        _say(f"framelocal: loaded {len(frames)} frames, {events} events, "
+             f"{len(traces)} traces")
 
     written = skipped_empty = 0
 
@@ -108,7 +108,7 @@ def _pipeline(args: argparse.Namespace) -> int:
             del text
             written += 1
             if args.verbose:
-                print(f"framelocal: wrote {path}", file=sys.stderr)
+                _say(f"framelocal: wrote {path}")
             yield series
 
     try:
@@ -122,13 +122,12 @@ def _pipeline(args: argparse.Namespace) -> int:
         else:
             render_overlay_svg(stream, args.plot)
             if args.verbose:
-                print(f"framelocal: wrote {args.plot}", file=sys.stderr)
+                _say(f"framelocal: wrote {args.plot}")
     except NoSeries:
-        print(f"framelocal: warning: no series to plot; skipped {args.plot}",
-              file=sys.stderr)
+        _say(f"framelocal: warning: no series to plot; skipped {args.plot}")
         warnings += 1
     except (FrameLocalError, OSError) as exc:
-        print(f"framelocal: error: {exc}", file=sys.stderr)
+        _say(f"framelocal: error: {exc}")
         return 3
 
     print(f"{written} series written, {skipped_empty} "
@@ -139,8 +138,14 @@ def _pipeline(args: argparse.Namespace) -> int:
 def _warn(pairs: Sequence[tuple[str, str]]) -> int:
     """Print each (source, message) warning; return how many there were."""
     for source, message in pairs:
-        print(f"framelocal: warning: {source}: {message}", file=sys.stderr)
+        _say(f"framelocal: warning: {source}: {message}")
     return len(pairs)
+
+
+def _say(line: str) -> None:
+    """Print one line to stderr, each unprintable character of a name in it
+    written as its backslash escape (output.shown)."""
+    print(shown(line), file=sys.stderr)
 
 
 def entry_point() -> None:

@@ -49,7 +49,7 @@ from .errors import (
     PolarOrigin,
     ReversedInterval,
 )
-from .model import EventInterval, FrameLine, Trace, normalize_longitude, unique_name, utc_us
+from .model import EventInterval, FrameLine, Names, Trace, normalize_longitude, utc_us
 
 WarnFn = Callable[[str], None]
 
@@ -489,10 +489,10 @@ def load_inputs(frames_path: str | Path, traces_dir: str | Path,
     if not files:
         raise NoTraces(f"no .gpx files found in {traces_dir}")
 
-    taken: set[str] = set()
+    names = Names()
     traces: list[Trace] = []
     for path in files:
-        trace_id = unique_name(path.stem, taken)
+        trace_id = names.claim(path.stem)
         try:
             traces.append(parse_gpx(
                 path.read_bytes(), trace_id,

@@ -9,7 +9,6 @@ their values in their constructors; ingest validates a trace's fixes.
 from __future__ import annotations
 
 import sys
-import weakref
 from array import array
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -38,32 +37,32 @@ def normalize_longitude(lon_deg: float) -> float:
     return lon
 
 
-# per taken set, by its id while it lives: the last count claimed for each
-# (base cut to limit, limit)
-_LAST_COUNTS: dict[int, dict[tuple[str, int], int]] = {}
+class Names:
+    """Claims names: claim(base) returns the first of base, base_2, base_3,
+    ... whose fold no earlier claim returned, each with base cut so that it
+    is at most limit characters long.
 
+    Every name up to the last one claimed from a cut base is claimed, so
+    the probe starts past it, and n claims of one base make O(n)
+    membership tests in all."""
 
-def unique_name(base: str, taken: set[str], limit: int = sys.maxsize) -> str:
-    """Claim the first of base, base_2, base_3, ... that is not in taken,
-    each with base cut so that it is at most limit characters long.
+    def __init__(self, limit: int = sys.maxsize, fold: Callable[[str], str] = str) -> None:
+        self._limit, self._fold = limit, fold
+        self._claimed: set[str] = set()  # each name claimed, after fold
+        self._last: dict[str, int] = {}  # cut base -> the last count claimed
 
-    taken must only grow. Then every name up to the last one claimed from
-    the same cut base and limit is still in taken, so the probe starts past
-    it, and n claims of one base make O(n) membership tests in all."""
-    last = _LAST_COUNTS.get(id(taken))
-    if last is None:
-        last = _LAST_COUNTS[id(taken)] = {}
-        weakref.finalize(taken, _LAST_COUNTS.pop, id(taken))
-    key = (base[:limit], limit)
-    count = last.get(key, 0)
-    while True:
-        count += 1
-        name = key[0] if count == 1 else f"{base[:limit - 1 - len(str(count))]}_{count}"
-        if name not in taken:
-            break
-    last[key] = count
-    taken.add(name)
-    return name
+    def claim(self, base: str) -> str:
+        cut = base[:self._limit]
+        count = self._last.get(cut, 0)
+        while True:
+            count += 1
+            name = cut if count == 1 else f"{base[:self._limit - 1 - len(str(count))]}_{count}"
+            folded = self._fold(name)
+            if folded not in self._claimed:
+                break
+        self._last[cut] = count
+        self._claimed.add(folded)
+        return name
 
 
 _Item = TypeVar("_Item")

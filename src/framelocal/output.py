@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import TextIO
 
 from .errors import NoSeries
-from .model import EventSeries, aligned, unique_name
+from .model import EventSeries, Names, aligned
 
 _UNSAFE = re.compile(r"[^A-Za-z0-9_-]")
 
@@ -43,15 +43,16 @@ def _sanitize(part: str) -> str:
     return cleaned if cleaned else "_"
 
 
-class _CaseFolded(set):
-    """A set of names, held and looked up case-folded. The names are
-    ASCII, so lower() folds them as a file system that ignores case does."""
-
-    def __contains__(self, name: str) -> bool:  # type: ignore[override]
-        return super().__contains__(name.lower())
-
-    def add(self, name: str) -> None:
-        super().add(name.lower())
+def shown(text: str) -> str:
+    """text with each character that is not printable (str.isprintable)
+    written as its backslash escape, e.g. a newline as \\n, U+0001 as \\x01
+    and a lone surrogate as \\udcff. So the CLI's stderr lines and the
+    overlay's legend labels show any name on one line, in characters that
+    UTF-8 encodes and XML allows."""
+    if text.isprintable():
+        return text
+    return "".join(c if c.isprintable() else c.encode("unicode_escape").decode()
+                   for c in text)
 
 
 @dataclass
@@ -68,16 +69,17 @@ class OutputLayout:
     """
 
     out_dir: Path
-    _taken: _CaseFolded = field(default_factory=_CaseFolded,
-                                init=False, repr=False)
+    # the stems are ASCII, so lower() folds them as a file system that
+    # ignores case does; each character is a byte, and ".csv" takes 4
+    _names: Names = field(default_factory=lambda: Names(255 - 4, str.lower),
+                          init=False, repr=False)
 
     def __post_init__(self) -> None:
         Path(self.out_dir).mkdir(parents=True, exist_ok=True)
 
     def path_for(self, series: EventSeries) -> Path:
         stem = "__".join(_sanitize(part) for part in series.key)
-        # the stem is ASCII, so each character is a byte; ".csv" takes 4
-        return Path(self.out_dir) / f"{unique_name(stem, self._taken, 255 - 4)}.csv"
+        return Path(self.out_dir) / f"{self._names.claim(stem)}.csv"
 
 
 def _xy_texts(rows: Sequence[tuple[float, float, float]]) -> list[str]:
@@ -198,10 +200,10 @@ def render_overlay_svg(series: Iterable[EventSeries], path: str | Path) -> Path:
     the along-frame direction pointing up. The viewBox fits the union
     bounding box with a 5% margin (at least 1 m of span), strokes are
     colored by frame id from a fixed palette, and a legend lists each
-    (trace, frame, event), with a character UTF-8 cannot encode written as
-    its backslash escape, e.g. \\udcff. series may be any iterable; it is
-    read once, in order, and each series is folded into running bounds and
-    its polyline text, so no coordinate list spans the run.
+    (trace, frame, event), as shown() writes it. series may be any
+    iterable; it is read once, in order, and each series is folded into
+    running bounds and its polyline text, so no coordinate list spans the
+    run.
     """
     path = Path(path)
 
@@ -221,7 +223,7 @@ def render_overlay_svg(series: Iterable[EventSeries], path: str | Path) -> Path:
         flat[0::2], flat[1::2] = xs, ys
         color = color_of.setdefault(s.frame_id, _PALETTE[len(color_of) % len(_PALETTE)])
         drawn.append((color, ("%.6g,%.6g " * len(xs) % tuple(flat))[:-1],
-                      f"{s.trace_id} / {s.frame_id} / {s.event_label}"))
+                      shown(f"{s.trace_id} / {s.frame_id} / {s.event_label}")))
     if not drawn:
         raise NoSeries("no series to plot")
 
@@ -252,7 +254,8 @@ def render_overlay_svg(series: Iterable[EventSeries], path: str | Path) -> Path:
         replace = stat.S_ISREG(os.lstat(path).st_mode)
     except FileNotFoundError:
         replace = True
-    temp, handle = _create_beside(path) if replace else (None, _open_svg(path, "w"))
+    temp, handle = (_create_beside(path) if replace
+                    else (None, open(path, "w", encoding="utf-8", newline="")))
     try:
         with handle:
             handle.write('<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -279,20 +282,12 @@ def render_overlay_svg(series: Iterable[EventSeries], path: str | Path) -> Path:
     return path
 
 
-def _open_svg(path: Path, mode: str) -> TextIO:
-    """path opened for writing in mode, "w" or "x". A name that UTF-8
-    cannot encode (a lone surrogate, as from a file name's undecodable
-    byte) is written as its backslash escape, the form in which stderr
-    shows the same name."""
-    return open(path, mode, encoding="utf-8", errors="backslashreplace", newline="")
-
-
 def _create_beside(path: Path) -> tuple[Path, TextIO]:
     """A new file in path's directory, under a free hidden name, and its
-    handle, opened by _open_svg."""
+    handle."""
     while True:
         temp = path.with_name(f".framelocal-{os.urandom(4).hex()}.tmp")
         try:
-            return temp, _open_svg(temp, "x")
+            return temp, open(temp, "x", encoding="utf-8", newline="")
         except FileExistsError:
             continue

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import weakref
+import xml.etree.ElementTree as ET
 from datetime import timedelta
 from pathlib import Path
 
@@ -353,6 +354,32 @@ class TestBehavior:
                                 "(empty), 0 warnings\n")
         svg = plot.read_text(encoding="utf-8")
         assert f">{legend}</text>\n</svg>\n" in svg
+
+    def test_unprintable_names_shown_escaped_on_one_line(self, tmp_path, capsys):
+        # a newline or a control character in a file name, frame id or label
+        # would split a stderr line or make the overlay no XML
+        frames_path, traces = _basic_inputs(tmp_path)
+        frames_path.write_text(frames_doc(
+            [frame_feature("f\x02g", ORIGIN, TARGET, {"ev\x0bent": INTERVAL})]))
+        (traces / "walk.gpx").unlink()
+        for stem in ("a\nb", "p\x01q"):
+            (traces / f"{stem}.gpx").write_text(gpx_doc(
+                [(ORIGIN[0], ORIGIN[1], ts(5, 1)), (TARGET[0], TARGET[1], None)]))
+        plot = tmp_path / "overlay.svg"
+        code = main(["--frames", str(frames_path), "--traces", str(traces),
+                     "--out", str(tmp_path / "out"), "--plot", str(plot)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == ("2 series written, 0 permutations skipped "
+                                "(empty), 2 warnings\n")
+        assert captured.err == "".join(
+            f"framelocal: warning: {traces}/{stem}.gpx: track point without "
+            "<time> skipped\n" for stem in ("a\\nb", "p\\x01q"))
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "a_b__f_g__ev_ent.csv", "p_q__f_g__ev_ent.csv"]
+        legends = [text.text for text in ET.parse(plot).getroot()
+                   if text.tag == "{http://www.w3.org/2000/svg}text"]
+        assert legends == ["a\\nb / f\\x02g / ev\\x0bent", "p\\x01q / f\\x02g / ev\\x0bent"]
 
     def test_warnings_counted_in_summary(self, tmp_path, capsys):
         frames_path, traces = _basic_inputs(tmp_path)

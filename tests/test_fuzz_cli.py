@@ -3,11 +3,12 @@ raises out of cli.main, the exit code is 0, 2 or 3, every CSV written
 re-parses to the exact bits of the series the engine computes, and exit 3
 means that the engine itself failed, e.g. on a permutation with no fix that
 projects (never that a far fix among good ones cost the run). Every CSV
-name fits in 255 bytes, and no two are equal case-folded. With --plot, the
-overlay draws one polyline per CSV, and exists only on an exit 0 that
-wrote a CSV. Trace file names come from any bytes, frame ids from any JSON
-value, labels from any text, lone surrogates included, and a frames
-document may nest to any depth. A second trace file name or frame id may
+name fits in 255 bytes, and no two are equal case-folded. On an exit 0,
+stderr holds one line per warning the summary counts. With --plot, the
+overlay is XML that draws one polyline per CSV, and exists only on an exit
+0 that wrote a CSV. Trace file names come from any bytes, frame ids from
+any JSON value, labels from any text, lone surrogates included, and a
+frames document may nest to any depth. A second trace file name or frame id may
 be the first's with its case swapped.
 
 A run that exits 0 on inputs drawn unmutated is also checked against a
@@ -20,6 +21,7 @@ import json
 import math
 import os
 import struct
+import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import datetime, timezone
 
@@ -272,8 +274,13 @@ def test_cli_survives_mutated_input(tmp_path_factory, gpx, frames, plot, swap_ca
     warnings = len(report.warnings) + len(result.warnings) + unplotted
     assert out.getvalue() == (f"{len(expected)} series written, {result.skipped_empty} "
                               f"permutations skipped (empty), {warnings} warnings\n")
+    # a name's newline or other line break may not split a warning's line
+    lines = err.getvalue().splitlines()
+    assert len(lines) == warnings
+    assert all(line.startswith("framelocal: warning: ") for line in lines)
     if plot and expected:
-        assert svg.read_text(encoding="utf-8").count("<polyline ") == len(expected)
+        polylines = ET.parse(svg).getroot().findall("{http://www.w3.org/2000/svg}polyline")
+        assert len(polylines) == len(expected)
     else:
         assert not svg.exists()
     for path, series in expected.items():

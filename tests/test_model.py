@@ -18,9 +18,9 @@ from framelocal.model import (
     EventInterval,
     EventSeries,
     FrameLine,
+    Names,
     Trace,
     aligned,
-    unique_name,
     utc_us,
 )
 
@@ -191,53 +191,61 @@ def test_aligned_fills_the_union_of_windows_once(inputs):
 
 
 class TestUniqueName:
+    """Names.claim gives each claim a name no earlier claim was given."""
+
     def test_suffixes_in_order(self):
-        taken = set()
-        assert [unique_name("a", taken) for _ in range(3)] == ["a", "a_2", "a_3"]
+        names = Names()
+        assert [names.claim("a") for _ in range(3)] == ["a", "a_2", "a_3"]
 
     def test_cut_to_the_limit_with_its_suffix(self):
-        taken = set()
-        names = [unique_name("x" * 10 + "y", taken, 10) for _ in range(11)]
-        assert names[:3] == ["x" * 10, "x" * 8 + "_2", "x" * 8 + "_3"]
-        assert names[10] == "x" * 7 + "_11"
-        assert all(len(name) <= 10 for name in names)
+        names = Names(10)
+        claimed = [names.claim("x" * 10 + "y") for _ in range(11)]
+        assert claimed[:3] == ["x" * 10, "x" * 8 + "_2", "x" * 8 + "_3"]
+        assert claimed[10] == "x" * 7 + "_11"
+        assert all(len(name) <= 10 for name in claimed)
 
     def test_short_base_is_not_cut(self):
-        taken = {"ab"}
-        assert unique_name("ab", taken, 10) == "ab_2"
+        names = Names(10)
+        assert [names.claim("ab"), names.claim("ab")] == ["ab", "ab_2"]
+
+    def test_case_only_collision_takes_a_suffix_under_lower_only(self):
+        folded, exact = Names(fold=str.lower), Names()
+        assert [folded.claim(base) for base in ("Pitch", "pitch", "PITCH_2")] == [
+            "Pitch", "pitch_2", "PITCH_2_2"]
+        assert [exact.claim(base) for base in ("Pitch", "pitch", "PITCH_2")] == [
+            "Pitch", "pitch", "PITCH_2"]
 
     def test_claims_of_one_base_make_a_bounded_number_of_membership_tests(self):
-        class Counted(set):
-            tests = 0
+        tests = 0
 
-            def __contains__(self, name):
-                self.tests += 1
-                return super().__contains__(name)
-
-        taken = Counted()
-        names = [unique_name("track", taken) for _ in range(20_000)]
-        assert names == ["track"] + [f"track_{count}" for count in range(2, 20_001)]
-        # the first free of track, track_2, ... probed from track each time
-        # would make 200,010,000 tests
-        assert taken.tests <= 2 * 20_000
-
-    def test_names_are_the_first_free_whatever_else_is_claimed(self):
-        def first_free(base, taken, limit):
-            name, count = base[:limit], 1
-            while name in taken:
-                count += 1
-                name = f"{base[:limit - 1 - len(str(count))]}_{count}"
-            taken.add(name)
+        def counted(name):  # each membership test folds its name once
+            nonlocal tests
+            tests += 1
             return name
 
-        rng = random.Random(7)
-        taken, expected = set(), set()
-        for _ in range(3_000):
-            base = rng.choice(["a", "a_2", "a_1", "b" * 12, "b" * 11 + "c", "b" * 8 + "_2"])
-            limit = rng.choice([sys.maxsize, 10])
-            if rng.random() < 0.1:  # a name claimed some other way
-                taken.add(base)
-                expected.add(base)
-            else:
-                assert unique_name(base, taken, limit) == first_free(base, expected, limit)
-        assert taken == expected
+        names = Names(fold=counted)
+        claimed = [names.claim("track") for _ in range(20_000)]
+        assert claimed == ["track"] + [f"track_{count}" for count in range(2, 20_001)]
+        # the first free of track, track_2, ... probed from track each time
+        # would make 200,010,000 tests
+        assert tests <= 2 * 20_000
+
+    def test_names_are_the_first_free_whatever_else_is_claimed(self):
+        def first_free(base, taken, limit, fold):
+            name, count = base[:limit], 1
+            while fold(name) in taken:
+                count += 1
+                name = f"{base[:limit - 1 - len(str(count))]}_{count}"
+            taken.add(fold(name))
+            return name
+
+        for fold in (str, str.lower):
+            rng = random.Random(7)
+            names = {limit: Names(limit, fold) for limit in (sys.maxsize, 10)}
+            taken = {limit: set() for limit in names}
+            for _ in range(3_000):
+                base = rng.choice(["a", "a_2", "a_1", "b" * 12, "b" * 11 + "c", "b" * 8 + "_2"])
+                if rng.random() < 0.3:  # a case-only collision under str.lower
+                    base = base.upper()
+                limit = rng.choice(list(names))
+                assert names[limit].claim(base) == first_free(base, taken[limit], limit, fold)

@@ -349,6 +349,23 @@ def test_formatter_keeps_a_bounded_t_table(tmp_path, monkeypatch):
     assert eight - two <= sys.getsizeof(table) + _texts_size(table.values())
 
 
+def test_shown_escapes_unprintable_characters_only():
+    assert output.shown("a\nb\x01\udcff\u2028 \u00e9\\") == "a\\nb\\x01\\udcff\\u2028 \u00e9\\"
+    assert output.shown("plain") == "plain"
+
+
+@given(st.text(st.characters(exclude_categories=())))
+def test_shown_is_printable_and_reads_back_per_character(text):
+    shown = output.shown(text)
+    assert shown.isprintable()
+    assert shown == "".join(map(output.shown, text))
+    for c in text:
+        if c.isprintable():
+            assert output.shown(c) == c
+        else:
+            assert output.shown(c).encode().decode("unicode_escape") == c
+
+
 class TestRenderOverlaySvg:
     def test_two_series_two_polylines(self, tmp_path):
         series = [
