@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -61,10 +60,6 @@ class IngestReport:
     warnings: list[tuple[str, str]] = field(default_factory=list)
 
 
-# From Python 3.11 on, fromisoformat reads a trailing "Z" itself, and a text
-# it reads as it stands gives the value of the cleaned text (a test holds it).
-_ISO_READS_Z = sys.version_info >= (3, 11)
-
 # utc_us of the first and the last instant a datetime holds, in the years 1-9999
 _FIRST_US, _LAST_US = (utc_us(limit.replace(tzinfo=timezone.utc))
                        for limit in (datetime.min, datetime.max))
@@ -75,11 +70,10 @@ def _parse_instant(text: str) -> tuple[datetime, bool]:
     The instant keeps its parsed offset; EventInterval converts it to UTC,
     and a GPX fix's time becomes utc_us(instant)."""
     try:
-        # a GPX time parses as it stands, at ~1/3 the cost of cleaning it
-        parsed = datetime.fromisoformat(text) if _ISO_READS_Z else None
+        # a GPX time parses as it stands, at ~1/3 the cost of cleaning it; a
+        # text read as it stands gives the cleaned text's value (a test holds it)
+        parsed = datetime.fromisoformat(text)
     except ValueError:
-        parsed = None
-    if parsed is None:
         cleaned = text.strip()
         if cleaned.endswith(("Z", "z")):
             cleaned = cleaned[:-1] + "+00:00"
@@ -338,15 +332,12 @@ _LEAF = r"<(?!time\b)[^<>/]*>[^<]*</[^<>]*>"  # a child element other than <time
 # <time> child. No group may hold a character that XML normalizes, so each
 # is the value ElementTree reads. Any other "<trkpt" matches the optional
 # part empty and reads as ("", "", ""), which no trkpt read in full gives.
-# The tail that ends a trkpt without <time> may not start where a leaf child
-# does: else a failed match would retry it from every split of N leaf
-# children, in O(N) each. Where the children end it never starts at a leaf
-# child, so the guard changes no match.
+# The children loop is possessive, so a failed match never re-splits it.
 _TRKPT = re.compile(rf"""
     <trkpt(?:
     {_S}+lat="([^"<\t\n\r]+)"{_S}+lon="([^"<\t\n\r]*)"{_S}*>
-    [^<]*(?:{_LEAF}[^<]*)*
-    (?:<time>([^<\r]*)</time>|(?!{_LEAF})(?:<(?!time\b|/?trkpt)[^<]*)*</trkpt>)
+    [^<]*+(?:{_LEAF}[^<]*+)*+
+    (?:<time>([^<\r]*)</time>|(?:<(?!time\b|/?trkpt)[^<]*)*</trkpt>)
     )?""", re.VERBOSE)
 _UNREAD = ("", "", "")
 

@@ -32,8 +32,6 @@ def normalize_longitude(lon_deg: float) -> float:
     lon = lon_deg % 360.0
     if lon > 180.0:
         lon -= 360.0
-    elif lon <= -180.0:
-        lon += 360.0
     return lon
 
 

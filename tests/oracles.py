@@ -233,7 +233,7 @@ class _Undecided(Exception):
 
 
 # xsd:dateTime, as GPX 1.1 declares its times; no offset means UTC
-_DATETIME = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)(?:\.(\d{1,6}))?"
+_DATETIME = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)(?:\.(\d+))?"
                        r"(Z|[+-]\d\d:\d\d)?")
 # an XML number: collapsed white space around a decimal, with an exponent
 _NUMBER = re.compile(r"[ \t\r\n]*[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?[ \t\r\n]*")
@@ -271,8 +271,8 @@ def utc_microseconds(text: str) -> int | None:
     if not (year >= 1 and 1 <= month <= 12 and 1 <= day <= month_days[month - 1]
             and hour < 24 and minute < 60 and second < 60 and offset_h < 24 and offset_m < 60):
         return None
-    if match[7] is not None and len(match[7]) not in (3, 6):
-        # README states no grammar for fractions; Python 3.10 reads 3 or 6 digits
+    if match[7] is not None and len(match[7]) > 6:
+        # README states no grammar for fractions past the microsecond
         raise _Undecided(text)
     offset_s = (-1 if offset[0] == "-" else 1) * (offset_h * 3600 + offset_m * 60)
     seconds = ((_days_since_1970(year, month, day) * 24 + hour) * 60 + minute) * 60 + second
@@ -390,8 +390,8 @@ def cli_outputs(frames_text: str, trace_files: dict[str, bytes]
     """What a command line run that exits 0 writes: each CSV's name and
     rows, with x, y from hom_reference_xy, and the count of empty
     permutations. trace_files maps each .gpx file name to its bytes. None
-    where README.md does not decide: a time with a fraction of other than
-    3 or 6 digits, or a fix in an interval within 1 degree of the 90-degree
+    where README.md does not decide: a time with a fraction of more than
+    6 digits, or a fix in an interval within 1 degree of the 90-degree
     arc at which the projection's domain ends. Raises NoFixProjects for a
     run that exits 3."""
     try:

@@ -34,6 +34,7 @@ from framelocal.model import EventInterval, normalize_longitude, utc_us
 
 ORIGIN = (-37.85, 145.0)
 TARGET = (-37.84, 145.001)
+INTERVAL = "2017-06-10T05:00:00Z/2017-06-10T05:20:00Z"
 
 
 class TestParseInterval:
@@ -179,6 +180,32 @@ class TestParseFrames:
             parse_frames(json.dumps({"type": "Feature"}))
         with pytest.raises(NotFeatureCollection):
             parse_frames("{not json")
+
+    @pytest.mark.parametrize("features, message", [
+        (None, 'lacks a "features" array'), ({}, 'lacks a "features" array'),
+        ([[]], r"features\[0\] is not an object"),
+        ([frame_feature("f0", ORIGIN, TARGET, {"events": [INTERVAL]}), "f1"],
+         r"features\[1\] is not an object")])
+    def test_features_not_an_array_of_objects(self, features, message):
+        doc = {"type": "FeatureCollection"}
+        if features is not None:
+            doc["features"] = features
+        with pytest.raises(NotFeatureCollection, match=message):
+            parse_frames(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [7, 2.5, None, True, {"events": [INTERVAL]}, [INTERVAL]])
+    def test_property_neither_string_nor_events_ignored(self, value):
+        def parsed(properties):
+            return parse_frames(frames_doc([frame_feature("f0", ORIGIN, TARGET, properties)]))
+
+        assert (parsed({"events": [INTERVAL], "other": value})
+                == parsed({"events": [INTERVAL]}))
+
+    @pytest.mark.parametrize("item", [7, None, {"begin": "2017-06-10T05:00:00Z"}])
+    def test_events_item_not_a_string_rejected(self, item):
+        doc = frames_doc([frame_feature("f0", ORIGIN, TARGET, {"events": [INTERVAL, item]})])
+        with pytest.raises(MalformedInterval, match=r"'f0': events\[1\] is not a string"):
+            parse_frames(doc)
 
     def test_swapped_coordinate_order_caught(self):
         # [lat, lon] instead of [lon, lat] puts 145 where a latitude belongs

@@ -21,6 +21,7 @@ from framelocal.model import (
     Names,
     Trace,
     aligned,
+    normalize_longitude,
     utc_us,
 )
 
@@ -109,6 +110,17 @@ class TestFrameLine:
         with pytest.raises(ValueError):
             FrameLine("f0", 0.0, 0.0, 0.001, 0.0, 0.0, 0.0)
 
+    def test_id_required(self):
+        with pytest.raises(ValueError, match="frame id must be non-empty"):
+            FrameLine("", 0.0, 0.0, 0.001, 0.0, 0.0, 110.6)
+
+    @pytest.mark.parametrize("origin_lat, target_lat, name", [
+        (90.5, 0.001, "origin_lat_deg"), (-91.0, 0.001, "origin_lat_deg"),
+        (0.0, 90.001, "target_lat_deg"), (0.0, math.nan, "target_lat_deg")])
+    def test_latitude_range(self, origin_lat, target_lat, name):
+        with pytest.raises(ValueError, match=rf"{name} .* outside \[-90, 90\]"):
+            FrameLine("f0", origin_lat, 0.0, target_lat, 0.0, 0.0, 110.6)
+
 
 class TestEventInterval:
     def test_reversed_rejected(self):
@@ -127,6 +139,13 @@ class TestEventInterval:
         with pytest.raises(ValueError):
             EventInterval(begin_utc=ts(5), end_utc=ts(6), label="")
 
+    @pytest.mark.parametrize("begin, end, name", [
+        (datetime(2017, 6, 10, 5), ts(6), "begin_utc"),
+        (ts(5), datetime(2017, 6, 10, 6), "end_utc")])
+    def test_naive_datetime_rejected(self, begin, end, name):
+        with pytest.raises(ValueError, match=f"{name} must be a timezone-aware datetime"):
+            EventInterval(begin_utc=begin, end_utc=end, label="e0")
+
 
 class TestEventSeries:
     def test_must_not_be_empty(self):
@@ -136,6 +155,18 @@ class TestEventSeries:
     def test_key(self):
         series = EventSeries("t", "f", "e0", points=((0.0, 0.0, 0.0),))
         assert series.key == ("t", "f", "e0")
+
+
+@given(st.floats())
+@example(-1e-300)  # % 360.0 rounds it to 360.0
+@example(-180.0)
+@example(540.0)
+def test_normalize_longitude_into_half_open_range(lon):
+    normalized = normalize_longitude(lon)
+    if math.isfinite(lon):
+        assert -180.0 < normalized <= 180.0
+    else:
+        assert math.isnan(normalized)
 
 
 # every fixed offset a timezone takes: strictly inside (-24 h, 24 h)

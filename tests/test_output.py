@@ -460,6 +460,20 @@ class TestRenderOverlaySvg:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.svg", "new",
                                                               "overlay.svg"]
 
+    def test_taken_scratch_name_is_passed_over(self, tmp_path, monkeypatch):
+        expected = render_overlay_svg([_series([(0.0, 5.0, 0.0)])],
+                                      tmp_path / "new" / "overlay.svg").read_bytes()
+        taken = tmp_path / ".framelocal-00000000.tmp"
+        taken.write_bytes(b"someone else's")
+        draws = iter([b"\0" * 4, b"\1" * 4])
+        monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+        plot = render_overlay_svg([_series([(0.0, 5.0, 0.0)])], tmp_path / "overlay.svg")
+        assert next(draws, None) is None
+        assert plot.read_bytes() == expected
+        assert taken.read_bytes() == b"someone else's"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".framelocal-00000000.tmp", "new", "overlay.svg"]
+
     def test_symlink_is_written_through(self, tmp_path):
         target = tmp_path / "target.svg"
         target.write_text("old")
