@@ -65,6 +65,17 @@ class TestExitCodes:
         assert code == 2
         assert "threept" in captured.err
 
+    def test_frame_under_one_micrometre_long_is_ingest_error(self, tmp_path, capsys):
+        frames_path, traces = _basic_inputs(tmp_path)
+        target = (ORIGIN[0] + 4.5e-12, ORIGIN[1])  # 0.5 µm north of the origin
+        frames_path.write_text(frames_doc([
+            frame_feature("short", ORIGIN, target, {"events": [INTERVAL]})]))
+        code = main(["--frames", str(frames_path), "--traces", str(traces),
+                     "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "'short'" in captured.err and "less than 1 µm apart" in captured.err
+
     @pytest.mark.parametrize("make, state", [
         (lambda path: path.write_text("x"), "is not a directory"),
         (lambda path: None, "does not exist")], ids=["file", "missing"])

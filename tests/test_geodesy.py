@@ -40,6 +40,11 @@ class TestEllipsoid:
         with pytest.raises(ValueError):
             Ellipsoid(semi_major_axis_m=0.0, flattening=0.0)
 
+    @pytest.mark.parametrize("axis", [math.inf, math.nan])
+    def test_rejects_non_finite_axis(self, axis):
+        with pytest.raises(ValueError, match="semi_major_axis_m"):
+            Ellipsoid(semi_major_axis_m=axis, flattening=0.0)
+
     def test_rejects_bad_flattening(self):
         with pytest.raises(ValueError):
             Ellipsoid(semi_major_axis_m=1.0, flattening=1.0)
@@ -59,6 +64,22 @@ class TestGeodesicInverse:
         with pytest.raises(CoincidentPoints):
             geodesic_inverse(WGS84, 10.0, 20.0, 10.0 + 1e-13, 20.0 - 1e-13)
 
+    @pytest.mark.parametrize("lat1, lon1, lat2, lon2", [
+        (90.0, 0.0, 90.0, 10.0), (-90.0, 5.0, -90.0, -170.0)])
+    def test_pole_at_two_longitudes_coincides(self, lat1, lon1, lat2, lon2):
+        # the solver finds 6.8e-11 m and 7.8e-10 m: rounding, not a length
+        with pytest.raises(CoincidentPoints, match="less than 1 µm apart"):
+            geodesic_inverse(WGS84, lat1, lon1, lat2, lon2)
+
+    def test_points_under_one_micrometre_apart_coincide(self):
+        # both pairs are farther apart than 1e-12 degrees in latitude
+        lat2, lon2 = oracles.vincenty_direct(10.0, 20.0, 30.0, 0.5e-6)
+        with pytest.raises(CoincidentPoints):
+            geodesic_inverse(WGS84, 10.0, 20.0, lat2, lon2)
+        lat2, lon2 = oracles.vincenty_direct(10.0, 20.0, 30.0, 2e-6)
+        sol = geodesic_inverse(WGS84, 10.0, 20.0, lat2, lon2)
+        assert sol.distance_m == pytest.approx(2e-6, rel=1e-3)
+
     def test_meridian_arc(self):
         sol = geodesic_inverse(WGS84, 0.0, 0.0, 1.0, 0.0)
         assert sol.forward_azimuth_deg == 0.0
@@ -73,9 +94,23 @@ class TestGeodesicInverse:
         with pytest.raises(NearAntipodal):
             geodesic_inverse(WGS84, 0.0, 0.0, 0.5, 179.7)
 
+    def test_no_convergence_raises(self):
+        with pytest.raises(NearAntipodal, match="no convergence"):
+            geodesic_inverse(WGS84, 51.13546985510965, -21.82748299850161,
+                             -51.37744797257283, 158.17250913045532)
+
     def test_lat_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="lat1_deg"):
             geodesic_inverse(WGS84, 91.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("position, name", [
+        (0, "lat1_deg"), (1, "lon1_deg"), (2, "lat2_deg"), (3, "lon2_deg")])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_coordinate(self, position, name, value):
+        args = [0.0, 0.0, 1.0, 1.0]
+        args[position] = value
+        with pytest.raises(ValueError, match=name):
+            geodesic_inverse(WGS84, *args)
 
     def test_distance_symmetry_exact(self):
         rng = random.Random(7)
@@ -142,6 +177,15 @@ class TestHomSetup:
             hom_setup(WGS84, 89.95, 10.0, 45.0)
         with pytest.raises(PolarOrigin):
             hom_setup(WGS84, -89.9, 0.0, 0.0)
+
+    @pytest.mark.parametrize("position, name", [
+        (0, "origin_lat_deg"), (1, "origin_lon_deg"), (2, "azimuth_deg")])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_argument(self, position, name, value):
+        args = [0.0, 0.0, 0.0]
+        args[position] = value
+        with pytest.raises(ValueError, match=name):
+            hom_setup(WGS84, *args)
 
     def test_centerline_probe_melbourne(self):
         lat, lon = oracles.vincenty_direct(-37.85, 145.0, 10.0, 1000.0)
@@ -364,6 +408,30 @@ class TestHomInverse:
         params = hom_setup(WGS84, 0.0, 0.0, 0.0)
         with pytest.raises(OutOfDomain):
             hom_inverse(params, 0.0, 1.0e12)
+
+    @pytest.mark.parametrize("azimuth", [0.0, 180.0])
+    @pytest.mark.parametrize("x, y", [
+        (1e300, 0.0), (-1e300, 0.0), (0.0, 1e300), (0.0, -1e300),
+        (math.inf, 0.0), (-math.inf, 0.0), (0.0, math.inf), (0.0, -math.inf),
+        (math.nan, 0.0), (0.0, math.nan)])
+    def test_non_finite_and_huge_coordinates_out_of_domain(self, azimuth, x, y):
+        params = hom_setup(WGS84, 30.0, 10.0, azimuth)
+        with pytest.raises(OutOfDomain, match="outside the projection image"):
+            hom_inverse(params, x, y)
+
+    @given(clat=st.floats(-89.8, 89.8), clon=st.floats(-180.0, 180.0),
+           caz=st.floats(0.0, 360.0), x=st.floats(), y=st.floats())
+    @settings(deadline=None)
+    def test_returns_a_round_trip_or_raises_out_of_domain(self, clat, clon, caz, x, y):
+        params = hom_setup(WGS84, clat, clon, caz)
+        try:
+            lat, lon = hom_inverse(params, x, y)
+        except OutOfDomain:
+            return
+        x_back, y_back = hom_forward(params, lat, lon)
+        tolerance = 1e-3 * (1.0 + 1e-6 * math.hypot(x, y))
+        assert abs(x_back - x) <= tolerance
+        assert abs(y_back - y) <= tolerance
 
     @given(clat=st.floats(-85.0, 85.0), clon=st.floats(-180.0, 180.0),
            caz=st.floats(0.0, 359.999), bearing=st.floats(0.0, 360.0),

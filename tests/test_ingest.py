@@ -283,6 +283,13 @@ class TestParseFrames:
         with pytest.raises(CoincidentPoints, match="dup"):
             parse_frames(doc)
 
+    def test_endpoints_under_one_micrometre_apart_coincide(self):
+        # 4.5e-12 degrees of latitude is 0.5 µm
+        doc = frames_doc([frame_feature(
+            "short", ORIGIN, (ORIGIN[0] + 4.5e-12, ORIGIN[1]), {"events": [INTERVAL]})])
+        with pytest.raises(CoincidentPoints, match="'short'.*less than 1 µm"):
+            parse_frames(doc)
+
     def test_polar_origin_names_feature(self):
         doc = frames_doc([frame_feature(
             "pole", (89.95, 0.0), (89.96, 10.0),
@@ -617,6 +624,16 @@ class TestLoadInputs:
         assert [t.id for t in traces_loaded] == ["a", "c"]
         assert len(report.warnings) == 1
         assert "broken.gpx" in report.warnings[0][0]
+
+    def test_frames_warning_names_the_frames_file(self, tmp_path):
+        frames_path, traces = _write_two_field_inputs(tmp_path)
+        frames_path.write_text(frames_doc([frame_feature(
+            "f0", ORIGIN, TARGET, {"events": [INTERVAL.replace("Z", "")]})]),
+            encoding="utf-8")
+        (traces / "a.gpx").write_text(gpx_doc([(0.0, 0.0, ts(5))]))
+        _, _, report = load_inputs(frames_path, traces)
+        assert [source for source, _ in report.warnings] == [str(frames_path)]
+        assert "no UTC offset" in report.warnings[0][1]
 
     def test_empty_directory(self, tmp_path):
         frames_path, traces = _write_two_field_inputs(tmp_path)
