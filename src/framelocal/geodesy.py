@@ -315,22 +315,19 @@ def hom_fix_terms(ellipsoid: Ellipsoid, lats_deg: Sequence[float],
     instance instead. Entries depend on no frame, so one list serves every
     frame through hom_forward_terms.
     """
-    radians, sin, cos, tan, normalize = (math.radians, math.sin, math.cos,
-                                         math.tan, normalize_longitude)
     e = math.sqrt(ellipsoid.eccentricity_sq)
     half_e, quarter_pi = 0.5 * e, 0.25 * math.pi
     terms: list[tuple | OutOfDomain] = []
-    append = terms.append
     for lat_deg, lon_deg in zip(lats_deg, lons_deg):
         if abs(lat_deg) > _POLE_LIMIT_DEG:
-            append(OutOfDomain(f"latitude {lat_deg} is poleward of ±{_POLE_LIMIT_DEG}"))
+            terms.append(OutOfDomain(f"latitude {lat_deg} is poleward of ±{_POLE_LIMIT_DEG}"))
             continue
-        phi = radians(lat_deg)
-        sin_phi = sin(phi)
+        phi = math.radians(lat_deg)
+        sin_phi = math.sin(phi)
         s = e * sin_phi
-        append((sin_phi, cos(phi),
-                tan(quarter_pi - 0.5 * phi) * ((1.0 + s) / (1.0 - s)) ** half_e,
-                radians(normalize(lon_deg))))
+        terms.append((sin_phi, math.cos(phi),
+                      math.tan(quarter_pi - 0.5 * phi) * ((1.0 + s) / (1.0 - s)) ** half_e,
+                      math.radians(normalize_longitude(lon_deg))))
     return terms
 
 
@@ -347,7 +344,6 @@ def hom_forward_terms(params: HomParams, terms: Sequence[tuple | OutOfDomain]
     is raised. A caller projecting the same points into several frames,
     as engine.run does, runs hom_fix_terms once and this per frame.
     """
-    sin, cos, log, atan2 = math.sin, math.cos, math.log, math.atan2
     pi, two_pi = math.pi, 2.0 * math.pi
     e_num, b_pow = params.e_num, params.b_pow
     a_m, half_a_m = params.a_m, 0.5 * params.a_m
@@ -356,17 +352,16 @@ def hom_forward_terms(params: HomParams, terms: Sequence[tuple | OutOfDomain]
     lam_c, lon0 = math.radians(params.origin_lon_deg), params.lon0_rad
     u0, v0, reversed_line = params.u0_m, params.v0_m, params.reversed_line
     results: list[tuple[float, float] | OutOfDomain] = []
-    append = results.append
     for entry in terms:
-        if entry.__class__ is not tuple:  # a polar point's OutOfDomain
-            append(entry)
+        if not isinstance(entry, tuple):  # a polar point's OutOfDomain
+            results.append(entry)
             continue
         sin_phi, cos_phi, t, lam = entry
         # Within 90 degrees of arc of the origin means a non-negative
         # spherical dot product. A non-finite longitude's lambda is NaN,
         # and NaN fails the comparison, so non-finite input is rejected.
-        if not (sin_phi0 * sin_phi + cos_phi0 * cos_phi * cos(lam - lam_c) >= 0.0):
-            append(OutOfDomain("point lies in the hemisphere opposite the origin"))
+        if not (sin_phi0 * sin_phi + cos_phi0 * cos_phi * math.cos(lam - lam_c) >= 0.0):
+            results.append(OutOfDomain("point lies in the hemisphere opposite the origin"))
             continue
 
         # Hotine skew coordinates: u along the formulation centerline, v
@@ -381,19 +376,19 @@ def hom_forward_terms(params: HomParams, terms: Sequence[tuple | OutOfDomain]
         elif dlam > pi:
             dlam -= two_pi
         bdl = b_pow * dlam
-        big_v = sin(bdl)
+        big_v = math.sin(bdl)
         big_u = (-big_v * cos_g0 + big_s * sin_g0) / big_t
         if abs(big_u) >= 1.0 - 1e-15:
-            append(OutOfDomain("point maps to the singular axis of the projection"))
+            results.append(OutOfDomain("point maps to the singular axis of the projection"))
             continue
-        v = half_a_m * log((1.0 - big_u) / (1.0 + big_u)) / b_pow
-        u = a_m * atan2(big_s * cos_g0 + big_v * sin_g0, cos(bdl)) / b_pow
+        v = half_a_m * math.log((1.0 - big_u) / (1.0 + big_u)) / b_pow
+        u = a_m * math.atan2(big_s * cos_g0 + big_v * sin_g0, math.cos(bdl)) / b_pow
 
         du = u - u0
         dv = v - v0
         if reversed_line:
             du, dv = -du, -dv
-        append((dv, du))
+        results.append((dv, du))
     return results
 
 

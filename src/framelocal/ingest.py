@@ -91,9 +91,9 @@ def parse_interval(text: str, label: str = "e0",
     """Parse a ``<start>/<end>`` interval string into an EventInterval.
 
     Only the explicit two-datetime form is accepted; begin and end are
-    normalized to UTC. Datetimes lacking an offset are taken as UTC and
-    reported through on_warning when given. An empty label, or an endpoint
-    out of the datetime range in UTC, is a MalformedInterval.
+    normalized to UTC. Datetimes lacking an offset are taken as UTC, which a
+    valid interval reports through on_warning when given. An empty label,
+    or an endpoint out of the datetime range in UTC, is a MalformedInterval.
     """
     parts = text.split("/")
     if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
@@ -106,12 +106,13 @@ def parse_interval(text: str, label: str = "e0",
                 "give two explicit datetimes")
     begin, begin_naive = _parse_instant(parts[0])
     end, end_naive = _parse_instant(parts[1])
-    if (begin_naive or end_naive) and on_warning is not None:
-        on_warning(f"interval {text!r} has no UTC offset; assuming UTC")
     try:
-        return EventInterval(begin_utc=begin, end_utc=end, label=label)
+        interval = EventInterval(begin_utc=begin, end_utc=end, label=label)
     except ValueError as exc:
         raise MalformedInterval(f"{text!r}: {exc}") from None
+    if (begin_naive or end_naive) and on_warning is not None:
+        on_warning(f"interval {text!r} has no UTC offset; assuming UTC")
+    return interval
 
 
 def build_frame_line(frame_id: str, origin_lat_deg: float, origin_lon_deg: float,

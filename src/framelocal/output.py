@@ -84,11 +84,9 @@ class OutputLayout:
 
 def _xy_texts(rows: Sequence[tuple[float, float, float]]) -> list[str]:
     """The "x,y," text of each of one or more (x, y, t) rows, in order."""
-    # repr() is the shortest round-tripping form; integral values drop ".0".
-    # Each number ends at ",", so the replacement touches only the ".0" that
-    # ends a number, and no text holds the "\n" it is split at.
-    return ("\n".join([f"{x!r},{y!r}," for x, y, _ in rows])
-            .replace(".0,", ",").split("\n"))
+    # repr() is the shortest round-tripping form; integral values drop ".0",
+    # and only a number's end is followed by ",".
+    return [f"{x!r},{y!r},".replace(".0,", ",") for x, y, _ in rows]
 
 
 class _TTexts(dict):

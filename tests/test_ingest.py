@@ -84,6 +84,13 @@ class TestParseInterval:
         with pytest.raises(MalformedInterval, match="label"):
             parse_interval("2017-06-10T05:00:00Z/2017-06-10T05:20:00Z", label="")
 
+    def test_invalid_naive_interval_raises_without_warning(self):
+        warnings = []
+        with pytest.raises(MalformedInterval, match="label"):
+            parse_interval("2017-06-10T05:00:00/2017-06-10T05:20:00", label="",
+                           on_warning=warnings.append)
+        assert warnings == []
+
     def test_naive_assumed_utc_with_warning(self):
         warnings = []
         interval = parse_interval("2017-06-10T05:00:00/2017-06-10T05:20:00Z",
@@ -325,6 +332,15 @@ class TestParseFrames:
         doc = frames_doc([frame_feature("blank", ORIGIN, TARGET, {"": interval})])
         with pytest.raises(NoEvents, match="blank"):
             parse_frames(doc)
+
+    def test_naive_interval_under_empty_property_name_ignored_without_warning(self):
+        warnings = []
+        doc = frames_doc([frame_feature(
+            "blank", ORIGIN, TARGET,
+            {"": "2017-06-10T05:00:00/2017-06-10T05:20:00", "events": [INTERVAL]})])
+        [(_, events)] = parse_frames(doc, on_warning=warnings.append)
+        assert [e.label for e in events] == ["e0"]
+        assert warnings == []
 
     @pytest.mark.parametrize("member", ["properties", "geometry"])
     @pytest.mark.parametrize("value", [[1], [], "x", 0, False])
