@@ -72,7 +72,7 @@ def project_series(trace: Trace, window: range,
     kept = [row for row in rows if isinstance(row, tuple)]
     dropped = len(rows) - len(kept)
     if dropped:
-        index = next(i for i, row in enumerate(rows) if not isinstance(row, tuple))
+        index = [isinstance(row, tuple) for row in rows].index(False)
         fix = window.start + index
         when = EPOCH + timedelta(microseconds=trace.time_us[fix])
         first = (f"point ({trace.lat_deg[fix]}, {trace.lon_deg[fix]}) at "

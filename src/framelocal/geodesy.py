@@ -218,10 +218,6 @@ def _conformal_phi(t: float, e: float) -> float:
     return phi
 
 
-def _clamp(value: float, lo: float, hi: float) -> float:
-    return lo if value < lo else hi if value > hi else value
-
-
 def check_origin_latitude(origin_lat_deg: float) -> None:
     """Raise PolarOrigin for a projection origin poleward of the limit."""
     if abs(origin_lat_deg) >= _POLE_LIMIT_DEG:
@@ -264,13 +260,15 @@ def hom_setup(ellipsoid: Ellipsoid, origin_lat_deg: float, origin_lon_deg: float
 
     b_pow = math.sqrt(1.0 + e2 * cos_phi0 ** 4 / (1.0 - e2))
     a_m = a * b_pow * math.sqrt(1.0 - e2) / con
+    # d*d - 1 = (1 - e2) sin^2(phi0) / (cos^2(phi0) con) >= 0; d stays >= 1 in
+    # floats too (a test covers each origin where rounding could cross 1)
     d = b_pow * math.sqrt(1.0 - e2) / (cos_phi0 * math.sqrt(con))
-    d2m1 = max(d * d - 1.0, 0.0)  # rounding can push d below 1 at the equator
+    d2m1 = d * d - 1.0
     f_num = d + math.sqrt(d2m1) if origin_lat_deg >= 0.0 else d - math.sqrt(d2m1)
     e_num = f_num * t0 ** b_pow
     g_num = 0.5 * (f_num - 1.0 / f_num)
     sin_alpha = math.sin(alpha)
-    gamma0 = math.asin(_clamp(sin_alpha / d, -1.0, 1.0))
+    gamma0 = math.asin(sin_alpha / d)
 
     # Longitude of the natural origin. The textbook arcsine form loses
     # precision catastrophically near azimuth ±90 (its argument reaches ±1);

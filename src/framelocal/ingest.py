@@ -334,23 +334,25 @@ _LEAF = r"<(?!time\b)[^<>/]*>[^<]*</[^<>]*>"  # a child element other than <time
 # is the value ElementTree reads. Any other "<trkpt" matches the optional
 # part empty and reads as ("", "", ""), which no trkpt read in full gives.
 # The children loop is possessive, so a failed match never re-splits it.
+# It reads bytes, where \b is ASCII only: a <timeé> child sends a file to ElementTree.
 _TRKPT = re.compile(rf"""
     <trkpt(?:
     {_S}+lat="([^"<\t\n\r]+)"{_S}+lon="([^"<\t\n\r]*)"{_S}*>
     [^<]*+(?:{_LEAF}[^<]*+)*+
     (?:<time>([^<\r]*)</time>|(?:<(?!time\b|/?trkpt)[^<]*)*</trkpt>)
-    )?""", re.VERBOSE)
-_UNREAD = ("", "", "")
+    )?""".encode(), re.VERBOSE)
+_UNREAD = (b"", b"", b"")
 
 
 def _scan_fixes(document: str | bytes) -> list[tuple[str, str, str]] | None:
     """(lat, lon, time text) of each trkpt in document order, read by one
-    regular expression; None when the document is outside the canonical
+    regular expression over the UTF-8 bytes, of which only the captured
+    values are decoded; None when the document is outside the canonical
     subset in which the expression reads what ElementTree reads (XML 1.0
     §2.8-2.11, GPX 1.1). A document the expression reads gets one expat
     pass, which raises MalformedXml as ElementTree's path does unless the
     document is well-formed, and reads its prolog and namespaces. The subset:
-    - UTF-8 text with no NUL (UTF-16 and UTF-32 text has one)
+    - UTF-8, with no NUL (UTF-16 and UTF-32 text has one) or lone surrogate
     - no "<!" (DOCTYPE, comment, CDATA) and no "&" (entity or character
       reference)
     - every "<trkpt" opens an element that _TRKPT reads
@@ -360,18 +362,18 @@ def _scan_fixes(document: str | bytes) -> list[tuple[str, str, str]] | None:
       root, and no prefix bound to the root's namespace
     """
     try:
-        text = document.decode("utf-8") if isinstance(document, bytes) else document
-    except UnicodeDecodeError:
+        data = document.encode("utf-8") if isinstance(document, str) else document
+    except UnicodeEncodeError:
         return None
-    # "<!" is looked for only if "!" occurs at all: memchr finds one character,
+    # "<!" is looked for only if "!" occurs at all: memchr finds one byte,
     # not two (about 10x faster on a 1.9 MB file, where "<" is every 10th one)
-    if "\x00" in text or "&" in text or ("!" in text and "<!" in text):
+    if b"\x00" in data or b"&" in data or (b"!" in data and b"<!" in data):
         return None
-    fixes = _TRKPT.findall(text)
-    # finding _UNREAD in the list is cheaper than counting "<trkpt" in the text
+    fixes = _TRKPT.findall(data)
+    # finding _UNREAD in the list is cheaper than counting "<trkpt" in the data
     if _UNREAD in fixes or not _read_xml(document, _expat_gate):
         return None
-    return fixes
+    return [(lat.decode(), lon.decode(), time.decode()) for lat, lon, time in fixes]
 
 
 def _tree_fixes(root: ET.Element) -> list[tuple[str, str, str]]:

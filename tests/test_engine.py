@@ -134,6 +134,15 @@ class TestProjectSeries:
         with pytest.raises(OutOfDomain, match="2017-06-10T05:00:00"):
             project_series(trace, range(1), _rows(params, trace, event), frame, event)
 
+    def test_drops_without_on_warning_keep_the_rest_silently(self):
+        frame = _frame()
+        params = hom_setup(WGS84, frame.origin_lat_deg, frame.origin_lon_deg,
+                           frame.azimuth_deg)
+        event = _interval(ts(5, 0), ts(5, 20))
+        trace = _trace([(37.85, -35.0, ts(5, 0)), (*ORIGIN, ts(5, 1))])
+        series = project_series(trace, range(2), _rows(params, trace, event), frame, event)
+        assert series.points == ((0.0, 0.0, 60.0),)
+
 
 class TestRun:
     def test_full_cartesian_product(self):

@@ -204,6 +204,27 @@ class TestHomSetup:
         assert p2.azimuth_deg == 50.0
         assert hom_forward(p1, *probe) == hom_forward(p2, *probe)
 
+    def test_tiny_negative_azimuth_wraps_to_zero(self):
+        assert -1e-20 % 360.0 == 360.0  # float modulo lands outside [0, 360)
+        assert hom_setup(WGS84, 10.0, 20.0, -1e-20).azimuth_deg == 0.0
+
+    @pytest.mark.parametrize("azimuth", [90.0, 270.0])
+    def test_d_stays_at_least_one_where_rounding_could_cross_it(self, azimuth):
+        # hom_setup takes sqrt(d*d - 1) and asin(sin(alpha) / d) unclamped.
+        # d*d - 1 = (1 - e^2) sin^2(phi0) / (cos^2(phi0) con) >= 0, and d - 1
+        # is about (1 - 2e^2)(1 - cos(phi0)), so only where cos(phi0) is within
+        # a few units in the last place of 1 could rounding take d below 1.
+        # These origins have every cosine among the 1,000 doubles below 1.0,
+        # and 1.0 itself; at azimuth 90 or 270, |sin(alpha)| is exactly 1.
+        cosines = [1.0]
+        for _ in range(1000):
+            cosines.append(math.nextafter(cosines[-1], 0.0))
+        origins = [sign * math.degrees(math.acos(c)) for c in cosines for sign in (1, -1)]
+        assert {cos_phi for _, cos_phi, _, _ in hom_fix_terms(
+            WGS84, origins, [0.0] * len(origins))} == set(cosines)
+        for lat in origins:
+            assert abs(hom_setup(WGS84, lat, 0.0, azimuth).sin_gamma0) <= 1.0
+
 
 class TestHomForward:
     @pytest.mark.parametrize("azimuth", [0.0, 45.0, 135.0, 200.0, 300.0])

@@ -105,10 +105,11 @@ def _outcome(read):
 @pytest.mark.parametrize("document, count", [
     (GARMIN_FILE, 5), (PHONE_FILE, 5), (GPX10_FILE, 5),
     (_gpx().replace("<gpx ", '<gpx creator="a>b" '), 1),
+    (_gpx().replace("<gpx ", '<gpx creator="Hi!" '), 1),
     (BOM_FILE, 1), (STANDALONE_FILE, 1), (UNDECLARED_FILE, 1)],
     ids=["garmin-1.1-ns3-extensions", "phone-1.1-one-line", "gpx-1.0-no-namespace",
-         "gt-in-a-root-value-before-xmlns", "utf-8-bom", "single-quoted-standalone",
-         "no-declaration"])
+         "gt-in-a-root-value-before-xmlns", "exclamation-mark-outside-markup", "utf-8-bom",
+         "single-quoted-standalone", "no-declaration"])
 def test_canonical_shapes_take_the_scanner(document, count):
     data = document.encode("utf-8")
     scanned = ingest._scan_fixes(data)
@@ -145,13 +146,15 @@ def test_canonical_shapes_take_the_scanner(document, count):
           ).encode("latin-1"), [_unparsable("2017-06-10T05:00:01Z\u00c3\u00a9")]),
     (_gpx(prolog=_UTF8.replace("UTF-8", "UTF-16")).encode("utf-16-le"), []),
     (LEAVES_THEN_NESTED_FILE.encode(), []),
+    (_gpx(_FIX.replace("<time>", "<time\u00e9>2017-06-10T06:00:00Z</time\u00e9><time>")
+          ).encode(), []),
 ], ids=["comment", "cdata", "entity", "character-reference", "doctype",
         "processing-instruction", "processing-instruction-in-the-prolog",
         "processing-instruction-first", "prefix-bound-to-gpx",
         "prefix-bound-after-xmlns-in-a-value", "prefixed-root", "root-in-the-xml-namespace",
         "prefix-bound-to-gpx-below-the-root", "default-namespace-redeclared",
         "default-namespace-undeclared", "latin-1-declaration", "utf-16-without-bom",
-        "100000-leaf-children-then-a-nested-one"])
+        "100000-leaf-children-then-a-nested-one", "time-then-a-non-ascii-letter"])
 def test_other_shapes_take_element_tree(data, warnings):
     # each file holds a trap that the scanner would misread, or a fix it
     # would miss, without the rule that sends the file to ElementTree; and
@@ -171,13 +174,21 @@ def test_scanned_file_still_checked_for_well_formedness():
     # the scanner's expression reads every fix of a file whose root is never
     # closed; its expat pass rejects the file as ElementTree does
     data = GARMIN_FILE.removesuffix("</gpx>\n").encode()
-    assert ingest._UNREAD not in ingest._TRKPT.findall(data.decode())
+    assert ingest._UNREAD not in ingest._TRKPT.findall(data)
     messages = []
     for read in ingest._scan_fixes, lambda d: ingest.parse_gpx(d, "t"), _tree_fixes:
         with pytest.raises(MalformedXml) as raised:
             read(data)
         messages.append(str(raised.value))
     assert messages[0] == messages[1] == messages[2]
+
+
+def test_text_that_utf8_cannot_encode_goes_to_element_tree():
+    # the scanner reads the UTF-8 bytes of str input; a lone surrogate has none
+    document = _gpx(_FIX.replace("</trkpt>", "<name>\udcff</name></trkpt>"))
+    assert ingest._scan_fixes(document) is None
+    with pytest.raises(MalformedXml, match="surrogates not allowed"):
+        ingest.parse_gpx(document, "t")
 
 
 @pytest.mark.parametrize("document", [
@@ -325,6 +336,8 @@ def _gpx_documents(draw) -> bytes:
 
 @given(data=_gpx_documents())
 @example(data=GARMIN_FILE.encode("utf-8"))
+@example(data=_gpx(_FIX.replace("<time>", "<time\u00e9>2017-06-10T06:00:00Z</time\u00e9>"
+                                "<time>")).encode())
 @example(data=_gpx(_FIX.replace("<time>", "<extensions><time>2017-06-10T05:00:01Z"
                                 "</time></extensions><time>")).encode())
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])

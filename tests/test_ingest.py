@@ -99,6 +99,16 @@ class TestParseInterval:
         assert len(warnings) == 1
         assert "assuming UTC" in warnings[0]
 
+    def test_naive_end_alone_warns(self):
+        warnings = []
+        parse_interval("2017-06-10T05:00:00Z/2017-06-10T05:20:00", on_warning=warnings.append)
+        assert warnings == ["interval '2017-06-10T05:00:00Z/2017-06-10T05:20:00' has no "
+                            "UTC offset; assuming UTC"]
+
+    def test_naive_assumed_utc_without_on_warning(self):
+        interval = parse_interval("2017-06-10T05:00:00/2017-06-10T05:20:00")
+        assert (interval.begin_utc, interval.end_utc) == (ts(5, 0), ts(5, 20))
+
     def test_fractional_seconds_kept(self):
         interval = parse_interval(
             "2017-06-10T05:00:00.250Z/2017-06-10T05:00:01.750Z")
@@ -187,6 +197,16 @@ class TestParseFrames:
             parse_frames(json.dumps({"type": "Feature"}))
         with pytest.raises(NotFeatureCollection):
             parse_frames("{not json")
+        with pytest.raises(NotFeatureCollection, match="FeatureCollection"):
+            parse_frames("[]")
+
+    @pytest.mark.parametrize("geometry", [{"type": "LineString"},
+                                          {"type": "LineString", "coordinates": "x"}])
+    def test_linestring_without_a_positions_array_rejected(self, geometry):
+        feature = frame_feature("bare", ORIGIN, TARGET, {"events": [INTERVAL]})
+        feature["geometry"] = geometry
+        with pytest.raises(BadLineString, match="'bare': LineString has no positions"):
+            parse_frames(frames_doc([feature]))
 
     @pytest.mark.parametrize("features, message", [
         (None, 'lacks a "features" array'), ({}, 'lacks a "features" array'),
@@ -220,6 +240,12 @@ class TestParseFrames:
             "swapped", (145.0, -37.85), (145.001, -37.84),
             {"events": ["2017-06-10T05:00:00Z/2017-06-10T05:20:00Z"]})])
         with pytest.raises(BadLineString, match="swapped"):
+            parse_frames(doc)
+
+    def test_latitude_below_the_range_caught(self):
+        doc = frames_doc([frame_feature("south", (-145.0, -37.85), (-145.001, -37.84),
+                                        {"events": [INTERVAL]})])
+        with pytest.raises(BadLineString, match=r"'south': latitude -145.0 outside \[-90, 90\]"):
             parse_frames(doc)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -264,6 +290,7 @@ class TestParseFrames:
         [[145.0, -37.85], [145.001, None]],
         ["12", [145.001, -37.84]],
         [[145.0, -37.85], [{"lon": 145.001}, -37.84]],
+        [[145.0], [145.001, -37.84]],
     ])
     def test_position_must_be_json_numbers(self, coordinates):
         feature = frame_feature(
@@ -408,9 +435,22 @@ class TestParseFrames:
             frame_feature(None, ORIGIN, TARGET,
                           {"name": "named", "events": [interval]}),
             frame_feature(None, ORIGIN, TARGET, {"events": [interval]}),
+            frame_feature(None, ORIGIN, TARGET, {"name": "", "events": [interval]}),
+            frame_feature(None, ORIGIN, TARGET, {"name": 7, "events": [interval]}),
         ])
         frames = parse_frames(doc)
-        assert [frame.id for frame, _ in frames] == ["explicit", "named", "f2"]
+        assert [frame.id for frame, _ in frames] == ["explicit", "named", "f2", "f3", "f4"]
+
+    def test_properties_that_are_no_object_name_the_feature_by_index(self):
+        feature = frame_feature(None, ORIGIN, TARGET, None)
+        feature["properties"] = ["name"]
+        with pytest.raises(NotFeatureCollection, match="'f0': properties"):
+            parse_frames(frames_doc([feature]))
+
+    def test_events_property_that_is_a_string_is_read_as_any_other(self):
+        [(_, events)] = parse_frames(frames_doc([frame_feature(
+            "f0", ORIGIN, TARGET, {"events": INTERVAL})]))
+        assert [e.label for e in events] == ["events"]
 
     def test_number_ids_become_their_text(self):
         interval = "2017-06-10T05:00:00Z/2017-06-10T05:20:00Z"
@@ -566,6 +606,16 @@ class TestParseGpx:
         trace = parse_gpx(text, "t", on_warning=warnings.append)
         assert list(trace.time_us) == [utc_us(ts(5, 1))]
         assert warnings == ["track point skipped: time_utc 9999-12-31T23:59:59-01:00 "
+                            "is out of range in UTC"]
+
+    def test_time_before_the_year_1_in_utc_skipped_with_warning(self):
+        warnings = []
+        text = gpx_doc([(-37.84, 145.0, ts(5, 1))]).replace(
+            "</trkseg>", '<trkpt lat="-37.85" lon="145.0">'
+            "<time>0001-01-01T00:30:00+01:00</time></trkpt></trkseg>")
+        trace = parse_gpx(text, "t", on_warning=warnings.append)
+        assert list(trace.time_us) == [utc_us(ts(5, 1))]
+        assert warnings == ["track point skipped: time_utc 0001-01-01T00:30:00+01:00 "
                             "is out of range in UTC"]
 
     def test_bad_latitude_skipped_with_warning(self):

@@ -106,6 +106,10 @@ class TestFrameLine:
         with pytest.raises(ValueError):
             FrameLine("f0", 0.0, 0.0, 0.001, 0.0, 360.0, 110.6)
 
+    def test_negative_azimuth_rejected(self):
+        with pytest.raises(ValueError, match=r"azimuth_deg -1e-09 outside \[0, 360\)"):
+            FrameLine("f0", 0.0, 0.0, 0.001, 0.0, -1e-9, 110.6)
+
     def test_positive_length(self):
         with pytest.raises(ValueError):
             FrameLine("f0", 0.0, 0.0, 0.001, 0.0, 0.0, 0.0)
@@ -145,6 +149,10 @@ class TestEventInterval:
     def test_naive_datetime_rejected(self, begin, end, name):
         with pytest.raises(ValueError, match=f"{name} must be a timezone-aware datetime"):
             EventInterval(begin_utc=begin, end_utc=end, label="e0")
+
+    def test_text_instant_rejected(self):
+        with pytest.raises(ValueError, match="begin_utc must be a timezone-aware datetime"):
+            EventInterval(begin_utc="2017-06-10T05:00:00Z", end_utc=ts(6), label="e0")
 
 
 class TestEventSeries:

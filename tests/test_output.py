@@ -54,6 +54,12 @@ class TestWriteCsv:
         path = write_csv(_series([(0.0, 0.0, 0.0)], trace_id="run 1!"), layout)
         assert path.name == "run_1___f0__e0.csv"
 
+    def test_empty_name_part_written_as_underscore(self, tmp_path):
+        # an EventSeries built by hand may have an empty id
+        layout = OutputLayout(out_dir=tmp_path)
+        path = write_csv(_series([(0.0, 0.0, 0.0)], trace_id=""), layout)
+        assert path.name == "___f0__e0.csv"
+
     def test_layout_creates_out_dir(self, tmp_path):
         out_dir = tmp_path / "deep" / "out"
         layout = OutputLayout(out_dir=out_dir)
@@ -486,6 +492,13 @@ class TestRenderOverlaySvg:
         assert target.read_bytes() == expected
         assert sorted(p.name for p in tmp_path.iterdir()) == ["new", "overlay.svg",
                                                               "target.svg"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+    def test_failed_write_to_a_device_raises_and_leaves_it(self):
+        # /dev/full takes the open and fails the write: nothing to remove
+        with pytest.raises(OSError):
+            render_overlay_svg([_series([(0.0, 5.0, 0.0)])], "/dev/full")
+        assert stat.S_ISCHR(os.lstat("/dev/full").st_mode)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
     def test_fifo_is_written_straight(self, tmp_path):
