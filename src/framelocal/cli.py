@@ -1,7 +1,7 @@
 """Command-line pipeline: frames file + traces directory -> CSV directory.
 
-Exit codes: 0 success, 1 usage error, 2 ingest error, 3 processing/output
-error. The summary line goes to stdout; warnings and errors go to stderr.
+Exit codes: 0 success, 1 usage error, 2 ingest error, 3 output error. The
+summary line goes to stdout; warnings and errors go to stderr.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def _pipeline(args: argparse.Namespace) -> int:
     except NoSeries:
         _say(f"framelocal: warning: no series to plot; skipped {args.plot}")
         warnings += 1
-    except (FrameLocalError, OSError) as exc:
+    except OSError as exc:
         _say(f"framelocal: error: {exc}")
         return 3
 

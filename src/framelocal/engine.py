@@ -11,7 +11,7 @@ Both interval bounds are inclusive, so a sample landing exactly on a shared
 boundary of two back-to-back events appears in both series. Permutations
 with no in-interval samples are counted and skipped; no boundary points are
 interpolated or invented. A sample outside the projection's domain is
-dropped from its series with a warning.
+dropped with a warning; a permutation left with none counts as empty.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from datetime import timedelta
 from functools import partial
 from operator import attrgetter, itemgetter
 
-from .errors import FrameLocalError, OutOfDomain
+from .errors import OutOfDomain
 from .geodesy import WGS84, HomParams, hom_fix_terms, hom_forward_terms, hom_setup
 from .ingest import WarnFn
 from .model import EPOCH, EventInterval, EventSeries, FrameLine, Trace, aligned, utc_us
@@ -31,8 +31,9 @@ from .model import EPOCH, EventInterval, EventSeries, FrameLine, Trace, aligned,
 
 @dataclass(frozen=True)
 class RunResult:
-    """All non-empty series, the count of empty permutations, and one
-    (source, message) warning per permutation with out-of-domain drops."""
+    """All non-empty series, the count of empty permutations (those with no
+    in-window fix, or none that projects), and one (source, message)
+    warning per permutation with out-of-domain drops."""
 
     series: tuple[EventSeries, ...]
     skipped_empty: int
@@ -65,7 +66,7 @@ def project_series(trace: Trace, window: range,
 
     OutOfDomain rows are dropped, and one warning gives their count and the
     first of them. If no row is a tuple, that first fix's OutOfDomain is
-    raised instead. The series holds the given row tuples themselves and
+    then raised. The series holds the given row tuples themselves and
     computes nothing per fix. It gets no EventSeries._source: run alone
     sets that, on the series whose shared rows it vouches for.
     """
@@ -77,11 +78,11 @@ def project_series(trace: Trace, window: range,
         when = EPOCH + timedelta(microseconds=trace.time_us[fix])
         first = (f"point ({trace.lat_deg[fix]}, {trace.lon_deg[fix]}) at "
                  f"{when.isoformat()}: {rows[index]}")
-        if not kept:
-            raise OutOfDomain(first)
         if on_warning is not None:
             on_warning(f"{dropped} of {len(window)} in-window fixes skipped as "
                        f"out of the projection's domain; first: {first}")
+        if not kept:
+            raise OutOfDomain(first)
     return EventSeries(trace_id=trace.id, frame_id=frame.id, event_label=event.label,
                        points=tuple(kept))
 
@@ -141,10 +142,8 @@ def run(traces: list[Trace],
     once per frame.
     Series are sorted by (trace id, frame id, event label).
     Samples dropped as out of domain become one warning per permutation, in
-    input order (traces, then frames, then events). A failure in any
-    permutation, including one in which no sample projects, aborts the run
-    and is reported for the first failing permutation in that order.
-    Projection errors carry the offending permutation and point.
+    input order (traces, then frames, then events), and a permutation in
+    which no sample projects is counted in skipped_empty.
     """
     prepared = prepare(frames)
     series: list[EventSeries] = []
@@ -188,8 +187,9 @@ def run(traces: list[Trace],
                         trace, window, rows[begin_us][window.start:window.stop],
                         frame, event,
                         on_warning=lambda message: warnings.append((where, message)))
-                except FrameLocalError as exc:
-                    raise type(exc)(f"{where}: {exc}") from exc
+                except OutOfDomain:  # no in-window fix projects
+                    skipped_empty += 1
+                    continue
                 if len(cut.points) == len(window):  # no out-of-domain drops
                     object.__setattr__(cut, "_source", (token, window))
                 series.append(cut)

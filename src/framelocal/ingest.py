@@ -330,16 +330,16 @@ _LEAF = r"<(?!time\b)[^<>/]*>[^<]*</[^<>]*>"  # a child element other than <time
 # A trkpt start tag with a non-empty lat and a lon, leaf children (text
 # only, no "/" in the tag), then the first <time> child, or else no <time>
 # at all before </trkpt>. Groups: lat, lon and the time text, "" without a
-# <time> child. No group may hold a character that XML normalizes, so each
-# is the value ElementTree reads. Any other "<trkpt" matches the optional
-# part empty and reads as ("", "", ""), which no trkpt read in full gives.
+# <time> child. No group holds a reference or a character XML normalizes,
+# so each is the value ElementTree reads. Any other "<trkpt" matches the
+# optional part empty and reads as ("", "", ""), which no full read gives.
 # The children loop is possessive, so a failed match never re-splits it.
 # It reads bytes, where \b is ASCII only: a <timeé> child sends a file to ElementTree.
 _TRKPT = re.compile(rf"""
     <trkpt(?:
-    {_S}+lat="([^"<\t\n\r]+)"{_S}+lon="([^"<\t\n\r]*)"{_S}*>
+    {_S}+lat="([^"<&\t\n\r]+)"{_S}+lon="([^"<&\t\n\r]*)"{_S}*>
     [^<]*+(?:{_LEAF}[^<]*+)*+
-    (?:<time>([^<\r]*)</time>|(?:<(?!time\b|/?trkpt)[^<]*)*</trkpt>)
+    (?:<time>([^<&\r]*)</time>|(?:<(?!time\b|/?trkpt)[^<]*)*</trkpt>)
     )?""".encode(), re.VERBOSE)
 _UNREAD = (b"", b"", b"")
 
@@ -353,9 +353,9 @@ def _scan_fixes(document: str | bytes) -> list[tuple[str, str, str]] | None:
     pass, which raises MalformedXml as ElementTree's path does unless the
     document is well-formed, and reads its prolog and namespaces. The subset:
     - UTF-8, with no NUL (UTF-16 and UTF-32 text has one) or lone surrogate
-    - no "<!" (DOCTYPE, comment, CDATA) and no "&" (entity or character
-      reference)
-    - every "<trkpt" opens an element that _TRKPT reads
+    - no "<!" (DOCTYPE, comment, CDATA)
+    - every "<trkpt" opens an element that _TRKPT reads, with no "&"
+      (entity or character reference) in its lat, lon or time
     - as expat reads the document: no processing instruction, a declared
       encoding, if any, of UTF-8 or ASCII, the root element in the default
       namespace, no default namespace declared or undeclared below the
@@ -367,7 +367,7 @@ def _scan_fixes(document: str | bytes) -> list[tuple[str, str, str]] | None:
         return None
     # "<!" is looked for only if "!" occurs at all: memchr finds one byte,
     # not two (about 10x faster on a 1.9 MB file, where "<" is every 10th one)
-    if b"\x00" in data or b"&" in data or (b"!" in data and b"<!" in data):
+    if b"\x00" in data or (b"!" in data and b"<!" in data):
         return None
     fixes = _TRKPT.findall(data)
     # finding _UNREAD in the list is cheaper than counting "<trkpt" in the data

@@ -223,11 +223,6 @@ def hom_reference_xy(lat_c: float, lon_c: float, azimuth_deg: float,
 
 # -- the command line's outputs, from README.md alone -----------------------
 
-class NoFixProjects(Exception):
-    """A permutation with fixes in its interval, none of which the
-    projection takes: README.md makes that run exit 3."""
-
-
 class _Undecided(Exception):
     """An input on which README.md does not decide the output."""
 
@@ -392,8 +387,8 @@ def cli_outputs(frames_text: str, trace_files: dict[str, bytes]
     permutations. trace_files maps each .gpx file name to its bytes. None
     where README.md does not decide: a time with a fraction of more than
     6 digits, or a fix in an interval within 1 degree of the 90-degree
-    arc at which the projection's domain ends. Raises NoFixProjects for a
-    run that exits 3."""
+    arc at which the projection's domain ends. A permutation with no fix
+    in its interval, or none that the projection takes, is empty."""
     try:
         return _cli_outputs(frames_text, trace_files)
     except _Undecided:
@@ -418,21 +413,18 @@ def _cli_outputs(frames_text: str, trace_files: dict[str, bytes]
     for trace_id, fixes in sorted(traces, key=lambda trace: trace[0]):
         for frame_id, origin, azimuth, events in frames:
             for label, begin, end in events:
-                window = [fix for fix in fixes if begin <= fix[2] <= end]
-                if not window:
-                    empty += 1
-                    continue
                 rows = []
-                for lat, lon, us in window:
+                for lat, lon, us in (fix for fix in fixes if begin <= fix[2] <= end):
                     cosine = _arc_cosine(origin, lat, lon)
                     if abs(cosine) < math.sin(math.radians(1.0)):
                         raise _Undecided(f"({lat}, {lon})")
                     if cosine > 0.0 and abs(lat) <= 89.9:
                         rows.append((*hom_reference_xy(*origin, azimuth, lat, lon),
                                      (us - begin) / 10**6))
-                if not rows:
-                    raise NoFixProjects(f"{trace_id}, {frame_id}, {label}")
-                series.append(((trace_id, frame_id, label), rows))
+                if rows:
+                    series.append(((trace_id, frame_id, label), rows))
+                else:
+                    empty += 1
     taken: set[str] = set()
     files = {}
     for key, rows in sorted(series, key=lambda item: item[0]):

@@ -91,36 +91,50 @@ class TestExitCodes:
                                 f"{tmp_path / 'traces.gpx'} {state}\n")
         assert not (tmp_path / "out").exists()
 
-    def test_projection_failure_is_processing_error(self, tmp_path, capsys):
+    def test_far_frame_leaves_each_permutation_empty(self, tmp_path, capsys):
         frames_path, traces = _basic_inputs(tmp_path)
         far_origin, far_target = (37.85, -35.0), (37.84, -35.001)
-        frames_path.write_text(frames_doc(
-            [frame_feature("far", far_origin, far_target, {"events": [INTERVAL]})]))
+        frames_path.write_text(frames_doc([frame_feature(
+            "far", far_origin, far_target,
+            {"events": [INTERVAL, "2017-06-10T05:01:00Z/2017-06-10T05:01:30Z"]})]))
         code = main(["--frames", str(frames_path), "--traces", str(traces),
                      "--out", str(tmp_path / "out")])
         captured = capsys.readouterr()
-        assert code == 3
-        assert "far" in captured.err
+        assert code == 0
+        assert captured.out == ("0 series written, 2 permutations skipped "
+                                "(empty), 2 warnings\n")
+        assert [line.split(": ")[:3] for line in captured.err.splitlines()] == [
+            ["framelocal", "warning", f"trace 'walk', frame 'far', event '{label}'"]
+            for label in ("e0", "e1")]
+        assert "2 of 2 in-window fixes skipped" in captured.err
+        assert "1 of 1 in-window fixes skipped" in captured.err
+        assert list((tmp_path / "out").iterdir()) == []
 
-    def test_processing_error_keeps_earlier_traces_csvs(self, tmp_path, capsys):
+    def test_trace_of_glitches_only_is_empty_and_the_run_goes_on(self, tmp_path, capsys):
         frames_path, traces = _basic_inputs(tmp_path)
-        # all of trace 'x' is null-island glitches, against a Melbourne frame
+        # all of trace 'x' is null-island glitches, against a Melbourne frame,
+        # between the good traces 'walk' and 'y'
         (traces / "x.gpx").write_text(gpx_doc(
             [(0.0, 0.0, ts(5, 1)), (0.0, 0.0, ts(5, 2))]))
+        (traces / "y.gpx").write_bytes((traces / "walk.gpx").read_bytes())
         out_dir = tmp_path / "out"
         code = main(["--frames", str(frames_path), "--traces", str(traces),
                      "--out", str(out_dir)])
         captured = capsys.readouterr()
-        assert code == 3
-        assert captured.err.startswith(
-            "framelocal: error: trace 'x', frame 'f0', event 'e0': ")
-        assert captured.out == ""
+        assert code == 0
+        assert captured.err == (
+            "framelocal: warning: trace 'x', frame 'f0', event 'e0': 2 of 2 in-window "
+            "fixes skipped as out of the projection's domain; first: point (0.0, 0.0) "
+            "at 2017-06-10T05:01:00+00:00: point lies in the hemisphere opposite the "
+            "origin\n")
+        assert captured.out == ("2 series written, 1 permutations skipped "
+                                "(empty), 1 warnings\n")
         frames, loaded, _ = load_inputs(frames_path, traces)
-        assert [trace.id for trace in loaded] == ["walk", "x"]
+        assert [trace.id for trace in loaded] == ["walk", "x", "y"]
         layout = OutputLayout(out_dir=tmp_path / "expected")
         expected = [write_csv(series, layout)
-                    for series in run(loaded[:1], frames).series]
-        assert [p.name for p in expected] == ["walk__f0__e0.csv"]
+                    for series in run(loaded[::2], frames).series]
+        assert [p.name for p in expected] == ["walk__f0__e0.csv", "y__f0__e0.csv"]
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == {
             p.name: p.read_bytes() for p in expected}
 
@@ -586,6 +600,23 @@ class TestBehavior:
         assert proc.returncode == 0
         assert proc.stdout.strip().endswith("0 warnings")
 
+    # CSVs and the SVG are UTF-8 whatever the locale: every file the CLI
+    # opens names its encoding, so a run that turns each open in the
+    # locale's encoding into an error exits 0. The flag stays off the test
+    # process, whose tests write files in the locale's encoding.
+    @pytest.mark.parametrize("plot", [False, True])
+    def test_opens_no_file_in_the_locale_encoding(self, tmp_path, plot):
+        frames_path, traces_dir, _, _ = two_fields_dataset(tmp_path)
+        svg = ["--plot", str(tmp_path / "overlay.svg")] if plot else []
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "framelocal", "--frames", str(frames_path), "--traces",
+             str(traces_dir), "--out", str(tmp_path / "out"), *svg],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ("2 series written, 0 permutations skipped "
+                               "(empty), 0 warnings\n")
+
 
 class TestStreaming:
     """The CLI runs and writes one trace at a time, and --plot draws from the
@@ -665,9 +696,8 @@ def _inputs_exiting_with(base, code):
     frames_path, traces = _basic_inputs(base)
     if code == 2:
         frames_path.write_text("{}")
-    elif code == 3:  # a frame on the other side of the planet
-        frames_path.write_text(frames_doc([frame_feature(
-            "far", (37.85, -35.0), (37.84, -35.001), {"events": [INTERVAL]})]))
+    elif code == 3:  # an output error: --out names a regular file
+        (base / "out").write_text("")
     return frames_path, traces
 
 

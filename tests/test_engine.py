@@ -131,8 +131,12 @@ class TestProjectSeries:
                            frame.azimuth_deg)
         event = _interval(ts(5, 0), ts(5, 20))
         trace = _trace([(37.85, -35.0, ts(5, 0))])  # other side of the planet
+        seen = []
         with pytest.raises(OutOfDomain, match="2017-06-10T05:00:00"):
-            project_series(trace, range(1), _rows(params, trace, event), frame, event)
+            project_series(trace, range(1), _rows(params, trace, event), frame, event,
+                           on_warning=seen.append)
+        # the drop warning comes first, as it does for a partial drop
+        assert len(seen) == 1 and seen[0].startswith("1 of 1 in-window fixes skipped")
 
     def test_drops_without_on_warning_keep_the_rest_silently(self):
         frame = _frame()
@@ -187,11 +191,17 @@ class TestRun:
         for series in result.series:
             assert len(series.points) == 100
 
-    def test_error_carries_permutation_context(self):
+    def test_permutation_with_no_fix_that_projects_is_empty(self):
         frame = _frame("farframe", origin=(37.85, -35.0))
         traces = [_trace([(*ORIGIN, ts(5, 5))], "nearby")]
-        with pytest.raises(OutOfDomain, match=r"nearby.*farframe.*e0"):
-            run(traces, [(frame, [_interval(ts(5, 0), ts(5, 10))])])
+        result = run(traces, [(frame, [_interval(ts(5, 0), ts(5, 10))])])
+        assert result.series == ()
+        assert result.skipped_empty == 1
+        assert result.warnings == ((
+            "trace 'nearby', frame 'farframe', event 'e0'",
+            "1 of 1 in-window fixes skipped as out of the projection's domain; "
+            f"first: point {ORIGIN} at 2017-06-10T05:05:00+00:00: point lies in the "
+            "hemisphere opposite the origin"),)
 
     def test_out_of_domain_points_dropped_with_one_warning(self):
         frame = _frame()

@@ -1,15 +1,15 @@
 """Fuzzing the command line with mutated GPX bytes and GeoJSON text: no input
-raises out of cli.main, the exit code is 0, 2 or 3, every CSV written
-re-parses to the exact bits of the series the engine computes, and exit 3
-means that the engine itself failed, e.g. on a permutation with no fix that
-projects (never that a far fix among good ones cost the run). Every CSV
-name fits in 255 bytes, and no two are equal case-folded. On an exit 0,
-stderr holds one line per warning the summary counts. With --plot, the
-overlay is XML that draws one polyline per CSV, and exists only on an exit
-0 that wrote a CSV. Trace file names come from any bytes, frame ids from
-any JSON value, labels from any text, lone surrogates included, and a
-frames document may nest to any depth. A second trace file name or frame id may
-be the first's with its case swapped.
+raises out of cli.main, the exit code is 0 or 2 (exit 3 is an output error,
+and each run writes to a new directory), and every CSV written re-parses to
+the exact bits of the series the engine computes. A permutation none of
+whose in-window fixes projects is empty, as one with no in-window fix is.
+Every CSV name fits in 255 bytes, and no two are equal case-folded. On an
+exit 0, stderr holds one line per warning the summary counts. With --plot,
+the overlay is XML that draws one polyline per CSV, and exists only on an
+exit 0 that wrote a CSV. Trace file names come from any bytes, frame ids
+from any JSON value, labels from any text, lone surrogates included, and a
+frames document may nest to any depth. A second trace file name or frame
+id may be the first's with its case swapped.
 
 A run that exits 0 on inputs drawn unmutated is also checked against a
 reader written from README.md alone (oracles.cli_outputs): the file set,
@@ -31,9 +31,7 @@ from hypothesis import strategies as st
 import oracles
 from fixtures import frame_feature, frames_doc, gpx_doc, iso, ts
 from framelocal.cli import main
-from framelocal.engine import clip_to_event, run
-from framelocal.errors import FrameLocalError, OutOfDomain
-from framelocal.geodesy import WGS84, hom_forward, hom_setup
+from framelocal.engine import run
 from framelocal.ingest import load_inputs
 from framelocal.output import OutputLayout
 
@@ -180,28 +178,6 @@ def _frames_text(draw) -> tuple[bytes, str]:
     return _splice(text.encode("utf-8"), draw(_SPLICES) if broken == "bytes" else []), broken
 
 
-def _projects(params, lat_deg, lon_deg) -> bool:
-    try:
-        hom_forward(params, lat_deg, lon_deg)
-    except OutOfDomain:
-        return False
-    return True
-
-
-def _some_permutation_projects_nothing(traces, frame_list) -> bool:
-    for frame, events in frame_list:
-        params = hom_setup(WGS84, frame.origin_lat_deg, frame.origin_lon_deg,
-                           frame.azimuth_deg)
-        for trace in traces:
-            for event in events:
-                clipped = clip_to_event(trace, event)
-                if clipped and not any(
-                        _projects(params, trace.lat_deg[i], trace.lon_deg[i])
-                        for i in clipped):
-                    return True
-    return False
-
-
 def _bits(value: float) -> bytes:
     return struct.pack("<d", value)
 
@@ -225,6 +201,9 @@ _TWO_FIXES = gpx_doc([(*ORIGIN, ts(5, 1)), (*TARGET, ts(5, 2))]).encode()
 @example(gpx=[(b"t", gpx_doc([(*ORIGIN, ts(5)), (*TARGET, ts(5, 0, 0, 123457)),
                                (*ORIGIN, ts(5, 20)), (*TARGET, ts(5, 21))]).encode(), [])],
          frames=(_ONE_FRAME, ""), plot=False, swap_case=False)
+# a trace of null-island glitches only: its permutation is empty, with a warning
+@example(gpx=[(b"t", gpx_doc([(0.0, 0.0, ts(5, 1))]).encode(), [])],
+         frames=(_ONE_FRAME, ""), plot=True, swap_case=False)
 @settings(deadline=None)
 def test_cli_survives_mutated_input(tmp_path_factory, gpx, frames, plot, swap_case):
     frames, broken = frames
@@ -248,20 +227,11 @@ def test_cli_survives_mutated_input(tmp_path_factory, gpx, frames, plot, swap_ca
     with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
         code = main(args)
 
-    assert code in (0, 2, 3)
-    if code != 0:
-        assert not svg.exists()
+    assert code in (0, 2)
     if code == 2:
+        assert not svg.exists()
         return
     frame_list, traces, report = load_inputs(frames_path, traces_dir)
-    if code == 3:
-        try:
-            run(traces, frame_list)
-        except FrameLocalError as failure:
-            if isinstance(failure, OutOfDomain):
-                assert _some_permutation_projects_nothing(traces, frame_list)
-            return
-        raise AssertionError("exit 3, though the engine ran")
     result = run(traces, frame_list)
     layout = OutputLayout(out_dir=out_dir)
     expected = {layout.path_for(series): series for series in result.series}

@@ -57,6 +57,10 @@ GPX10_FILE = (
               f"<time>2017-06-10T05:0{i}:00Z</time>\n<speed>1.5{i}</speed>\n"
               "</trkpt>\n" for i in range(5))
     + "</trkseg></trk>\n</gpx>\n")
+# references outside every value the scanner captures: in a name, and in a
+# child of a fix's <extensions>
+REFERENCES_FILE = GARMIN_FILE.replace("activity_01", "run &amp; bike").replace(
+    "<ns3:hr>14", "<ns3:hr>&#49;4")
 
 
 _FIX = '<trkpt lat="1.5" lon="2.5"><time>2017-06-10T05:00:00Z</time></trkpt>'
@@ -103,13 +107,14 @@ def _outcome(read):
 
 
 @pytest.mark.parametrize("document, count", [
-    (GARMIN_FILE, 5), (PHONE_FILE, 5), (GPX10_FILE, 5),
+    (GARMIN_FILE, 5), (PHONE_FILE, 5), (GPX10_FILE, 5), (REFERENCES_FILE, 5),
     (_gpx().replace("<gpx ", '<gpx creator="a>b" '), 1),
     (_gpx().replace("<gpx ", '<gpx creator="Hi!" '), 1),
     (BOM_FILE, 1), (STANDALONE_FILE, 1), (UNDECLARED_FILE, 1)],
     ids=["garmin-1.1-ns3-extensions", "phone-1.1-one-line", "gpx-1.0-no-namespace",
-         "gt-in-a-root-value-before-xmlns", "exclamation-mark-outside-markup", "utf-8-bom",
-         "single-quoted-standalone", "no-declaration"])
+         "references-in-a-name-and-an-extension", "gt-in-a-root-value-before-xmlns",
+         "exclamation-mark-outside-markup", "utf-8-bom", "single-quoted-standalone",
+         "no-declaration"])
 def test_canonical_shapes_take_the_scanner(document, count):
     data = document.encode("utf-8")
     scanned = ingest._scan_fixes(data)
@@ -124,6 +129,8 @@ def test_canonical_shapes_take_the_scanner(document, count):
     (_gpx(_FIX + '<trkpt lat="3.5" lon="4.5"><time>2017-06-10T05:00:01Z&amp;'
           "</time></trkpt>").encode(), [_unparsable("2017-06-10T05:00:01Z&")]),
     (_gpx(_FIX.replace("00Z", "00&#90;")).encode(), []),
+    (_gpx(_FIX.replace('lat="1', 'lat="&#49;')).encode(), []),
+    (_gpx(_FIX.replace('lon="2.', 'lon="2&#46;')).encode(), []),
     (_gpx(prolog=f"<!DOCTYPE gpx [<!ENTITY unused '{_TRAP}'>]>").encode(), []),
     (_gpx(f"{_FIX}<?note {_TRAP}?>").encode(), []),
     (_gpx(prolog=f"{_UTF8}<?note {_TRAP}?>").encode(), []),
@@ -148,7 +155,8 @@ def test_canonical_shapes_take_the_scanner(document, count):
     (LEAVES_THEN_NESTED_FILE.encode(), []),
     (_gpx(_FIX.replace("<time>", "<time\u00e9>2017-06-10T06:00:00Z</time\u00e9><time>")
           ).encode(), []),
-], ids=["comment", "cdata", "entity", "character-reference", "doctype",
+], ids=["comment", "cdata", "entity", "character-reference",
+        "character-reference-in-lat", "character-reference-in-lon", "doctype",
         "processing-instruction", "processing-instruction-in-the-prolog",
         "processing-instruction-first", "prefix-bound-to-gpx",
         "prefix-bound-after-xmlns-in-a-value", "prefixed-root", "root-in-the-xml-namespace",
@@ -192,9 +200,10 @@ def test_text_that_utf8_cannot_encode_goes_to_element_tree():
 
 
 @pytest.mark.parametrize("document", [
-    GARMIN_FILE, PHONE_FILE, GPX10_FILE, BOM_FILE, STANDALONE_FILE, UNDECLARED_FILE],
-    ids=["garmin", "phone", "gpx-1.0", "utf-8-bom", "single-quoted-standalone",
-         "no-declaration"])
+    GARMIN_FILE, PHONE_FILE, GPX10_FILE, REFERENCES_FILE, BOM_FILE, STANDALONE_FILE,
+    UNDECLARED_FILE],
+    ids=["garmin", "phone", "gpx-1.0", "references", "utf-8-bom",
+         "single-quoted-standalone", "no-declaration"])
 def test_scanned_file_gets_one_xml_parse(document, monkeypatch):
     # the expat pass that checks well-formedness also reads the prolog and
     # the namespaces
@@ -235,7 +244,8 @@ _MUTATIONS = [
     "empty-time", "nested-time", "time-after-extensions", "xmlns-redeclared",
     "trkpt-in-wpt", "trkpt-in-rte", "nested-trkpt", "junk-after-root", "latin-1",
     "utf-16", "ascii", "prefix-bound", "prefixed-time", "prefixed-root",
-    "xmlns-in-value", "prolog-pi", "no-declaration", "splice"]
+    "xmlns-in-value", "prolog-pi", "no-declaration", "name-amp", "extension-charref",
+    "splice"]
 
 
 @st.composite
@@ -273,9 +283,10 @@ def _gpx_documents(draw) -> bytes:
             children.append(f"<{tag}>{when}</{tag}>")
         if "empty-time" in change:
             children.append("<time/>")
-        if extended or "nested-time" in change:
+        if extended or {"nested-time", "extension-charref"} & change:
             inner = "<time>2017-06-10T06:00:00Z</time>" if "nested-time" in change else ""
-            extensions = (f"<extensions>{inner}<ns3:TrackPointExtension><ns3:hr>140"
+            hr = "&#49;40" if "extension-charref" in change else "140"
+            extensions = (f"<extensions>{inner}<ns3:TrackPointExtension><ns3:hr>{hr}"
                           "</ns3:hr></ns3:TrackPointExtension></extensions>")
             where = 1 if "nested-time" in change and draw(st.booleans()) else len(children)
             children.insert(where, extensions)
@@ -319,7 +330,8 @@ def _gpx_documents(draw) -> bytes:
     text = newline.join([
         *prolog, f'<{root} version="1.1" creator="gen"{declarations}>',
         "<metadata><time>2017-06-10T04:00:00Z</time></metadata>",
-        f"<trk><name>{'Zürich' if 'latin-1' in mutations else 'run'}</name>",
+        f"<trk><name>{'Zürich' if 'latin-1' in mutations else 'run'}"
+        f"{' &amp; bike' if 'name-amp' in mutations else ''}</name>",
         f"<trkseg{segment_ns}>", *rows, "</trkseg></trk>", f"</{root}>", ""])
     if "junk-after-root" in mutations:
         text += draw(st.sampled_from(["junk", "<x/>"]))
