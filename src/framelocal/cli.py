@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="accepted for compatibility (N >= 1); processing "
                              "is single-threaded and output does not depend on N")
-    parser.add_argument("-v", "--verbose", action="count", default=0,
+    parser.add_argument("-v", "--verbose", action="store_true",
                         help="verbose diagnostics on stderr")
     return parser
 

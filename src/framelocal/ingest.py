@@ -16,9 +16,9 @@ interpreted as UTC, with a warning.
 Traces are GPX 1.0/1.1; only trk/trkseg/trkpt with lat/lon attributes and
 a <time> child are consumed, read in the root element's namespace. GPX
 times are UTC by that format's definition. Files in a canonical subset of
-XML (see _scan_fixes), told by the prolog and namespaces that one expat
-pass reads, are read by one regular expression over the text; every other
-well-formed file is read through ElementTree, with the same result.
+XML (see _scan_fixes) are read by one regular expression over the text,
+every other file through ElementTree, with the same result; ElementTree
+alone reports a file that is not well-formed.
 """
 
 from __future__ import annotations
@@ -273,17 +273,18 @@ def _xml_number(text: str) -> float:
 
 
 def _expat_gate(document: str | bytes) -> bool:
-    """Raise unless one namespace-aware expat pass, the parser ElementTree
-    uses, finds document well-formed. True when the pass finds nothing that
-    the scanner's expression would misread: no encoding declared but UTF-8
-    or ASCII (XML 1.0 §4.3.3), no processing instruction (§2.6), and a root
-    element whose namespace holds exactly the unprefixed element names
-    (Namespaces in XML 1.0 §6): the root is in the default namespace, no
-    default namespace is declared or undeclared below the root, and no
-    prefix is bound to the root's namespace."""
+    """True when one namespace-aware expat pass, the parser ElementTree
+    uses, finds document well-formed and finds nothing that the scanner's
+    expression would misread: no encoding declared but UTF-8 or ASCII (XML
+    1.0 §4.3.3), no processing instruction (§2.6), comment (§2.5), CDATA
+    section (§2.7) or DOCTYPE (§2.8), and a root element whose namespace
+    holds exactly the unprefixed element names (Namespaces in XML 1.0 §6):
+    the root is in the default namespace, no default namespace is declared
+    or undeclared below the root, and no prefix is bound to the root's
+    namespace."""
     parser = expat.ParserCreate(namespace_separator="}")
     encoding: list[str] = []  # the XML declaration's, if it has one
-    instructions: list[str] = []  # the target of each processing instruction
+    misread: list[tuple] = []  # the arguments of each markup the expression misreads
     declarations: list[tuple[str | None, str]] = []  # (prefix, namespace)
     root: list[tuple[str, int]] = []  # (namespace, declarations up to its tag)
 
@@ -294,35 +295,40 @@ def _expat_gate(document: str | bytes) -> bool:
     # expat reports the XML declaration to the first handler, never the second
     parser.XmlDeclHandler = lambda version, name, standalone: encoding.append(
         name or "utf-8")
-    parser.ProcessingInstructionHandler = lambda target, data: instructions.append(target)
+    # expat calls these only where such markup occurs: a canonical file pays nothing
+    for handler in ("ProcessingInstructionHandler", "CommentHandler",
+                    "StartCdataSectionHandler", "StartDoctypeDeclHandler"):
+        setattr(parser, handler, lambda *markup: misread.append(markup))
     parser.StartElementHandler = start_root
     # expat gives xmlns="" as None: it undeclares the default namespace
     parser.StartNamespaceDeclHandler = lambda prefix, uri: declarations.append(
         (prefix, uri or ""))
-    parser.Parse(document, True)
+    try:
+        parser.Parse(document, True)
+    except (expat.ExpatError, LookupError, ValueError):
+        return False  # ElementTree reads the file, and reports it
     ((namespace, on_root),) = root
-    return (not instructions
+    return (not misread
             and all(name.lower() in ("utf-8", "us-ascii", "ascii") for name in encoding)
             and dict(declarations[:on_root]).get(None, "") == namespace
             and all(prefix is not None for prefix, _ in declarations[on_root:])
             and all(prefix is None for prefix, uri in declarations if uri == namespace))
 
 
-def _read_xml(gpx_text: str | bytes, parse: Callable):
-    """parse(gpx_text), where parse is an expat pass such as ET.fromstring;
-    bytes that fail under their encoding declaration are retried as UTF-8
-    text."""
+def _read_xml(gpx_text: str | bytes) -> ET.Element:
+    """The ElementTree root of gpx_text; bytes that fail under their
+    encoding declaration are retried as UTF-8 text."""
     try:
-        return parse(gpx_text)
-    except (expat.ExpatError, ET.ParseError, LookupError, ValueError) as exc:
-        if isinstance(gpx_text, str):
-            raise MalformedXml(f"not well-formed XML: {exc}") from None
-        # expat fails on a declared codec that is unknown, multi-byte (it has
-        # none) or wrong, but ignores the declaration of str input.
-        try:
-            return parse(gpx_text.decode("utf-8"))
-        except (expat.ExpatError, ET.ParseError, ValueError):
-            raise MalformedXml(f"cannot parse XML: {exc}") from None
+        return ET.fromstring(gpx_text)
+    except (ET.ParseError, LookupError, ValueError) as exc:
+        if isinstance(gpx_text, bytes):
+            # expat fails on a declared codec that is unknown, multi-byte (it
+            # has none) or wrong, but ignores the declaration of str input.
+            try:
+                return ET.fromstring(gpx_text.decode("utf-8"))
+            except (ET.ParseError, ValueError):
+                pass
+        raise MalformedXml(f"cannot parse XML: {exc}") from None
 
 
 _S = r"[ \t\r\n]"  # XML white space; \s would also take other characters
@@ -349,29 +355,22 @@ def _scan_fixes(document: str | bytes) -> list[tuple[str, str, str]] | None:
     regular expression over the UTF-8 bytes, of which only the captured
     values are decoded; None when the document is outside the canonical
     subset in which the expression reads what ElementTree reads (XML 1.0
-    §2.8-2.11, GPX 1.1). A document the expression reads gets one expat
-    pass, which raises MalformedXml as ElementTree's path does unless the
-    document is well-formed, and reads its prolog and namespaces. The subset:
-    - UTF-8, with no NUL (UTF-16 and UTF-32 text has one) or lone surrogate
-    - no "<!" (DOCTYPE, comment, CDATA)
+    §2.8-2.11, GPX 1.1). Never raises: ElementTree's path reports a file
+    that is not well-formed. The subset:
+    - a "<trkpt" in the UTF-8 bytes (UTF-16 and UTF-32 text has none)
     - every "<trkpt" opens an element that _TRKPT reads, with no "&"
       (entity or character reference) in its lat, lon or time
-    - as expat reads the document: no processing instruction, a declared
-      encoding, if any, of UTF-8 or ASCII, the root element in the default
-      namespace, no default namespace declared or undeclared below the
-      root, and no prefix bound to the root's namespace
+    - as one expat pass reads the document: well-formed (no lone
+      surrogate), with no processing instruction, comment, CDATA section
+      or DOCTYPE, a declared encoding, if any, of UTF-8 or ASCII, the root
+      element in the default namespace, no default namespace declared or
+      undeclared below the root, and no prefix bound to the root's namespace
     """
-    try:
-        data = document.encode("utf-8") if isinstance(document, str) else document
-    except UnicodeEncodeError:
-        return None
-    # "<!" is looked for only if "!" occurs at all: memchr finds one byte,
-    # not two (about 10x faster on a 1.9 MB file, where "<" is every 10th one)
-    if b"\x00" in data or (b"!" in data and b"<!" in data):
-        return None
+    # a lone surrogate gets bytes here, and the expat pass declines its text
+    data = document.encode("utf-8", "surrogatepass") if isinstance(document, str) else document
     fixes = _TRKPT.findall(data)
     # finding _UNREAD in the list is cheaper than counting "<trkpt" in the data
-    if _UNREAD in fixes or not _read_xml(document, _expat_gate):
+    if not fixes or _UNREAD in fixes or not _expat_gate(document):
         return None
     return [(lat.decode(), lon.decode(), time.decode()) for lat, lon, time in fixes]
 
@@ -442,7 +441,7 @@ def parse_gpx(gpx_text: str | bytes, trace_id: str,
     warn = on_warning if on_warning is not None else (lambda message: None)
     fixes = _scan_fixes(gpx_text)
     if fixes is None:
-        fixes = _tree_fixes(_read_xml(gpx_text, ET.fromstring))
+        fixes = _tree_fixes(_read_xml(gpx_text))
     return _trace_from_fixes(fixes, trace_id, warn)
 
 

@@ -427,13 +427,15 @@ class TestBehavior:
         assert "warning" in captured.err
 
     def test_verbose_names_the_plot_written(self, tmp_path, capsys):
+        # -v is a switch; argparse still takes it twice
         frames_path, traces = _basic_inputs(tmp_path)
-        plot = tmp_path / "overlay.svg"
-        code = main(["--frames", str(frames_path), "--traces", str(traces),
-                     "--out", str(tmp_path / "out"), "--plot", str(plot), "-v"])
-        assert code == 0
-        assert capsys.readouterr().err.endswith(f"framelocal: wrote {plot}\n")
-        assert plot.is_file()
+        for verbose in "-v", "-vv":
+            plot = tmp_path / f"overlay{verbose}.svg"
+            code = main(["--frames", str(frames_path), "--traces", str(traces),
+                         "--out", str(tmp_path / "out"), "--plot", str(plot), verbose])
+            assert code == 0
+            assert capsys.readouterr().err.endswith(f"framelocal: wrote {plot}\n")
+            assert plot.is_file()
 
     def test_recurse_flag(self, tmp_path, capsys):
         frames_path, traces = _basic_inputs(tmp_path)

@@ -5,7 +5,6 @@ the ElementTree path does, and that wherever the scanner accepts a file
 both extractors give the same fixes, Trace, warnings and exceptions."""
 
 import time
-import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -92,7 +91,7 @@ def _unparsable(time_text: str) -> str:
 
 def _tree_fixes(data):
     """The ElementTree extractor's fixes of data."""
-    return ingest._tree_fixes(ingest._read_xml(data, ET.fromstring))
+    return ingest._tree_fixes(ingest._read_xml(data))
 
 
 def _outcome(read):
@@ -152,6 +151,7 @@ def test_canonical_shapes_take_the_scanner(document, count):
           "</time></trkpt>", prolog=_UTF8.replace("UTF-8", "ISO-8859-1")
           ).encode("latin-1"), [_unparsable("2017-06-10T05:00:01Z\u00c3\u00a9")]),
     (_gpx(prolog=_UTF8.replace("UTF-8", "UTF-16")).encode("utf-16-le"), []),
+    (_gpx(prolog="").encode("utf-16"), []),
     (LEAVES_THEN_NESTED_FILE.encode(), []),
     (_gpx(_FIX.replace("<time>", "<time\u00e9>2017-06-10T06:00:00Z</time\u00e9><time>")
           ).encode(), []),
@@ -162,6 +162,7 @@ def test_canonical_shapes_take_the_scanner(document, count):
         "prefix-bound-after-xmlns-in-a-value", "prefixed-root", "root-in-the-xml-namespace",
         "prefix-bound-to-gpx-below-the-root", "default-namespace-redeclared",
         "default-namespace-undeclared", "latin-1-declaration", "utf-16-without-bom",
+        "utf-16-with-bom-and-no-declaration",
         "100000-leaf-children-then-a-nested-one", "time-then-a-non-ascii-letter"])
 def test_other_shapes_take_element_tree(data, warnings):
     # each file holds a trap that the scanner would misread, or a fix it
@@ -178,21 +179,41 @@ def test_other_shapes_take_element_tree(data, warnings):
     assert seen == warnings
 
 
-def test_scanned_file_still_checked_for_well_formedness():
-    # the scanner's expression reads every fix of a file whose root is never
-    # closed; its expat pass rejects the file as ElementTree does
-    data = GARMIN_FILE.removesuffix("</gpx>\n").encode()
+# entities that expand a 1,200-character text ten thousandfold; expat stops
+# an expansion past 8 MiB and a hundred times the document's size. A long
+# text keeps the chunks that reach ElementTree few before it stops.
+_AMPLIFYING = "".join(f'<!ENTITY l{i} "{f"&l{i - 1};" * 10}">' for i in range(1, 5))
+
+
+@pytest.mark.parametrize("data", [
+    GARMIN_FILE.removesuffix("</gpx>\n").encode(),
+    GARMIN_FILE.replace("activity_01", "activity\x0001").encode(),
+    _gpx(prolog=f'{_UTF8}<!DOCTYPE gpx [<!ENTITY l0 "{"lol" * 400}">{_AMPLIFYING}]>'
+         ).replace("<trk>", "<trk><name>&l4;</name>").encode(),
+], ids=["unclosed-root", "nul-in-a-name", "entity-amplification"])
+def test_scanner_never_raises_element_tree_alone_reports(data):
+    # the scanner's expression reads every fix of each file, which is not
+    # well-formed; the scanner declines it, and ElementTree's path reports it
     assert ingest._UNREAD not in ingest._TRKPT.findall(data)
+    assert ingest._scan_fixes(data) is None
     messages = []
-    for read in ingest._scan_fixes, lambda d: ingest.parse_gpx(d, "t"), _tree_fixes:
+    for read in lambda d: ingest.parse_gpx(d, "t"), _tree_fixes:
         with pytest.raises(MalformedXml) as raised:
             read(data)
         messages.append(str(raised.value))
-    assert messages[0] == messages[1] == messages[2]
+    assert messages[0] == messages[1]
+
+
+def test_malformed_text_has_the_message_of_malformed_bytes():
+    document = GARMIN_FILE.removesuffix("</gpx>\n")
+    assert ingest._scan_fixes(document) is None
+    with pytest.raises(MalformedXml, match="^cannot parse XML: no element found"):
+        ingest.parse_gpx(document, "t")
 
 
 def test_text_that_utf8_cannot_encode_goes_to_element_tree():
-    # the scanner reads the UTF-8 bytes of str input; a lone surrogate has none
+    # a lone surrogate is no XML character: the scanner's expat pass declines
+    # the text, and ElementTree's path reports it
     document = _gpx(_FIX.replace("</trkpt>", "<name>\udcff</name></trkpt>"))
     assert ingest._scan_fixes(document) is None
     with pytest.raises(MalformedXml, match="surrogates not allowed"):
@@ -245,7 +266,7 @@ _MUTATIONS = [
     "trkpt-in-wpt", "trkpt-in-rte", "nested-trkpt", "junk-after-root", "latin-1",
     "utf-16", "ascii", "prefix-bound", "prefixed-time", "prefixed-root",
     "xmlns-in-value", "prolog-pi", "no-declaration", "name-amp", "extension-charref",
-    "splice"]
+    "nul", "splice"]
 
 
 @st.composite
@@ -321,7 +342,7 @@ def _gpx_documents(draw) -> bytes:
     encoding = ("ISO-8859-1" if "latin-1" in mutations else "UTF-16"
                 if "utf-16" in mutations else "US-ASCII" if "ascii" in mutations
                 else "UTF-8")
-    prolog = [] if "no-declaration" in mutations and encoding == "UTF-8" else [
+    prolog = [] if "no-declaration" in mutations and encoding in ("UTF-8", "UTF-16") else [
         f'<?xml version="1.0" encoding="{encoding}"?>']
     if "prolog-pi" in mutations:
         prolog.append(f"<?note {_TRAP}?>")
@@ -331,7 +352,8 @@ def _gpx_documents(draw) -> bytes:
         *prolog, f'<{root} version="1.1" creator="gen"{declarations}>',
         "<metadata><time>2017-06-10T04:00:00Z</time></metadata>",
         f"<trk><name>{'Zürich' if 'latin-1' in mutations else 'run'}"
-        f"{' &amp; bike' if 'name-amp' in mutations else ''}</name>",
+        f"{' &amp; bike' if 'name-amp' in mutations else ''}"
+        f"{chr(0) if 'nul' in mutations else ''}</name>",
         f"<trkseg{segment_ns}>", *rows, "</trkseg></trk>", f"</{root}>", ""])
     if "junk-after-root" in mutations:
         text += draw(st.sampled_from(["junk", "<x/>"]))
@@ -360,10 +382,10 @@ def test_both_extractors_read_the_same(data):
 
     reference = _outcome(tree)
     assert _outcome(lambda warn: ingest.parse_gpx(data, "t", warn)) == reference
+    scanned = ingest._scan_fixes(data)
     error = reference[2]
     if error is not None and error[0] == "MalformedXml":
-        return  # the scanner raises it too, or leaves the file to ElementTree
-    scanned = ingest._scan_fixes(data)
+        assert scanned is None
     if scanned is None:
         return
     assert scanned == _tree_fixes(data)
