@@ -220,7 +220,7 @@ def _conformal_phi(t: float, e: float) -> float:
 
 def check_origin_latitude(origin_lat_deg: float) -> None:
     """Raise PolarOrigin for a projection origin poleward of the limit."""
-    if abs(origin_lat_deg) >= _POLE_LIMIT_DEG:
+    if abs(origin_lat_deg) > _POLE_LIMIT_DEG:
         raise PolarOrigin(
             f"origin latitude {origin_lat_deg} is poleward of ±{_POLE_LIMIT_DEG}")
 

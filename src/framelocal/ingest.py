@@ -18,7 +18,7 @@ a <time> child are consumed, read in the root element's namespace. GPX
 times are UTC by that format's definition. Files in a canonical subset of
 XML (see _scan_fixes) are read by one regular expression over the text,
 every other file through ElementTree, with the same result; ElementTree
-alone reports a file that is not well-formed.
+alone reports a file that is not well-formed or has a DOCTYPE.
 """
 
 from __future__ import annotations
@@ -36,17 +36,14 @@ from xml.parsers import expat
 from . import geodesy
 from .errors import (
     BadLineString,
-    CoincidentPoints,
+    FrameLocalError,
     FramesFileUnreadable,
     MalformedInterval,
     MalformedXml,
-    NearAntipodal,
     NoEvents,
     NotFeatureCollection,
     NoTimedPoints,
     NoTraces,
-    PolarOrigin,
-    ReversedInterval,
 )
 from .model import EventInterval, FrameLine, Names, Trace, normalize_longitude, utc_us
 
@@ -149,40 +146,67 @@ def _feature_id(feature: dict, index: int) -> str:
     return f"f{index}"
 
 
-def _object_member(feature: dict, key: str, feature_id: str) -> dict:
+def _object_member(feature: dict, key: str) -> dict:
     """feature[key] if it is an object, {} if it is null or absent."""
     value = feature.get(key)
     if value is not None and not isinstance(value, dict):
-        raise NotFeatureCollection(
-            f"frame {feature_id!r}: {key} is neither an object nor null")
+        raise NotFeatureCollection(f"{key} is neither an object nor null")
     return value or {}
 
 
-def _feature_events(feature_id: str, properties: dict,
-                    warn: WarnFn) -> list[EventInterval]:
+def _feature_events(properties: dict, warn: WarnFn) -> list[EventInterval]:
     events: list[EventInterval] = []
     raw = properties.get("events")
     if isinstance(raw, list):
         for i, item in enumerate(raw):
             if not isinstance(item, str):
-                raise MalformedInterval(
-                    f"frame {feature_id!r}: events[{i}] is not a string")
-            try:
-                events.append(parse_interval(item, label=f"e{i}", on_warning=warn))
-            except (MalformedInterval, ReversedInterval) as exc:
-                raise type(exc)(f"frame {feature_id!r}: {exc}") from None
+                raise MalformedInterval(f"events[{i}] is not a string")
+            events.append(parse_interval(item, label=f"e{i}", on_warning=warn))
     for key, value in properties.items():
-        if key == "events" and isinstance(raw, list):
-            continue
-        if not isinstance(value, str):
+        if not isinstance(value, str):  # also an "events" list, read above
             continue
         try:
             events.append(parse_interval(value, label=key, on_warning=warn))
         except MalformedInterval:
             continue  # an ordinary string property, e.g. "name"
-        except ReversedInterval as exc:
-            raise ReversedInterval(f"frame {feature_id!r}: {exc}") from None
     return events
+
+
+def _feature_frame(feature: dict, feature_id: str, warn: WarnFn
+                   ) -> tuple[FrameLine, list[EventInterval]] | None:
+    """The frame and events of one feature, None for a geometry other than
+    a LineString; parse_frames names the feature in each message."""
+    properties = _object_member(feature, "properties")
+    geometry = _object_member(feature, "geometry")
+    if geometry.get("type") != "LineString":
+        warn("geometry is not a LineString; skipped")
+        return None
+    coords = geometry.get("coordinates")
+    if not isinstance(coords, list) or len(coords) != 2:
+        count = len(coords) if isinstance(coords, list) else "no"
+        raise BadLineString(f"LineString has {count} positions, need exactly 2")
+    # JSON numbers only: float() would also take a bool or a string
+    if not all(isinstance(c, list) and len(c) >= 2
+               and type(c[0]) in (int, float) and type(c[1]) in (int, float)
+               for c in coords):
+        raise BadLineString("LineString positions are not numeric [lon, lat] pairs")
+    try:
+        (lon1, lat1), (lon2, lat2) = ((float(c[0]), float(c[1])) for c in coords)
+        finite = all(map(math.isfinite, (lon1, lat1, lon2, lat2)))
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
+        raise BadLineString("LineString positions must be finite")
+    for lat in (lat1, lat2):
+        if not -90.0 <= lat <= 90.0:
+            raise BadLineString(f"latitude {lat} outside [-90, 90] "
+                                "(positions must be [lon, lat] order)")
+    # by its global name, so a timing wrapper of ingest.build_frame_line sees it
+    frame = build_frame_line(feature_id, lat1, lon1, lat2, lon2)
+    events = _feature_events(properties, warn)
+    if not events:
+        raise NoEvents("no parsable event interval")
+    return frame, events
 
 
 def _no_constant(token: str) -> NoReturn:
@@ -220,46 +244,13 @@ def parse_frames(geojson_text: str, on_warning: WarnFn | None = None
         if not isinstance(feature, dict):
             raise NotFeatureCollection(f"features[{index}] is not an object")
         feature_id = _feature_id(feature, index)
-        properties = _object_member(feature, "properties", feature_id)
-        geometry = _object_member(feature, "geometry", feature_id)
-        if geometry.get("type") != "LineString":
-            warn(f"frame {feature_id!r}: geometry is not a LineString; skipped")
-            continue
-        coords = geometry.get("coordinates")
-        if not isinstance(coords, list) or len(coords) != 2:
-            count = len(coords) if isinstance(coords, list) else "no"
-            raise BadLineString(
-                f"frame {feature_id!r}: LineString has {count} positions, need exactly 2")
-        # JSON numbers only: float() would also take a bool or a string
-        if not all(isinstance(c, list) and len(c) >= 2
-                   and type(c[0]) in (int, float) and type(c[1]) in (int, float)
-                   for c in coords):
-            raise BadLineString(
-                f"frame {feature_id!r}: LineString positions are not numeric "
-                "[lon, lat] pairs")
         try:
-            (lon1, lat1), (lon2, lat2) = ((float(c[0]), float(c[1])) for c in coords)
-            finite = all(map(math.isfinite, (lon1, lat1, lon2, lat2)))
-        except OverflowError:  # an integer too large for a float
-            finite = False
-        if not finite:
-            raise BadLineString(
-                f"frame {feature_id!r}: LineString positions must be finite")
-        for lat in (lat1, lat2):
-            if not -90.0 <= lat <= 90.0:
-                raise BadLineString(
-                    f"frame {feature_id!r}: latitude {lat} outside [-90, 90] "
-                    "(positions must be [lon, lat] order)")
-
-        try:
-            frame = build_frame_line(feature_id, lat1, lon1, lat2, lon2)
-        except (CoincidentPoints, NearAntipodal, PolarOrigin) as exc:
+            parsed = _feature_frame(feature, feature_id, lambda message: warn(
+                f"frame {feature_id!r}: {message}"))
+        except FrameLocalError as exc:
             raise type(exc)(f"frame {feature_id!r}: {exc}") from None
-        events = _feature_events(feature_id, properties, lambda message: warn(
-            f"frame {feature_id!r}: {message}"))
-        if not events:
-            raise NoEvents(f"frame {feature_id!r} has no parsable event interval")
-        frames.append((frame, events))
+        if parsed is not None:
+            frames.append(parsed)
     return frames
 
 
@@ -315,17 +306,26 @@ def _expat_gate(document: str | bytes) -> bool:
             and all(prefix is None for prefix, uri in declarations if uri == namespace))
 
 
+class _NoDoctype(ET.TreeBuilder):
+    """A tree builder that refuses a DOCTYPE, which GPX does not use, at its
+    start: no entity of it, which could expand thousandfold, reaches the tree."""
+
+    def doctype(self, name: str, pubid: str | None, system: str | None) -> NoReturn:
+        raise ET.ParseError("a document type declaration is not allowed")
+
+
 def _read_xml(gpx_text: str | bytes) -> ET.Element:
     """The ElementTree root of gpx_text; bytes that fail under their
     encoding declaration are retried as UTF-8 text."""
     try:
-        return ET.fromstring(gpx_text)
+        return ET.fromstring(gpx_text, ET.XMLParser(target=_NoDoctype()))
     except (ET.ParseError, LookupError, ValueError) as exc:
         if isinstance(gpx_text, bytes):
             # expat fails on a declared codec that is unknown, multi-byte (it
             # has none) or wrong, but ignores the declaration of str input.
             try:
-                return ET.fromstring(gpx_text.decode("utf-8"))
+                return ET.fromstring(gpx_text.decode("utf-8"),
+                                     ET.XMLParser(target=_NoDoctype()))
             except (ET.ParseError, ValueError):
                 pass
         raise MalformedXml(f"cannot parse XML: {exc}") from None

@@ -22,6 +22,12 @@ from framelocal.output import OutputLayout, write_csv
 ORIGIN = (-37.85, 145.0)
 TARGET = (-37.84, 145.001)
 INTERVAL = "2017-06-10T05:00:00Z/2017-06-10T05:20:00Z"
+REVERSED = f"{INTERVAL[21:]}/{INTERVAL[:20]}"
+REVERSED_MESSAGE = "end 2017-06-10T05:00:00+00:00 precedes begin 2017-06-10T05:20:00+00:00"
+
+
+def _line(coordinates):
+    return {"type": "LineString", "coordinates": coordinates}
 
 
 def _basic_inputs(base):
@@ -279,14 +285,37 @@ class TestExitCodes:
         assert "bad.gpx: trace skipped" in captured.err
 
     @pytest.mark.parametrize("properties, geometry, message", [
-        ([1], None, "'odd': properties is neither"),
-        (None, [1], "'odd': geometry is neither"),
+        ([1], None, "properties is neither an object nor null"),
+        (None, [1], "geometry is neither an object nor null"),
         ({"events": [f"{INTERVAL[:20]}/9999-12-31T23:59:59-01:00"]}, None,
-         "out of range in UTC"),
-        ({"": INTERVAL}, None, "'odd' has no parsable event"),
-    ], ids=["properties", "geometry", "out-of-range-event", "empty-name"])
+         f"'{INTERVAL[:20]}/9999-12-31T23:59:59-01:00': end_utc "
+         "9999-12-31T23:59:59-01:00 is out of range in UTC"),
+        ({"": INTERVAL}, None, "no parsable event interval"),
+        (None, _line([[145.0, -37.85]]), "LineString has 1 positions, need exactly 2"),
+        (None, _line([[145.0, "-37.85"], [145.001, -37.84]]),
+         "LineString positions are not numeric [lon, lat] pairs"),
+        (None, _line([[10**400, -37.85], [145.001, -37.84]]),
+         "LineString positions must be finite"),
+        (None, _line([[145.0, -95.0], [145.001, -37.84]]),
+         "latitude -95.0 outside [-90, 90] (positions must be [lon, lat] order)"),
+        (None, _line([[145.0, -37.85], [145.0, -37.85]]),
+         "points (-37.85, 145.0) and (-37.85, 145.0) are less than 1 µm apart"),
+        (None, _line([[0.0, 89.95], [10.0, 89.96]]),
+         "origin latitude 89.95 is poleward of ±89.9"),
+        ({"events": [INTERVAL, 5]}, None, "events[1] is not a string"),
+        ({"events": [INTERVAL[:20]]}, None,
+         f"'{INTERVAL[:20]}' is not a <start>/<end> interval with two datetimes"),
+        ({"events": [REVERSED]}, None, f"event 'e0': {REVERSED_MESSAGE}"),
+        ({"match": REVERSED}, None, f"event 'match': {REVERSED_MESSAGE}"),
+        ({"name": "odd"}, None, "no parsable event interval"),
+    ], ids=["properties", "geometry", "out-of-range-event", "empty-name", "one-position",
+            "non-numeric-position", "non-finite-position", "latitude-out-of-range",
+            "under-1-um", "polar-origin", "events-item-not-a-string",
+            "malformed-events-item", "reversed-events-item", "reversed-property",
+            "no-interval"])
     def test_bad_frame_feature_is_ingest_error(self, tmp_path, capsys,
                                                properties, geometry, message):
+        # each error inside a feature names the frame once, in one prefix
         frames_path, traces = _basic_inputs(tmp_path)
         feature = frame_feature("odd", ORIGIN, TARGET, {"events": [INTERVAL]})
         feature["properties"] = properties or feature["properties"]
@@ -296,7 +325,7 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")])
         captured = capsys.readouterr()
         assert code == 2
-        assert message in captured.err
+        assert captured.err == f"framelocal: error: frame 'odd': {message}\n"
 
     def test_gpx_time_out_of_range_in_utc_is_a_warning(self, tmp_path, capsys):
         frames_path, traces = _basic_inputs(tmp_path)

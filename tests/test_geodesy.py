@@ -175,8 +175,18 @@ class TestHomSetup:
     def test_polar_origin_rejected(self):
         with pytest.raises(PolarOrigin):
             hom_setup(WGS84, 89.95, 10.0, 45.0)
-        with pytest.raises(PolarOrigin):
-            hom_setup(WGS84, -89.9, 0.0, 0.0)
+        with pytest.raises(PolarOrigin, match="poleward of ±89.9$"):
+            hom_setup(WGS84, math.nextafter(-89.9, -90.0), 0.0, 0.0)
+
+    @pytest.mark.parametrize("lat", [89.9, -89.9])
+    @pytest.mark.parametrize("azimuth", [0.0, 45.0, 90.0, 135.0, 270.0])
+    def test_origin_at_the_pole_limit_accepted(self, lat, azimuth):
+        # the limit itself is inside, as it is for a fix (hom_fix_terms)
+        params = hom_setup(WGS84, lat, 0.0, azimuth)
+        assert hom_forward(params, lat, 0.0) == (0.0, 0.0)
+        equatorward = lat - math.copysign(0.0005, lat)
+        back = hom_inverse(params, *hom_forward(params, equatorward, 0.0))
+        assert back == pytest.approx((equatorward, 0.0), abs=1e-9)
 
     @pytest.mark.parametrize("position, name", [
         (0, "origin_lat_deg"), (1, "origin_lon_deg"), (2, "azimuth_deg")])

@@ -5,6 +5,7 @@ the ElementTree path does, and that wherever the scanner accepts a file
 both extractors give the same fixes, Trace, warnings and exceptions."""
 
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -130,7 +131,6 @@ def test_canonical_shapes_take_the_scanner(document, count):
     (_gpx(_FIX.replace("00Z", "00&#90;")).encode(), []),
     (_gpx(_FIX.replace('lat="1', 'lat="&#49;')).encode(), []),
     (_gpx(_FIX.replace('lon="2.', 'lon="2&#46;')).encode(), []),
-    (_gpx(prolog=f"<!DOCTYPE gpx [<!ENTITY unused '{_TRAP}'>]>").encode(), []),
     (_gpx(f"{_FIX}<?note {_TRAP}?>").encode(), []),
     (_gpx(prolog=f"{_UTF8}<?note {_TRAP}?>").encode(), []),
     (_gpx(prolog=f"<?note {_TRAP}?>").encode(), []),
@@ -156,7 +156,7 @@ def test_canonical_shapes_take_the_scanner(document, count):
     (_gpx(_FIX.replace("<time>", "<time\u00e9>2017-06-10T06:00:00Z</time\u00e9><time>")
           ).encode(), []),
 ], ids=["comment", "cdata", "entity", "character-reference",
-        "character-reference-in-lat", "character-reference-in-lon", "doctype",
+        "character-reference-in-lat", "character-reference-in-lon",
         "processing-instruction", "processing-instruction-in-the-prolog",
         "processing-instruction-first", "prefix-bound-to-gpx",
         "prefix-bound-after-xmlns-in-a-value", "prefixed-root", "root-in-the-xml-namespace",
@@ -179,21 +179,23 @@ def test_other_shapes_take_element_tree(data, warnings):
     assert seen == warnings
 
 
-# entities that expand a 1,200-character text ten thousandfold; expat stops
-# an expansion past 8 MiB and a hundred times the document's size. A long
-# text keeps the chunks that reach ElementTree few before it stops.
-_AMPLIFYING = "".join(f'<!ENTITY l{i} "{f"&l{i - 1};" * 10}">' for i in range(1, 5))
+# "billion laughs": entities that would expand a 3-character text a billion
+# times, nine levels of ten; expat stops an expansion only past 8 MiB
+LAUGHS_FILE = _gpx(prolog=_UTF8 + "<!DOCTYPE gpx [<!ENTITY l0 'lol'>" + "".join(
+    f"<!ENTITY l{i} '{f'&l{i - 1};' * 10}'>" for i in range(1, 10)) + "]>").replace(
+    "<trk>", "<trk><name>&l9;</name>")
 
 
 @pytest.mark.parametrize("data", [
     GARMIN_FILE.removesuffix("</gpx>\n").encode(),
     GARMIN_FILE.replace("activity_01", "activity\x0001").encode(),
-    _gpx(prolog=f'{_UTF8}<!DOCTYPE gpx [<!ENTITY l0 "{"lol" * 400}">{_AMPLIFYING}]>'
-         ).replace("<trk>", "<trk><name>&l4;</name>").encode(),
-], ids=["unclosed-root", "nul-in-a-name", "entity-amplification"])
+    _gpx(prolog=f"<!DOCTYPE gpx [<!ENTITY unused '{_TRAP}'>]>").encode(),
+    LAUGHS_FILE.encode(),
+], ids=["unclosed-root", "nul-in-a-name", "doctype", "entity-amplification"])
 def test_scanner_never_raises_element_tree_alone_reports(data):
     # the scanner's expression reads every fix of each file, which is not
-    # well-formed; the scanner declines it, and ElementTree's path reports it
+    # well-formed or declares a document type; the scanner declines it, and
+    # ElementTree's path reports it
     assert ingest._UNREAD not in ingest._TRKPT.findall(data)
     assert ingest._scan_fixes(data) is None
     messages = []
@@ -202,6 +204,24 @@ def test_scanner_never_raises_element_tree_alone_reports(data):
             read(data)
         messages.append(str(raised.value))
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("data", [
+    LAUGHS_FILE.encode(), LAUGHS_FILE,
+    LAUGHS_FILE.replace("UTF-8", "Shift_JIS").encode()],
+    ids=["bytes", "str", "retried-as-utf-8"])
+def test_document_type_is_refused_before_its_entities_expand(data):
+    # expanded, the file's one name would be 3 GB. Refused at its DOCTYPE,
+    # the read peaks at tens of KiB; a tree builder that took the expansions
+    # until expat's amplification limit stopped them peaked at 65-130 MiB.
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedXml, match="^cannot parse XML: "):
+            ingest.parse_gpx(data, "t")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_malformed_text_has_the_message_of_malformed_bytes():
