@@ -54,7 +54,8 @@ class NoEvents(IngestError):
 
 
 class MalformedXml(IngestError):
-    """Trace file is not well-formed XML."""
+    """Trace file does not decode, is not well-formed XML, or has a
+    document type declaration."""
 
 
 class NoTimedPoints(IngestError):

@@ -18,7 +18,9 @@ a <time> child are consumed, read in the root element's namespace. GPX
 times are UTC by that format's definition. Files in a canonical subset of
 XML (see _scan_fixes) are read by one regular expression over the text,
 every other file through ElementTree, with the same result; ElementTree
-alone reports a file that is not well-formed or has a DOCTYPE.
+alone reports a file that does not decode, is not well-formed or has a
+DOCTYPE. Bytes that expat rejects under their encoding declaration are
+read again as UTF-8 text (see _read_xml).
 """
 
 from __future__ import annotations
@@ -291,6 +293,9 @@ def _expat_gate(document: str | bytes) -> bool:
                     "StartCdataSectionHandler", "StartDoctypeDeclHandler"):
         setattr(parser, handler, lambda *markup: misread.append(markup))
     parser.StartElementHandler = start_root
+    # setting it, even to None, stops expat expanding internal entities in
+    # content (XML_SetDefaultHandler); a DOCTYPE declines the file anyway
+    parser.DefaultHandler = None
     # expat gives xmlns="" as None: it undeclares the default namespace
     parser.StartNamespaceDeclHandler = lambda prefix, uri: declarations.append(
         (prefix, uri or ""))
@@ -307,16 +312,16 @@ def _expat_gate(document: str | bytes) -> bool:
 
 
 class _NoDoctype(ET.TreeBuilder):
-    """A tree builder that refuses a DOCTYPE, which GPX does not use, at its
-    start: no entity of it, which could expand thousandfold, reaches the tree."""
+    """Refuses a DOCTYPE, unused by GPX, with the file's skip: no entity of
+    it, which could expand thousandfold, reaches the tree or a retry."""
 
     def doctype(self, name: str, pubid: str | None, system: str | None) -> NoReturn:
-        raise ET.ParseError("a document type declaration is not allowed")
+        raise MalformedXml("cannot parse XML: a document type declaration is not allowed")
 
 
 def _read_xml(gpx_text: str | bytes) -> ET.Element:
     """The ElementTree root of gpx_text; bytes that fail under their
-    encoding declaration are retried as UTF-8 text."""
+    encoding declaration are read again as UTF-8 text, whose error stands."""
     try:
         return ET.fromstring(gpx_text, ET.XMLParser(target=_NoDoctype()))
     except (ET.ParseError, LookupError, ValueError) as exc:
@@ -324,10 +329,9 @@ def _read_xml(gpx_text: str | bytes) -> ET.Element:
             # expat fails on a declared codec that is unknown, multi-byte (it
             # has none) or wrong, but ignores the declaration of str input.
             try:
-                return ET.fromstring(gpx_text.decode("utf-8"),
-                                     ET.XMLParser(target=_NoDoctype()))
-            except (ET.ParseError, ValueError):
-                pass
+                return _read_xml(gpx_text.decode("utf-8"))
+            except UnicodeDecodeError:
+                pass  # not UTF-8 either: the first error stands
         raise MalformedXml(f"cannot parse XML: {exc}") from None
 
 

@@ -739,6 +739,23 @@ class TestLoadInputs:
         assert [t.id for t in traces_loaded] == ["a"]
         assert report.warnings == []
 
+    @pytest.mark.parametrize("codec, name", [
+        ("US-ASCII", "Zürich"), ("utf8", "Zürich"), ("windows-1252", "Ángel")])
+    def test_utf8_gpx_under_declaration_expat_misreads_loads(self, tmp_path,
+                                                              codec, name):
+        # expat meets a byte that the declared codec does not read ("utf8"
+        # names UTF-8 only to Python, whose single-byte map expat gets, and
+        # "Á" is C3 81 in UTF-8, where 81 is no windows-1252 byte); the file
+        # loads, as it does when it is read as UTF-8 text.
+        frames_path, traces = _write_two_field_inputs(tmp_path)
+        text = gpx_doc([(0.0, 0.0, ts(5))]).replace(
+            'encoding="UTF-8"', f'encoding="{codec}"').replace(
+            "<trk>", f"<trk><name>{name}</name>")
+        (traces / "a.gpx").write_bytes(text.encode("utf-8"))
+        _, traces_loaded, report = load_inputs(frames_path, traces)
+        assert [t.id for t in traces_loaded] == ["a"]
+        assert report.warnings == []
+
     @pytest.mark.parametrize("raw", [
         b"<gpx><trk><name>Z\xfcrich</name></trk></gpx>",
         b'<?xml version="1.0" encoding="no-such-codec"?><gpx/>',
