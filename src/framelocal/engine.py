@@ -25,8 +25,7 @@ from operator import attrgetter, itemgetter
 
 from .errors import OutOfDomain
 from .geodesy import WGS84, HomParams, hom_fix_terms, hom_forward_terms, hom_setup
-from .ingest import WarnFn
-from .model import EPOCH, EventInterval, EventSeries, FrameLine, Trace, aligned, utc_us
+from .model import EPOCH, EventInterval, EventSeries, FrameLine, Trace, WarnFn, aligned, utc_us
 
 
 @dataclass(frozen=True)

@@ -348,7 +348,8 @@ def hom_forward_terms(params: HomParams, terms: Sequence[tuple | OutOfDomain]
     sin_g0, cos_g0 = params.sin_gamma0, params.cos_gamma0
     sin_phi0, cos_phi0 = params.sin_phi0, params.cos_phi0
     lam_c, lon0 = math.radians(params.origin_lon_deg), params.lon0_rad
-    u0, v0, reversed_line = params.u0_m, params.v0_m, params.reversed_line
+    u0, v0 = params.u0_m, params.v0_m
+    sign = -1.0 if params.reversed_line else 1.0  # a reversed frame mirrors both axes
     results: list[tuple[float, float] | OutOfDomain] = []
     for entry in terms:
         if not isinstance(entry, tuple):  # a polar point's OutOfDomain
@@ -381,12 +382,7 @@ def hom_forward_terms(params: HomParams, terms: Sequence[tuple | OutOfDomain]
             continue
         v = half_a_m * math.log((1.0 - big_u) / (1.0 + big_u)) / b_pow
         u = a_m * math.atan2(big_s * cos_g0 + big_v * sin_g0, math.cos(bdl)) / b_pow
-
-        du = u - u0
-        dv = v - v0
-        if reversed_line:
-            du, dv = -du, -dv
-        results.append((dv, du))
+        results.append((sign * (v - v0), sign * (u - u0)))
     return results
 
 
@@ -408,11 +404,9 @@ def hom_inverse(params: HomParams, x_m: float, y_m: float) -> tuple[float, float
     OutOfDomain; a candidate result is accepted only if projecting it
     forward reproduces the input.
     """
-    dv, du = x_m, y_m
-    if params.reversed_line:
-        du, dv = -du, -dv
-    u = du + params.u0_m
-    v = dv + params.v0_m
+    sign = -1.0 if params.reversed_line else 1.0
+    u = sign * y_m + params.u0_m
+    v = sign * x_m + params.v0_m
 
     sin_g0, cos_g0 = params.sin_gamma0, params.cos_gamma0
     # One gate decides the domain: the solved point must project back onto

@@ -17,10 +17,11 @@ Traces are GPX 1.0/1.1; only trk/trkseg/trkpt with lat/lon attributes and
 a <time> child are consumed, read in the root element's namespace. GPX
 times are UTC by that format's definition. Files in a canonical subset of
 XML (see _scan_fixes) are read by one regular expression over the text,
-every other file through ElementTree, with the same result; ElementTree
-alone reports a file that does not decode, is not well-formed or has a
-DOCTYPE. Bytes that expat rejects under their encoding declaration are
-read again as UTF-8 text (see _read_xml).
+every other file through ElementTree, with the same result. The scanner's
+expat pass, which every file takes first, refuses a DOCTYPE at its start;
+ElementTree alone reports a file that does not decode or is not
+well-formed. Bytes that expat rejects under their encoding declaration are
+read again, through the same pass, as UTF-8 text (see _read_fixes).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, NoReturn
+from typing import NoReturn
 from xml.parsers import expat
 
 from . import geodesy
@@ -47,9 +48,7 @@ from .errors import (
     NoTimedPoints,
     NoTraces,
 )
-from .model import EventInterval, FrameLine, Names, Trace, normalize_longitude, utc_us
-
-WarnFn = Callable[[str], None]
+from .model import EventInterval, FrameLine, Names, Trace, WarnFn, normalize_longitude, utc_us
 
 
 @dataclass
@@ -265,16 +264,22 @@ def _xml_number(text: str) -> float:
     return float(text)
 
 
+def _refuse_doctype(*declaration) -> NoReturn:
+    # pyexpat stops the parse when a handler raises: no entity is declared
+    raise MalformedXml("cannot parse XML: a document type declaration is not allowed")
+
+
 def _expat_gate(document: str | bytes) -> bool:
     """True when one namespace-aware expat pass, the parser ElementTree
     uses, finds document well-formed and finds nothing that the scanner's
     expression would misread: no encoding declared but UTF-8 or ASCII (XML
-    1.0 §4.3.3), no processing instruction (§2.6), comment (§2.5), CDATA
-    section (§2.7) or DOCTYPE (§2.8), and a root element whose namespace
-    holds exactly the unprefixed element names (Namespaces in XML 1.0 §6):
-    the root is in the default namespace, no default namespace is declared
-    or undeclared below the root, and no prefix is bound to the root's
-    namespace."""
+    1.0 §4.3.3), no processing instruction (§2.6), comment (§2.5) or CDATA
+    section (§2.7), and a root element whose namespace holds exactly the
+    unprefixed element names (Namespaces in XML 1.0 §6): the root is in the
+    default namespace, no default namespace is declared or undeclared below
+    the root, and no prefix is bound to the root's namespace. A DOCTYPE
+    (§2.8), unused by GPX, raises the file's skip, MalformedXml, at its
+    start: none of its entities, which could expand thousandfold, is read."""
     parser = expat.ParserCreate(namespace_separator="}")
     encoding: list[str] = []  # the XML declaration's, if it has one
     misread: list[tuple] = []  # the arguments of each markup the expression misreads
@@ -290,12 +295,10 @@ def _expat_gate(document: str | bytes) -> bool:
         name or "utf-8")
     # expat calls these only where such markup occurs: a canonical file pays nothing
     for handler in ("ProcessingInstructionHandler", "CommentHandler",
-                    "StartCdataSectionHandler", "StartDoctypeDeclHandler"):
+                    "StartCdataSectionHandler"):
         setattr(parser, handler, lambda *markup: misread.append(markup))
+    parser.StartDoctypeDeclHandler = _refuse_doctype
     parser.StartElementHandler = start_root
-    # setting it, even to None, stops expat expanding internal entities in
-    # content (XML_SetDefaultHandler); a DOCTYPE declines the file anyway
-    parser.DefaultHandler = None
     # expat gives xmlns="" as None: it undeclares the default namespace
     parser.StartNamespaceDeclHandler = lambda prefix, uri: declarations.append(
         (prefix, uri or ""))
@@ -309,30 +312,6 @@ def _expat_gate(document: str | bytes) -> bool:
             and dict(declarations[:on_root]).get(None, "") == namespace
             and all(prefix is not None for prefix, _ in declarations[on_root:])
             and all(prefix is None for prefix, uri in declarations if uri == namespace))
-
-
-class _NoDoctype(ET.TreeBuilder):
-    """Refuses a DOCTYPE, unused by GPX, with the file's skip: no entity of
-    it, which could expand thousandfold, reaches the tree or a retry."""
-
-    def doctype(self, name: str, pubid: str | None, system: str | None) -> NoReturn:
-        raise MalformedXml("cannot parse XML: a document type declaration is not allowed")
-
-
-def _read_xml(gpx_text: str | bytes) -> ET.Element:
-    """The ElementTree root of gpx_text; bytes that fail under their
-    encoding declaration are read again as UTF-8 text, whose error stands."""
-    try:
-        return ET.fromstring(gpx_text, ET.XMLParser(target=_NoDoctype()))
-    except (ET.ParseError, LookupError, ValueError) as exc:
-        if isinstance(gpx_text, bytes):
-            # expat fails on a declared codec that is unknown, multi-byte (it
-            # has none) or wrong, but ignores the declaration of str input.
-            try:
-                return _read_xml(gpx_text.decode("utf-8"))
-            except UnicodeDecodeError:
-                pass  # not UTF-8 either: the first error stands
-        raise MalformedXml(f"cannot parse XML: {exc}") from None
 
 
 _S = r"[ \t\r\n]"  # XML white space; \s would also take other characters
@@ -359,22 +338,25 @@ def _scan_fixes(document: str | bytes) -> list[tuple[str, str, str]] | None:
     regular expression over the UTF-8 bytes, of which only the captured
     values are decoded; None when the document is outside the canonical
     subset in which the expression reads what ElementTree reads (XML 1.0
-    §2.8-2.11, GPX 1.1). Never raises: ElementTree's path reports a file
-    that is not well-formed. The subset:
+    §2.8-2.11, GPX 1.1). Raises MalformedXml for a DOCTYPE (see
+    _expat_gate) and nothing else: ElementTree's path reports every other
+    file that is not well-formed. The subset:
+    - as one expat pass reads the document: well-formed (no lone
+      surrogate), with no processing instruction, comment or CDATA
+      section, a declared encoding, if any, of UTF-8 or ASCII, the root
+      element in the default namespace, no default namespace declared or
+      undeclared below the root, and no prefix bound to the root's namespace
     - a "<trkpt" in the UTF-8 bytes (UTF-16 and UTF-32 text has none)
     - every "<trkpt" opens an element that _TRKPT reads, with no "&"
       (entity or character reference) in its lat, lon or time
-    - as one expat pass reads the document: well-formed (no lone
-      surrogate), with no processing instruction, comment, CDATA section
-      or DOCTYPE, a declared encoding, if any, of UTF-8 or ASCII, the root
-      element in the default namespace, no default namespace declared or
-      undeclared below the root, and no prefix bound to the root's namespace
     """
-    # a lone surrogate gets bytes here, and the expat pass declines its text
-    data = document.encode("utf-8", "surrogatepass") if isinstance(document, str) else document
+    if not _expat_gate(document):
+        return None
+    # the expat pass encoded a str as UTF-8, so it holds no lone surrogate
+    data = document.encode() if isinstance(document, str) else document
     fixes = _TRKPT.findall(data)
     # finding _UNREAD in the list is cheaper than counting "<trkpt" in the data
-    if not fixes or _UNREAD in fixes or not _expat_gate(document):
+    if not fixes or _UNREAD in fixes:
         return None
     return [(lat.decode(), lon.decode(), time.decode()) for lat, lon, time in fixes]
 
@@ -386,6 +368,27 @@ def _tree_fixes(root: ET.Element) -> list[tuple[str, str, str]]:
     ns = root.tag[:root.tag.rfind("}") + 1]
     return [(elem.get("lat", ""), elem.get("lon", ""), elem.findtext(ns + "time", ""))
             for elem in root.iter(ns + "trkpt")]
+
+
+def _read_fixes(document: str | bytes) -> list[tuple[str, str, str]]:
+    """The fixes of document, scanned if _scan_fixes takes it, else read
+    from its ElementTree; bytes that ElementTree rejects under their
+    encoding declaration are read again as UTF-8 text, through the same
+    gate, and that text's error stands."""
+    fixes = _scan_fixes(document)
+    if fixes is not None:
+        return fixes
+    try:
+        return _tree_fixes(ET.fromstring(document))
+    except (ET.ParseError, LookupError, ValueError) as exc:
+        if isinstance(document, bytes):
+            # expat fails on a declared codec that is unknown, multi-byte (it
+            # has none) or wrong, but ignores the declaration of str input.
+            try:
+                return _read_fixes(document.decode("utf-8"))
+            except UnicodeDecodeError:
+                pass  # not UTF-8 either: the first error stands
+        raise MalformedXml(f"cannot parse XML: {exc}") from None
 
 
 def _trace_from_fixes(fixes: list[tuple[str, str, str]], trace_id: str,
@@ -442,11 +445,8 @@ def parse_gpx(gpx_text: str | bytes, trace_id: str,
     points is an error. Bytes input honours the XML encoding declaration.
     Every well-formed file reads the same whichever extractor takes it.
     """
-    warn = on_warning if on_warning is not None else (lambda message: None)
-    fixes = _scan_fixes(gpx_text)
-    if fixes is None:
-        fixes = _tree_fixes(_read_xml(gpx_text))
-    return _trace_from_fixes(fixes, trace_id, warn)
+    return _trace_from_fixes(_read_fixes(gpx_text), trace_id,
+                             on_warning if on_warning is not None else lambda message: None)
 
 
 def _gpx_files(traces_dir: Path, recurse: bool) -> list[Path]:

@@ -20,6 +20,9 @@ from .errors import ReversedInterval
 # the origin of the integer-microsecond times of a Trace
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
+# takes each warning message as soon as it is found
+WarnFn = Callable[[str], None]
+
 
 def utc_us(instant: datetime) -> int:
     """The timezone-aware instant as integer microseconds since EPOCH."""

@@ -4,8 +4,10 @@ and checks on generated and mutated GPX that parse_gpx reads every file as
 the ElementTree path does, and that wherever the scanner accepts a file
 both extractors give the same fixes, Trace, warnings and exceptions."""
 
+import encodings.aliases
 import time
 import tracemalloc
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -90,9 +92,30 @@ def _unparsable(time_text: str) -> str:
     return f"track point with unparsable time {time_text!r} skipped"
 
 
+_DOCTYPE = "cannot parse XML: a document type declaration is not allowed"
+
+
+class _DoctypeRefused(ET.TreeBuilder):
+    def doctype(self, name, pubid, system):
+        raise MalformedXml(_DOCTYPE)
+
+
 def _tree_fixes(data):
-    """The ElementTree extractor's fixes of data."""
-    return ingest._tree_fixes(ingest._read_xml(data))
+    """The reference reading of data: the ElementTree extractor's fixes, a
+    DOCTYPE refused, and bytes that ElementTree rejects read again as UTF-8
+    text, whose error stands."""
+    try:
+        root = ET.fromstring(data, ET.XMLParser(target=_DoctypeRefused()))
+    except (ET.ParseError, LookupError, ValueError) as exc:
+        if isinstance(data, bytes):
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError:
+                pass
+            else:
+                return _tree_fixes(text)
+        raise MalformedXml(f"cannot parse XML: {exc}") from None
+    return ingest._tree_fixes(root)
 
 
 def _outcome(read):
@@ -104,6 +127,19 @@ def _outcome(read):
         return None, warnings, (type(exc).__name__, str(exc))
     columns = [column.tobytes() for column in (trace.lat_deg, trace.lon_deg, trace.time_us)]
     return columns, warnings, None
+
+
+def _tree_parses(monkeypatch) -> list:
+    """A list that grows by one at each ElementTree parse that ingest makes."""
+    parses = []
+    fromstring = ingest.ET.fromstring
+
+    def counted(*args, **kwargs):
+        parses.append(args[0])
+        return fromstring(*args, **kwargs)
+
+    monkeypatch.setattr(ingest.ET, "fromstring", counted)
+    return parses
 
 
 @pytest.mark.parametrize("document, count", [
@@ -184,18 +220,17 @@ def test_other_shapes_take_element_tree(data, warnings):
 LAUGHS_FILE = _gpx(prolog=_UTF8 + "<!DOCTYPE gpx [<!ENTITY l0 'lol'>" + "".join(
     f"<!ENTITY l{i} '{f'&l{i - 1};' * 10}'>" for i in range(1, 10)) + "]>").replace(
     "<trk>", "<trk><name>&l9;</name>")
+# the same entities referenced in an attribute value as well
+ATTRIBUTE_LAUGHS_FILE = LAUGHS_FILE.replace("<trk>", '<trk name="&l7;">')
 
 
 @pytest.mark.parametrize("data", [
     GARMIN_FILE.removesuffix("</gpx>\n").encode(),
     GARMIN_FILE.replace("activity_01", "activity\x0001").encode(),
-    _gpx(prolog=f"<!DOCTYPE gpx [<!ENTITY unused '{_TRAP}'>]>").encode(),
-    LAUGHS_FILE.encode(),
-], ids=["unclosed-root", "nul-in-a-name", "doctype", "entity-amplification"])
+], ids=["unclosed-root", "nul-in-a-name"])
 def test_scanner_never_raises_element_tree_alone_reports(data):
     # the scanner's expression reads every fix of each file, which is not
-    # well-formed or declares a document type; the scanner declines it, and
-    # ElementTree's path reports it
+    # well-formed; the scanner declines it, and ElementTree's path reports it
     assert ingest._UNREAD not in ingest._TRKPT.findall(data)
     assert ingest._scan_fixes(data) is None
     messages = []
@@ -207,9 +242,27 @@ def test_scanner_never_raises_element_tree_alone_reports(data):
 
 
 @pytest.mark.parametrize("data", [
+    _gpx(prolog=f"<!DOCTYPE gpx [<!ENTITY unused '{_TRAP}'>]>").encode(),
+    LAUGHS_FILE.encode(), LAUGHS_FILE, ATTRIBUTE_LAUGHS_FILE.encode(),
+], ids=["doctype", "entity-amplification", "entity-amplification-str",
+        "attribute-amplification"])
+def test_gate_refuses_doctype_before_element_tree(data, monkeypatch):
+    # the scanner's expression reads every fix of each file; the gate that
+    # every file takes first refuses the DOCTYPE, with the file's skip
+    parses = _tree_parses(monkeypatch)
+    assert ingest._UNREAD not in ingest._TRKPT.findall(
+        data if isinstance(data, bytes) else data.encode())
+    for read in ingest._expat_gate, ingest._scan_fixes, lambda d: ingest.parse_gpx(d, "t"):
+        with pytest.raises(MalformedXml) as raised:
+            read(data)
+        assert str(raised.value) == _DOCTYPE
+    assert parses == []
+
+
+@pytest.mark.parametrize("data", [
     LAUGHS_FILE.encode(), LAUGHS_FILE,
-    LAUGHS_FILE.replace("UTF-8", "Shift_JIS").encode()],
-    ids=["bytes", "str", "retried-as-utf-8"])
+    LAUGHS_FILE.replace("UTF-8", "Shift_JIS").encode(), ATTRIBUTE_LAUGHS_FILE.encode()],
+    ids=["bytes", "str", "retried-as-utf-8", "in-an-attribute"])
 def test_document_type_is_refused_before_its_entities_expand(data):
     # expanded, the file's one name would be 3 GB. Refused at its DOCTYPE,
     # the read peaks at tens of KiB; a tree builder that took the expansions
@@ -224,80 +277,95 @@ def test_document_type_is_refused_before_its_entities_expand(data):
     assert peak < 2**20
 
 
-def _tree_parses(monkeypatch) -> list:
-    """A list that grows by one at each ElementTree parse that ingest makes."""
-    parses = []
-    fromstring = ingest.ET.fromstring
-
-    def counted(*args, **kwargs):
-        parses.append(args[0])
-        return fromstring(*args, **kwargs)
-
-    monkeypatch.setattr(ingest.ET, "fromstring", counted)
-    return parses
-
-
 _ZURICH_AMPERSAND = _gpx().replace("<trk>", "<trk><name>Z\u00fcrich & b</name>")
 
 
-@pytest.mark.parametrize("data, message", [
-    (LAUGHS_FILE.encode(), "a document type declaration is not allowed"),
+@pytest.mark.parametrize("data, message, count", [
+    (LAUGHS_FILE.encode(), "a document type declaration is not allowed", 0),
     (_ZURICH_AMPERSAND.replace("UTF-8", "ISO-8859-1").encode("latin-1"),
-     "not well-formed (invalid token): line 1, column 123"),
+     "not well-formed (invalid token): line 1, column 123", 1),
 ], ids=["entity-amplification", "not-utf-8"])
-def test_bytes_no_retry_can_mend_get_one_tree_parse(data, message, monkeypatch):
-    # a refused DOCTYPE is the file's skip, and bytes that are not UTF-8
-    # have no UTF-8 text to read: the first parse's error stands
+def test_bytes_no_retry_can_mend_get_one_tree_parse(data, message, count, monkeypatch):
+    # a DOCTYPE is the file's skip before ElementTree parses it, and bytes
+    # that are not UTF-8 have no UTF-8 text to read: the first parse's
+    # error stands
     parses = _tree_parses(monkeypatch)
     with pytest.raises(MalformedXml) as raised:
         ingest.parse_gpx(data, "t")
     assert str(raised.value) == f"cannot parse XML: {message}"
-    assert len(parses) == 1
+    assert len(parses) == count
 
 
 _CUT_SHORT = "no element found: line 61, column 0"
+_RETRIED = [bytes, str]  # the types of the texts ElementTree parses
 
 
-@pytest.mark.parametrize("data, message", [
-    (GARMIN_FILE.removesuffix("</gpx>\n").encode(), _CUT_SHORT),
+@pytest.mark.parametrize("data, message, parsed", [
+    (GARMIN_FILE.removesuffix("</gpx>\n").encode(), _CUT_SHORT, _RETRIED),
     (GARMIN_FILE.replace("activity_01", "Z\u00fcrich").removesuffix("</gpx>\n").encode(),
-     _CUT_SHORT),
+     _CUT_SHORT, _RETRIED),
     (_gpx().replace("<trk>", "<trk><name>a & b</name>").encode(),
-     "not well-formed (invalid token): line 1, column 113"),
-    *[(GARMIN_FILE.replace("UTF-8", codec).removesuffix("</gpx>\n").encode(), _CUT_SHORT)
-      for codec in ("Shift_JIS", "no-such-codec", "UTF-16")],
+     "not well-formed (invalid token): line 1, column 113", _RETRIED),
+    *[(GARMIN_FILE.replace("UTF-8", codec).removesuffix("</gpx>\n").encode(), _CUT_SHORT,
+       _RETRIED) for codec in ("Shift_JIS", "no-such-codec", "UTF-16")],
     # expat reads these declarations and first fails at the "\u00fc" the
     # bytes give in UTF-8; the text's error is at the "&"
     (_ZURICH_AMPERSAND.replace("UTF-8", "US-ASCII").encode(),
-     "not well-formed (invalid token): line 1, column 121"),
+     "not well-formed (invalid token): line 1, column 121", _RETRIED),
     (_ZURICH_AMPERSAND.replace("UTF-8", "windows-1252").encode(),
-     "not well-formed (invalid token): line 1, column 125"),
+     "not well-formed (invalid token): line 1, column 125", _RETRIED),
+    # the retried text takes the gate first, which refuses its DOCTYPE
     (LAUGHS_FILE.replace("UTF-8", "Shift_JIS").encode(),
-     "a document type declaration is not allowed"),
+     "a document type declaration is not allowed", [bytes]),
 ], ids=["cut-short", "cut-short-beyond-ascii", "bare-ampersand-in-ascii",
         "cut-short-Shift_JIS", "cut-short-no-such-codec", "cut-short-UTF-16",
         "ampersand-after-utf-8-under-US-ASCII",
         "ampersand-after-utf-8-under-windows-1252", "entity-amplification-Shift_JIS"])
-def test_retried_bytes_report_the_error_of_their_text(data, message, monkeypatch):
+def test_retried_bytes_report_the_error_of_their_text(data, message, parsed, monkeypatch):
     # bytes that fail under their declaration and decode as UTF-8 are read
     # again as UTF-8 text, whose own error is the file's
     parses = _tree_parses(monkeypatch)
     with pytest.raises(MalformedXml) as raised:
         ingest.parse_gpx(data, "t")
     assert str(raised.value) == f"cannot parse XML: {message}"
-    assert [type(text) for text in parses] == [bytes, str]
+    assert [type(text) for text in parses] == parsed
 
 
 def test_gate_expands_no_entity_of_a_document_type():
-    # expat expands no internal entity once a default handler is set; the
-    # gate's pass over LAUGHS_FILE took 0.08 s of CPU while it expanded them
-    data = LAUGHS_FILE.encode()
-    spent = []
-    for _ in range(3):
-        started = time.process_time()
-        assert ingest._expat_gate(data) is False
-        spent.append(time.process_time() - started)
-    assert min(spent) < 0.010
+    # the gate refuses a DOCTYPE at its start, before any entity is
+    # declared; a pass that expanded them took 0.08 s of CPU on LAUGHS_FILE,
+    # and 0.13 s on the attribute value's
+    for data in LAUGHS_FILE.encode(), ATTRIBUTE_LAUGHS_FILE.encode():
+        spent = []
+        for _ in range(3):
+            started = time.process_time()
+            with pytest.raises(MalformedXml, match="document type declaration"):
+                ingest._expat_gate(data)
+            spent.append(time.process_time() - started)
+        assert min(spent) < 0.010
+
+
+def test_every_codec_name_reads_as_element_tree_reads_it():
+    # expat reads some declared codecs and fails on others, and which error
+    # it gives for a misread declaration may differ between its versions;
+    # whatever it does, each file, ASCII or beyond, loads or fails exactly
+    # as the reference reads it: ElementTree on the bytes, else on their
+    # UTF-8 text
+    names = sorted({*encodings.aliases.aliases, *encodings.aliases.aliases.values()})
+    differ, loaded = [], 0
+    for name in names:
+        declaration = _UTF8.replace("UTF-8", name)
+        ascii_file = _gpx(prolog=declaration)
+        beyond = ascii_file.replace("<trk>", "<trk><name>Z\u00fcrich</name>")
+        for document in ascii_file, beyond:
+            data = document.encode()
+            reference = _outcome(lambda warn: ingest._trace_from_fixes(
+                _tree_fixes(data), "t", warn))
+            if _outcome(lambda warn: ingest.parse_gpx(data, "t", warn)) != reference:
+                differ.append((name, document.isascii()))
+            loaded += reference[2] is None
+    assert differ == []
+    assert 0 < loaded < 2 * len(names)
 
 
 def test_malformed_text_has_the_message_of_malformed_bytes():
@@ -435,6 +503,7 @@ def _gpx_documents(draw) -> bytes:
         "prefix-bound", "prefixed-time", "prefixed-root", "xmlns-in-value"
     } & mutations else ""
     segment_ns = f' xmlns="{GARMIN}"' if "xmlns-redeclared" in mutations else ""
+    creator = "&gen;" if "doctype" in mutations else "gen"  # declared in the DOCTYPE
     encoding = ("ISO-8859-1" if "latin-1" in mutations else "UTF-16"
                 if "utf-16" in mutations else "US-ASCII" if "ascii" in mutations
                 else "UTF-8")
@@ -443,9 +512,9 @@ def _gpx_documents(draw) -> bytes:
     if "prolog-pi" in mutations:
         prolog.append(f"<?note {_TRAP}?>")
     if "doctype" in mutations:
-        prolog.append("<!DOCTYPE gpx>")
+        prolog.append("<!DOCTYPE gpx [<!ENTITY gen 'gen'>]>")
     text = newline.join([
-        *prolog, f'<{root} version="1.1" creator="gen"{declarations}>',
+        *prolog, f'<{root} version="1.1" creator="{creator}"{declarations}>',
         "<metadata><time>2017-06-10T04:00:00Z</time></metadata>",
         f"<trk><name>{'Zürich' if 'latin-1' in mutations else 'run'}"
         f"{' &amp; bike' if 'name-amp' in mutations else ''}"
@@ -481,8 +550,12 @@ def test_both_extractors_read_the_same(data):
 
     reference = _outcome(tree)
     assert _outcome(lambda warn: ingest.parse_gpx(data, "t", warn)) == reference
-    scanned = ingest._scan_fixes(data)
     error = reference[2]
+    try:
+        scanned = ingest._scan_fixes(data)
+    except MalformedXml as exc:  # a DOCTYPE, refused at the gate
+        assert error == ("MalformedXml", str(exc))
+        return
     if error is not None and error[0] == "MalformedXml":
         assert scanned is None
     if scanned is None:
