@@ -18,10 +18,10 @@ a <time> child are consumed, read in the root element's namespace. GPX
 times are UTC by that format's definition. Files in a canonical subset of
 XML (see _scan_fixes) are read by one regular expression over the text,
 every other file through ElementTree, with the same result. The scanner's
-expat pass, which every file takes first, refuses a DOCTYPE at its start;
-ElementTree alone reports a file that does not decode or is not
-well-formed. Bytes that expat rejects under their encoding declaration are
-read again, through the same pass, as UTF-8 text (see _read_fixes).
+expat pass, which every file takes first, judges every file: it rejects a
+DOCTYPE, and a file that does not decode or is not well-formed, so
+ElementTree reads only files that pass it. Bytes that expat rejects under
+their declared encoding are read again as UTF-8 text (see _read_fixes).
 """
 
 from __future__ import annotations
@@ -271,15 +271,16 @@ def _refuse_doctype(*declaration) -> NoReturn:
 
 def _expat_gate(document: str | bytes) -> bool:
     """True when one namespace-aware expat pass, the parser ElementTree
-    uses, finds document well-formed and finds nothing that the scanner's
-    expression would misread: no encoding declared but UTF-8 or ASCII (XML
-    1.0 §4.3.3), no processing instruction (§2.6), comment (§2.5) or CDATA
-    section (§2.7), and a root element whose namespace holds exactly the
-    unprefixed element names (Namespaces in XML 1.0 §6): the root is in the
-    default namespace, no default namespace is declared or undeclared below
-    the root, and no prefix is bound to the root's namespace. A DOCTYPE
-    (§2.8), unused by GPX, raises the file's skip, MalformedXml, at its
-    start: none of its entities, which could expand thousandfold, is read."""
+    uses, finds nothing in document that the scanner's expression would
+    misread: no encoding declared but UTF-8 or ASCII (XML 1.0 §4.3.3), no
+    processing instruction (§2.6), comment (§2.5) or CDATA section (§2.7),
+    and a root element whose namespace holds exactly the unprefixed element
+    names (Namespaces in XML 1.0 §6): the root is in the default namespace,
+    no default namespace is declared or undeclared below the root, and no
+    prefix is bound to the root's namespace. Raises expat's error for a
+    document that does not decode or is not well-formed, and the file's
+    skip, MalformedXml, at the start of a DOCTYPE (§2.8), which GPX does not
+    use: none of its entities, which could expand thousandfold, is read."""
     parser = expat.ParserCreate(namespace_separator="}")
     encoding: list[str] = []  # the XML declaration's, if it has one
     misread: list[tuple] = []  # the arguments of each markup the expression misreads
@@ -302,10 +303,7 @@ def _expat_gate(document: str | bytes) -> bool:
     # expat gives xmlns="" as None: it undeclares the default namespace
     parser.StartNamespaceDeclHandler = lambda prefix, uri: declarations.append(
         (prefix, uri or ""))
-    try:
-        parser.Parse(document, True)
-    except (expat.ExpatError, LookupError, ValueError):
-        return False  # ElementTree reads the file, and reports it
+    parser.Parse(document, True)
     ((namespace, on_root),) = root
     return (not misread
             and all(name.lower() in ("utf-8", "us-ascii", "ascii") for name in encoding)
@@ -338,14 +336,14 @@ def _scan_fixes(document: str | bytes) -> list[tuple[str, str, str]] | None:
     regular expression over the UTF-8 bytes, of which only the captured
     values are decoded; None when the document is outside the canonical
     subset in which the expression reads what ElementTree reads (XML 1.0
-    §2.8-2.11, GPX 1.1). Raises MalformedXml for a DOCTYPE (see
-    _expat_gate) and nothing else: ElementTree's path reports every other
-    file that is not well-formed. The subset:
-    - as one expat pass reads the document: well-formed (no lone
-      surrogate), with no processing instruction, comment or CDATA
-      section, a declared encoding, if any, of UTF-8 or ASCII, the root
-      element in the default namespace, no default namespace declared or
-      undeclared below the root, and no prefix bound to the root's namespace
+    §2.8-2.11, GPX 1.1). Raises what _expat_gate raises: expat's error for a
+    file that does not decode or is not well-formed, MalformedXml for a
+    DOCTYPE. The subset:
+    - as one expat pass reads the document: no processing instruction,
+      comment or CDATA section, a declared encoding, if any, of UTF-8 or
+      ASCII, the root element in the default namespace, no default
+      namespace declared or undeclared below the root, and no prefix bound
+      to the root's namespace
     - a "<trkpt" in the UTF-8 bytes (UTF-16 and UTF-32 text has none)
     - every "<trkpt" opens an element that _TRKPT reads, with no "&"
       (entity or character reference) in its lat, lon or time
@@ -372,15 +370,14 @@ def _tree_fixes(root: ET.Element) -> list[tuple[str, str, str]]:
 
 def _read_fixes(document: str | bytes) -> list[tuple[str, str, str]]:
     """The fixes of document, scanned if _scan_fixes takes it, else read
-    from its ElementTree; bytes that ElementTree rejects under their
-    encoding declaration are read again as UTF-8 text, through the same
-    gate, and that text's error stands."""
-    fixes = _scan_fixes(document)
-    if fixes is not None:
-        return fixes
+    from its ElementTree, which parses only what the gate passed. Every
+    parse error becomes the file's MalformedXml here: bytes that the gate
+    rejects under their encoding declaration are first read again as UTF-8
+    text, through the same gate, and that text's error stands."""
     try:
-        return _tree_fixes(ET.fromstring(document))
-    except (ET.ParseError, LookupError, ValueError) as exc:
+        fixes = _scan_fixes(document)
+        return fixes if fixes is not None else _tree_fixes(ET.fromstring(document))
+    except (expat.ExpatError, ET.ParseError, LookupError, ValueError) as exc:
         if isinstance(document, bytes):
             # expat fails on a declared codec that is unknown, multi-byte (it
             # has none) or wrong, but ignores the declaration of str input.

@@ -284,6 +284,32 @@ class TestExitCodes:
         assert code == 0
         assert "bad.gpx: trace skipped" in captured.err
 
+    def test_interrupted_download_is_one_warning_among_good_logs(self, tmp_path, capsys):
+        # a log cut short beside its good copy: the run goes on, the cut
+        # file has one warning with expat's error, and the good log's CSVs
+        # are those of a run without the cut file
+        frames_path, traces = _basic_inputs(tmp_path)
+        alone = tmp_path / "alone"
+        assert main(["--frames", str(frames_path), "--traces", str(traces),
+                     "--out", str(alone)]) == 0
+        capsys.readouterr()
+        log = (traces / "walk.gpx").read_bytes()
+        cut = log[:log.rindex(b"</trkseg>")]
+        (traces / "walk_cut.gpx").write_bytes(cut)
+        beside = tmp_path / "beside"
+        code = main(["--frames", str(frames_path), "--traces", str(traces),
+                     "--out", str(beside)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err.splitlines() == [
+            f"framelocal: warning: {traces / 'walk_cut.gpx'}: trace skipped: "
+            f"cannot parse XML: no element found: line 1, column {len(cut)}"]
+
+        def csvs(out):
+            return {p.relative_to(out): p.read_bytes() for p in out.rglob("*.csv")}
+
+        assert csvs(beside) == csvs(alone) != {}
+
     @pytest.mark.parametrize("properties, geometry, message", [
         ([1], None, "properties is neither an object nor null"),
         (None, [1], "geometry is neither an object nor null"),

@@ -8,6 +8,7 @@ import encodings.aliases
 import time
 import tracemalloc
 import xml.etree.ElementTree as ET
+from xml.parsers import expat
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -129,17 +130,28 @@ def _outcome(read):
     return columns, warnings, None
 
 
+def _recorded(monkeypatch, owner, name) -> list:
+    """A list that grows by the positional arguments of each call ingest
+    makes to owner.name."""
+    calls = []
+    function = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
 def _tree_parses(monkeypatch) -> list:
-    """A list that grows by one at each ElementTree parse that ingest makes."""
-    parses = []
-    fromstring = ingest.ET.fromstring
+    """The arguments of each ElementTree parse that ingest makes."""
+    return _recorded(monkeypatch, ingest.ET, "fromstring")
 
-    def counted(*args, **kwargs):
-        parses.append(args[0])
-        return fromstring(*args, **kwargs)
 
-    monkeypatch.setattr(ingest.ET, "fromstring", counted)
-    return parses
+def _gate_passes(monkeypatch) -> list:
+    """The arguments of each of ingest's gate passes."""
+    return _recorded(monkeypatch, ingest, "_expat_gate")
 
 
 @pytest.mark.parametrize("document, count", [
@@ -228,17 +240,20 @@ ATTRIBUTE_LAUGHS_FILE = LAUGHS_FILE.replace("<trk>", '<trk name="&l7;">')
     GARMIN_FILE.removesuffix("</gpx>\n").encode(),
     GARMIN_FILE.replace("activity_01", "activity\x0001").encode(),
 ], ids=["unclosed-root", "nul-in-a-name"])
-def test_scanner_never_raises_element_tree_alone_reports(data):
+def test_gate_rejects_a_malformed_file_before_element_tree(data, monkeypatch):
     # the scanner's expression reads every fix of each file, which is not
-    # well-formed; the scanner declines it, and ElementTree's path reports it
+    # well-formed; the gate's expat pass raises expat's error, and the file
+    # has the reference's message without an ElementTree parse
     assert ingest._UNREAD not in ingest._TRKPT.findall(data)
-    assert ingest._scan_fixes(data) is None
-    messages = []
-    for read in lambda d: ingest.parse_gpx(d, "t"), _tree_fixes:
-        with pytest.raises(MalformedXml) as raised:
-            read(data)
-        messages.append(str(raised.value))
-    assert messages[0] == messages[1]
+    with pytest.raises(expat.ExpatError):
+        ingest._scan_fixes(data)
+    parses = _tree_parses(monkeypatch)
+    with pytest.raises(MalformedXml) as raised:
+        ingest.parse_gpx(data, "t")
+    assert parses == []
+    with pytest.raises(MalformedXml) as reference:
+        _tree_fixes(data)
+    assert str(raised.value) == str(reference.value)
 
 
 @pytest.mark.parametrize("data", [
@@ -280,55 +295,55 @@ def test_document_type_is_refused_before_its_entities_expand(data):
 _ZURICH_AMPERSAND = _gpx().replace("<trk>", "<trk><name>Z\u00fcrich & b</name>")
 
 
-@pytest.mark.parametrize("data, message, count", [
-    (LAUGHS_FILE.encode(), "a document type declaration is not allowed", 0),
+@pytest.mark.parametrize("data, message", [
+    (LAUGHS_FILE.encode(), "a document type declaration is not allowed"),
     (_ZURICH_AMPERSAND.replace("UTF-8", "ISO-8859-1").encode("latin-1"),
-     "not well-formed (invalid token): line 1, column 123", 1),
+     "not well-formed (invalid token): line 1, column 123"),
 ], ids=["entity-amplification", "not-utf-8"])
-def test_bytes_no_retry_can_mend_get_one_tree_parse(data, message, count, monkeypatch):
-    # a DOCTYPE is the file's skip before ElementTree parses it, and bytes
-    # that are not UTF-8 have no UTF-8 text to read: the first parse's
-    # error stands
-    parses = _tree_parses(monkeypatch)
+def test_bytes_no_retry_can_mend_get_one_tree_parse(data, message, monkeypatch):
+    # a DOCTYPE is the file's skip, and bytes that are not UTF-8 have no
+    # UTF-8 text to read: the gate's first error stands, and ElementTree
+    # parses neither file
+    parses, passes = _tree_parses(monkeypatch), _gate_passes(monkeypatch)
     with pytest.raises(MalformedXml) as raised:
         ingest.parse_gpx(data, "t")
     assert str(raised.value) == f"cannot parse XML: {message}"
-    assert len(parses) == count
+    assert (len(passes), parses) == (1, [])
 
 
 _CUT_SHORT = "no element found: line 61, column 0"
-_RETRIED = [bytes, str]  # the types of the texts ElementTree parses
 
 
-@pytest.mark.parametrize("data, message, parsed", [
-    (GARMIN_FILE.removesuffix("</gpx>\n").encode(), _CUT_SHORT, _RETRIED),
+@pytest.mark.parametrize("data, message", [
+    (GARMIN_FILE.removesuffix("</gpx>\n").encode(), _CUT_SHORT),
     (GARMIN_FILE.replace("activity_01", "Z\u00fcrich").removesuffix("</gpx>\n").encode(),
-     _CUT_SHORT, _RETRIED),
+     _CUT_SHORT),
     (_gpx().replace("<trk>", "<trk><name>a & b</name>").encode(),
-     "not well-formed (invalid token): line 1, column 113", _RETRIED),
-    *[(GARMIN_FILE.replace("UTF-8", codec).removesuffix("</gpx>\n").encode(), _CUT_SHORT,
-       _RETRIED) for codec in ("Shift_JIS", "no-such-codec", "UTF-16")],
+     "not well-formed (invalid token): line 1, column 113"),
+    *[(GARMIN_FILE.replace("UTF-8", codec).removesuffix("</gpx>\n").encode(), _CUT_SHORT)
+      for codec in ("Shift_JIS", "no-such-codec", "UTF-16")],
     # expat reads these declarations and first fails at the "\u00fc" the
     # bytes give in UTF-8; the text's error is at the "&"
     (_ZURICH_AMPERSAND.replace("UTF-8", "US-ASCII").encode(),
-     "not well-formed (invalid token): line 1, column 121", _RETRIED),
+     "not well-formed (invalid token): line 1, column 121"),
     (_ZURICH_AMPERSAND.replace("UTF-8", "windows-1252").encode(),
-     "not well-formed (invalid token): line 1, column 125", _RETRIED),
+     "not well-formed (invalid token): line 1, column 125"),
     # the retried text takes the gate first, which refuses its DOCTYPE
     (LAUGHS_FILE.replace("UTF-8", "Shift_JIS").encode(),
-     "a document type declaration is not allowed", [bytes]),
+     "a document type declaration is not allowed"),
 ], ids=["cut-short", "cut-short-beyond-ascii", "bare-ampersand-in-ascii",
         "cut-short-Shift_JIS", "cut-short-no-such-codec", "cut-short-UTF-16",
         "ampersand-after-utf-8-under-US-ASCII",
         "ampersand-after-utf-8-under-windows-1252", "entity-amplification-Shift_JIS"])
-def test_retried_bytes_report_the_error_of_their_text(data, message, parsed, monkeypatch):
-    # bytes that fail under their declaration and decode as UTF-8 are read
-    # again as UTF-8 text, whose own error is the file's
-    parses = _tree_parses(monkeypatch)
+def test_retried_bytes_report_the_error_of_their_text(data, message, monkeypatch):
+    # bytes that the gate rejects under their declaration and that decode as
+    # UTF-8 are read again, through the gate alone, as UTF-8 text, whose own
+    # error is the file's; ElementTree parses neither
+    parses, passes = _tree_parses(monkeypatch), _gate_passes(monkeypatch)
     with pytest.raises(MalformedXml) as raised:
         ingest.parse_gpx(data, "t")
     assert str(raised.value) == f"cannot parse XML: {message}"
-    assert [type(text) for text in parses] == parsed
+    assert ([type(document) for document, in passes], parses) == ([bytes, str], [])
 
 
 def test_gate_expands_no_entity_of_a_document_type():
@@ -370,18 +385,32 @@ def test_every_codec_name_reads_as_element_tree_reads_it():
 
 def test_malformed_text_has_the_message_of_malformed_bytes():
     document = GARMIN_FILE.removesuffix("</gpx>\n")
-    assert ingest._scan_fixes(document) is None
-    with pytest.raises(MalformedXml, match="^cannot parse XML: no element found"):
+    with pytest.raises(expat.ExpatError):
+        ingest._scan_fixes(document)
+    with pytest.raises(MalformedXml, match=f"^cannot parse XML: {_CUT_SHORT}$"):
         ingest.parse_gpx(document, "t")
 
 
-def test_text_that_utf8_cannot_encode_goes_to_element_tree():
-    # a lone surrogate is no XML character: the scanner's expat pass declines
-    # the text, and ElementTree's path reports it
+def test_text_that_utf8_cannot_encode_is_rejected_at_the_gate():
+    # a lone surrogate is no XML character: the gate's expat pass cannot
+    # encode the text, and its error is the file's, as ElementTree's would be
     document = _gpx(_FIX.replace("</trkpt>", "<name>\udcff</name></trkpt>"))
-    assert ingest._scan_fixes(document) is None
+    with pytest.raises(UnicodeEncodeError):
+        ingest._scan_fixes(document)
     with pytest.raises(MalformedXml, match="surrogates not allowed"):
         ingest.parse_gpx(document, "t")
+
+
+def _xml_parses(data, monkeypatch) -> tuple[int, int]:
+    """(expat passes, ElementTree parses) of parse_gpx(data), which loads or
+    fails; ElementTree drives expat without pyexpat's ParserCreate."""
+    passes = _recorded(monkeypatch, ingest.expat, "ParserCreate")
+    parses = _tree_parses(monkeypatch)
+    try:
+        ingest.parse_gpx(data, "t")
+    except MalformedXml:
+        pass
+    return len(passes), len(parses)
 
 
 @pytest.mark.parametrize("document", [
@@ -392,20 +421,22 @@ def test_text_that_utf8_cannot_encode_goes_to_element_tree():
 def test_scanned_file_gets_one_xml_parse(document, monkeypatch):
     # the expat pass that checks well-formedness also reads the prolog and
     # the namespaces
-    parsers = []
-    create = ingest.expat.ParserCreate
+    assert _xml_parses(document.encode("utf-8"), monkeypatch) == (1, 0)
 
-    def counted_create(*args, **kwargs):
-        parsers.append(create(*args, **kwargs))
-        return parsers[-1]
 
-    def no_tree(*args, **kwargs):
-        raise AssertionError("ElementTree parsed a file the scanner reads")
-
-    monkeypatch.setattr(ingest.expat, "ParserCreate", counted_create)
-    monkeypatch.setattr(ingest.ET, "fromstring", no_tree)
-    ingest.parse_gpx(document.encode("utf-8"), "t")
-    assert len(parsers) == 1
+@pytest.mark.parametrize("data, passes, parses", [
+    (GARMIN_FILE.encode()[:-100], 2, 0),
+    (GARMIN_FILE.replace("UTF-8", "Shift_JIS").encode()[:-100], 2, 0),
+    (_ZURICH_AMPERSAND.replace("UTF-8", "ISO-8859-1").encode("latin-1"), 1, 0),
+    (_gpx(prolog=f"<!DOCTYPE gpx [<!ENTITY unused '{_TRAP}'>]>").encode(), 1, 0),
+    (_gpx(f"{_FIX}<!-- {_TRAP} -->").encode(), 1, 1),
+], ids=["cut-short", "cut-short-Shift_JIS", "malformed-not-utf-8", "doctype", "comment"])
+def test_file_the_scanner_declines_gets_its_xml_parses(data, passes, parses, monkeypatch):
+    # a file that expat rejects gets no ElementTree parse: bytes that are
+    # UTF-8 take the gate twice, as bytes and as text, and any other file
+    # once; a well-formed file the scanner declines takes the gate, then
+    # ElementTree
+    assert _xml_parses(data, monkeypatch) == (passes, parses)
 
 
 # -- generated and mutated GPX ----------------------------------------------
@@ -430,7 +461,7 @@ _MUTATIONS = [
     "trkpt-in-wpt", "trkpt-in-rte", "nested-trkpt", "junk-after-root", "latin-1",
     "utf-16", "ascii", "prefix-bound", "prefixed-time", "prefixed-root",
     "xmlns-in-value", "prolog-pi", "no-declaration", "name-amp", "extension-charref",
-    "nul", "splice", "truncated"]
+    "nul", "splice", "truncated", "mislabeled"]
 
 
 @st.composite
@@ -504,9 +535,11 @@ def _gpx_documents(draw) -> bytes:
     } & mutations else ""
     segment_ns = f' xmlns="{GARMIN}"' if "xmlns-redeclared" in mutations else ""
     creator = "&gen;" if "doctype" in mutations else "gen"  # declared in the DOCTYPE
-    encoding = ("ISO-8859-1" if "latin-1" in mutations else "UTF-16"
-                if "utf-16" in mutations else "US-ASCII" if "ascii" in mutations
-                else "UTF-8")
+    # a mislabeled file declares a codec expat has not, over UTF-8 bytes
+    # beyond ASCII: the gate rejects the bytes, and their UTF-8 text is read
+    encoding = ("Shift_JIS" if "mislabeled" in mutations else "ISO-8859-1"
+                if "latin-1" in mutations else "UTF-16" if "utf-16" in mutations
+                else "US-ASCII" if "ascii" in mutations else "UTF-8")
     prolog = [] if "no-declaration" in mutations and encoding in ("UTF-8", "UTF-16") else [
         f'<?xml version="1.0" encoding="{encoding}"?>']
     if "prolog-pi" in mutations:
@@ -516,7 +549,7 @@ def _gpx_documents(draw) -> bytes:
     text = newline.join([
         *prolog, f'<{root} version="1.1" creator="{creator}"{declarations}>',
         "<metadata><time>2017-06-10T04:00:00Z</time></metadata>",
-        f"<trk><name>{'Zürich' if 'latin-1' in mutations else 'run'}"
+        f"<trk><name>{'Zürich' if {'latin-1', 'mislabeled'} & mutations else 'run'}"
         f"{' &amp; bike' if 'name-amp' in mutations else ''}"
         f"{chr(0) if 'nul' in mutations else ''}</name>",
         f"<trkseg{segment_ns}>", *rows, "</trkseg></trk>", f"</{root}>", ""])
@@ -555,6 +588,17 @@ def test_both_extractors_read_the_same(data):
         scanned = ingest._scan_fixes(data)
     except MalformedXml as exc:  # a DOCTYPE, refused at the gate
         assert error == ("MalformedXml", str(exc))
+        return
+    except (expat.ExpatError, LookupError, ValueError) as exc:
+        # the gate rejects only what ElementTree rejects, with its text; the
+        # file's error is the gate's unless UTF-8 text is read again
+        with pytest.raises((ET.ParseError, LookupError, ValueError)) as raised:
+            ET.fromstring(data)
+        assert str(raised.value) == str(exc)
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            assert error == ("MalformedXml", f"cannot parse XML: {exc}")
         return
     if error is not None and error[0] == "MalformedXml":
         assert scanned is None
