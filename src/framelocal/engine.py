@@ -66,8 +66,9 @@ def project_series(trace: Trace, window: range,
     OutOfDomain rows are dropped, and one warning gives their count and the
     first of them. If no row is a tuple, that first fix's OutOfDomain is
     then raised. The series holds the given row tuples themselves and
-    computes nothing per fix. It gets no EventSeries._source: run alone
-    sets that, on the series whose shared rows it vouches for.
+    computes nothing per fix. Like every new EventSeries, it gets a
+    _source of its own; run replaces that on the series whose shared rows
+    it vouches for.
     """
     kept = [row for row in rows if isinstance(row, tuple)]
     dropped = len(rows) - len(kept)
@@ -134,11 +135,11 @@ def run(traces: list[Trace],
       OutOfDomain, over the union of the frame's windows with that begin
     Each event's series takes its window's slice of its begin's rows, so
     events with a common begin share row tuples, and frames with common
-    event begins share t floats. A series whose rows fill its window (no
-    out-of-domain drops) gets its EventSeries._source: a private token,
-    one per trace and frame in this call, and the window. Its series hold
-    one pair of x and y objects per fix, so output.csv_texts formats them
-    once per frame.
+    event begins share t floats. Every series has an EventSeries._source;
+    on a series whose rows fill its window (no out-of-domain drops), run
+    replaces its own with a private token, one per trace and frame in this
+    call, and the window. The series of one token hold one pair of x and
+    y objects per fix, so output.csv_texts formats them once per frame.
     Series are sorted by (trace id, frame id, event label).
     Samples dropped as out of domain become one warning per permutation, in
     input order (traces, then frames, then events), and a permutation in

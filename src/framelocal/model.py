@@ -12,13 +12,15 @@ import sys
 from array import array
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from datetime import datetime, timezone
-from typing import ClassVar, TypeVar
+from datetime import datetime, timedelta, timezone
+from typing import TypeVar
 
 from .errors import ReversedInterval
 
 # the origin of the integer-microsecond times of a Trace
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+_MICROSECOND = timedelta(microseconds=1)
 
 # takes each warning message as soon as it is found
 WarnFn = Callable[[str], None]
@@ -26,8 +28,7 @@ WarnFn = Callable[[str], None]
 
 def utc_us(instant: datetime) -> int:
     """The timezone-aware instant as integer microseconds since EPOCH."""
-    d = instant - EPOCH  # exact: 0 <= seconds < 86400, 0 <= microseconds < 10**6
-    return (d.days * 86400 + d.seconds) * 1_000_000 + d.microseconds
+    return (instant - EPOCH) // _MICROSECOND  # exact: integer microseconds throughout
 
 
 def normalize_longitude(lon_deg: float) -> float:
@@ -188,25 +189,26 @@ class EventSeries:
     engine alone guarantees both, as it clips a Trace (always time-sorted) to
     [begin, end].
 
-    _source, not a field, is set by engine.run alone, on a series whose
-    rows fill its window: a (token, window) pair, with window the range of
-    trace indices the rows were taken from, and token shared by the series
-    cut from one trace's projection into one frame in one run call, whose
-    x and y at a trace index are one pair of objects. A series built by
-    hand or by dataclasses.replace has None. output.csv_texts reads it to
-    share text between the series of one frame.
+    Every series has a _source, not a field: a (token, window) pair, with
+    window the range of trace indices its rows were taken from, and token
+    shared by the series whose x and y at a trace index are one pair of
+    objects. A new series gets a token of its own and the range of its own
+    rows; engine.run replaces that, on each series whose rows fill its
+    window, with the token of the series cut from one trace's projection
+    into one frame in one run call, and the window. output.csv_texts reads
+    it to share text between the series of one frame.
     """
 
     trace_id: str
     frame_id: str
     event_label: str
     points: tuple[tuple[float, float, float], ...]
-    _source: ClassVar[tuple[object, range] | None] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))
         if not self.points:
             raise ValueError("an event series must contain at least one point")
+        object.__setattr__(self, "_source", (object(), range(len(self.points))))
 
     @property
     def key(self) -> tuple[str, str, str]:

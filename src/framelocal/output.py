@@ -107,32 +107,21 @@ _T = itemgetter(2)
 _T_TEXTS_KEPT = 1 << 16
 
 
-def _token(series: EventSeries) -> object:
-    """The token of EventSeries._source, or else a new object, which
-    equals no other."""
-    return series._source[0] if series._source else object()
-
-
-def _window(series: EventSeries) -> range:
-    """The window of EventSeries._source, or else the range of the
-    series' own rows."""
-    return series._source[1] if series._source else range(len(series.points))
-
-
 def _frame_texts(group: Sequence[EventSeries]) -> list:
     """The x,y texts of the rows of the group's series, over the union of
     their windows: a list built by model.aligned, indexed by trace
     position."""
     def part(series: EventSeries, lo: int, hi: int) -> list[str]:
-        start = _window(series).start
+        start = series._source[1].start
         return _xy_texts(series.points[lo - start:hi - start])
-    return aligned(max(_window(s).stop for s in group), group, _window, part)
+    return aligned(max(s._source[1].stop for s in group), group,
+                   lambda s: s._source[1], part)
 
 
 def _csv_text(series: EventSeries, xy: list, t_texts: _TTexts) -> str:
     """The series' whole CSV text, header included, taking the x,y texts
     of its rows from xy at its window."""
-    points, window = series.points, _window(series)
+    points, (_, window) = series.points, series._source
     text = ["x,y,t\n"] * (2 * len(points) + 1)
     text[1::2] = xy[window.start:window.stop]
     text[2::2] = map(t_texts.__getitem__, map(_T, points))
@@ -143,22 +132,23 @@ def csv_texts(series: Iterable[EventSeries]) -> Iterator[tuple[EventSeries, str]
     """Yield each series with its whole CSV text, header included, in the
     order given, sharing text between them.
 
-    Consecutive series cut by engine.run from one trace's projection into
-    one frame (one EventSeries._source token) form a group; so one trace's
-    series in key order, as run returns them, make one group per frame.
-    Each fix's x,y text is formatted once per group, over the union of the
-    windows of the group's series (a list built by model.aligned, indexed
-    by trace position), and each distinct t value's text once per call,
-    in a table keyed by value that never stores a zero, so -0.0 still
-    writes -0. One group's list is held at a time, dropped before the next
-    group's is built. The t texts are cleared before a series once more
-    than 65,536 are kept. Every other series (built by hand or by
-    dataclasses.replace, or with out-of-domain drops) is a group of its
-    own, formatted alone by the same code, so a series' text is the same
-    either way.
+    Every series has an EventSeries._source, and consecutive series of one
+    token form a group: engine.run gives one token to the series it cut
+    from one trace's projection into one frame, so one trace's series in
+    key order, as run returns them, make one group per frame. Every other
+    series (built by hand or by dataclasses.replace, or with out-of-domain
+    drops) keeps the token of its own it was built with and is a group of
+    its own, formatted by the same code, so a series' text is the same
+    either way. Each fix's x,y text is formatted once per group, over the
+    union of the windows of the group's series (a list built by
+    model.aligned, indexed by trace position), and each distinct t value's
+    text once per call, in a table keyed by value that never stores a
+    zero, so -0.0 still writes -0. One group's list is held at a time,
+    dropped before the next group's is built. The t texts are cleared
+    before a series once more than 65,536 are kept.
     """
     t_texts = _TTexts()
-    for _, group in groupby(series, _token):
+    for _, group in groupby(series, lambda s: s._source[0]):
         group = list(group)
         xy = _frame_texts(group)
         for s in group:

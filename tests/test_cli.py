@@ -649,12 +649,16 @@ class TestBehavior:
 
     def test_module_entry_point(self, tmp_path):
         frames_path, traces = _basic_inputs(tmp_path)
+        # any warning fails the run, as in the test process; an unraisable
+        # one (a file handle left to the garbage collector) shows on stderr
+        # alone
         proc = subprocess.run(
-            [sys.executable, "-m", "framelocal",
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "framelocal",
              "--frames", str(frames_path), "--traces", str(traces),
              "--out", str(tmp_path / "out")],
             capture_output=True, text=True)
         assert proc.returncode == 0
+        assert proc.stderr == ""
         assert proc.stdout.strip().endswith("0 warnings")
 
     # CSVs and the SVG are UTF-8 whatever the locale: every file the CLI

@@ -16,9 +16,13 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo, tmp_path):
     # TMPDIR puts the demos' mkdtemp folders under pytest's temporary directory
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                          text=True, env=env, cwd=tmp_path, timeout=120)
+    # any warning fails the demo, as in the test process; an unraisable one
+    # (a file handle left to the garbage collector) shows on stderr alone
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", str(demo)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     if demo.stem == "03_comparing_two_fields":
         assert re.search(r"^2 series written, 0 permutations skipped \(empty\), "
                          r"0 warnings$", proc.stdout, re.MULTILINE)

@@ -188,10 +188,12 @@ _offsets = st.timedeltas(min_value=timedelta(hours=-24, microseconds=1),
 @example(datetime.max.replace(tzinfo=timezone(timedelta(hours=-24, microseconds=1))))
 @example(EPOCH - timedelta(microseconds=1))
 def test_utc_us_equals_timedelta_floor_division(instant):
-    # utc_us adds up the timedelta's normalized fields; that must be exact
-    # for negative deltas too, and for instants outside the years 1-9999 in
-    # UTC, which ingest range-checks on the integer value
-    assert utc_us(instant) == (instant - EPOCH) // timedelta(microseconds=1)
+    # utc_us floor-divides the timedelta by a microsecond; that must equal
+    # the sum of its normalized fields for negative deltas too, and for
+    # instants outside the years 1-9999 in UTC, which ingest range-checks
+    # on the integer value
+    d = instant - EPOCH
+    assert utc_us(instant) == (d.days * 86400 + d.seconds) * 1_000_000 + d.microseconds
 
 
 @st.composite

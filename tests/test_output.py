@@ -1,5 +1,6 @@
 """CSV serialization and SVG overlay rendering."""
 
+import copy
 import errno
 import os
 import stat
@@ -280,6 +281,33 @@ class TestCsvFormatter:
                 written = write_csv(series, shared, text).read_bytes()
                 assert written == write_csv(series, alone).read_bytes()
                 assert written == _oracle_csv(series.points)
+
+    def test_copied_series_shares_its_frames_text(self, tmp_path, monkeypatch):
+        # a shallow copy keeps the source of the series it copies, so it is
+        # written in its frame's group, from the frame's one x,y text per fix
+        events = [_event(BEGIN_US + 1_000_000, BEGIN_US + 6_000_000, "e0"),
+                  _event(BEGIN_US + 4_000_000, BEGIN_US + 8_000_000, "e1")]
+        cut = run([_line_trace(10)], [(_frame("f0", 40.0), events)]).series
+        copied = copy.copy(cut[0])
+        assert copied._source is cut[0]._source
+        formatted, xy_texts = [], output._xy_texts
+
+        def counted(rows):
+            formatted.extend(rows)
+            return xy_texts(rows)
+
+        monkeypatch.setattr(output, "_xy_texts", counted)
+        in_key_order = sorted([*cut, copied], key=attrgetter("key"))
+        for number, order in enumerate((in_key_order, in_key_order[::-1])):
+            formatted.clear()
+            texts = list(csv_texts(order))
+            assert len(formatted) == 8  # fixes 1-8, the union of the windows
+            shared = OutputLayout(out_dir=tmp_path / f"shared{number}")
+            alone = OutputLayout(out_dir=tmp_path / f"alone{number}")
+            for series, text in texts:
+                written = write_csv(series, shared, text).read_bytes()
+                assert written == _oracle_csv(series.points)
+                assert written == write_csv(series, alone).read_bytes()
 
     def test_t_zero_keeps_its_sign_after_a_positive_zero(self, tmp_path):
         layout = OutputLayout(out_dir=tmp_path)
