@@ -17,8 +17,7 @@ source, and the script skips them by rule:
 - code that the compiler adds to leave a block: the test of `__exit__`'s
   result when a `with` body raises, and each copy of a `finally` body
   after the first (the normal path's), which is judged alone
-A branch that the tests cannot take both ways is named in ONE_WAY, with
-its reason; a name that matches no one-way branch is reported too.
+Every other branch that the tests cannot take both ways is a gap.
 
 The tests start the console entry point only in child processes, which the
 tracer does not follow, so the script also runs `python -m framelocal --help`
@@ -40,9 +39,6 @@ from types import CodeType, FrameType
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "framelocal"
-
-# "<file name>:<line> <the branch's source text>" -> why it goes one way only
-ONE_WAY: dict[str, str] = {}
 
 # what a conditional jump's test was when it went on to the next
 # instruction and when it jumped, by the opcode name's part after "IF_"
@@ -173,12 +169,11 @@ def record(paths: Iterable[Path], run: Callable[[], object]
     return result, hits, after
 
 
-def gaps(hits: dict[Path, set[int]], after: dict[CodeType, dict[int, set[int]]],
-         one_way: dict[str, str]) -> list[str]:
-    """A line for each executable line that never ran, each branch whose
-    line ran but which went one way only or never ran, and each key of
-    one_way that names no such branch. Keys and lines start with
-    "<file name>:<line> <the branch's source text>"."""
+def gaps(hits: dict[Path, set[int]], after: dict[CodeType, dict[int, set[int]]]
+         ) -> list[str]:
+    """A line for each executable line that never ran, then one for each
+    branch whose line ran but which went one way only or never ran,
+    starting "<file name>:<line> <the branch's source text>"."""
     missed = [f"{path}:{line} never ran" for path, hit in sorted(hits.items())
               for line in sorted(executable_lines(path) - hit)]
     sources = {path: (path.read_text(encoding="utf-8").splitlines(), finally_lines(path))
@@ -197,11 +192,7 @@ def gaps(hits: dict[Path, set[int]], after: dict[CodeType, dict[int, set[int]]],
             how = ", ".join(f"was {meanings.get(o, f'followed by offset {o}')} each time"
                             for o in seen) or "never ran"
             one_sided.append((f"{path.name}:{where.lineno} {segment.strip()}", how))
-    keys = {key for key, _ in one_sided}
-    return (missed
-            + [f"{key}: {how}" for key, how in sorted(one_sided) if key not in one_way]
-            + [f"{key}: named in ONE_WAY, but no such branch went one way only"
-               for key in sorted(one_way) if key not in keys])
+    return missed + [f"{key}: {how}" for key, how in sorted(one_sided)]
 
 
 def _run_tests_and_help(pytest_args: list[str]) -> tuple[int, object]:
@@ -220,11 +211,11 @@ def _run_tests_and_help(pytest_args: list[str]) -> tuple[int, object]:
 def main(pytest_args: list[str]) -> int:
     (status, help_status), hits, after = record(
         PACKAGE.glob("*.py"), lambda: _run_tests_and_help(pytest_args))
-    found = gaps(hits, after, ONE_WAY)
+    found = gaps(hits, after)
     for line in found:
         print(line)
     print(f"{len(found)} gaps in {PACKAGE} (lines never run, branches that went one "
-          f"way only, stale ONE_WAY names); pytest exit status {status}; "
+          f"way only); pytest exit status {status}; "
           f"`python -m framelocal --help` exit status {help_status}")
     return int(bool(found) or status != 0 or help_status != 0)
 

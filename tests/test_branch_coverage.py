@@ -75,21 +75,13 @@ def test_reports_exactly_the_one_way_if(tmp_path):
     # the rule skips both; the finally body's copy on the exception path
     # never runs, and only the normal path's is judged; the jump over 300
     # lines has an EXTENDED_ARG prefix
-    assert branch_coverage.gaps(hits, after, {}) == [
+    assert branch_coverage.gaps(hits, after) == [
         "sample.py:4 item > 0: was true each time"]
-
-
-def test_named_branch_is_passed_and_a_stale_name_reported(tmp_path):
-    hits, after = _record(tmp_path, _calls)
-    named = {"sample.py:4 item > 0": "every item is positive",
-             "sample.py:15 items": "no such one-way branch"}
-    assert branch_coverage.gaps(hits, after, named) == [
-        "sample.py:15 items: named in ONE_WAY, but no such branch went one way only"]
 
 
 def test_lines_that_never_ran_are_reported(tmp_path):
     hits, after = _record(tmp_path, lambda module: module.long_branch(False))
-    gaps = branch_coverage.gaps(hits, after, {})
+    gaps = branch_coverage.gaps(hits, after)
     assert gaps[0] == f"{tmp_path.resolve() / 'sample.py'}:2 never ran"
     assert f"{tmp_path.resolve() / 'sample.py'}:22 never ran" in gaps
     assert gaps[-1] == "sample.py:21 flag: was false each time"

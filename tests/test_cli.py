@@ -634,19 +634,6 @@ class TestBehavior:
                          "--out", str(out_dir)]) == 0
         assert stale.read_text() == "keep me"
 
-    def test_byte_identical_across_jobs(self, tmp_path, capsys):
-        frames_path, traces_dir, _, _ = two_fields_dataset(tmp_path)
-        trees = {}
-        for jobs in ("1", "8"):
-            out_dir = tmp_path / f"out{jobs}"
-            code = main(["--frames", str(frames_path), "--traces", str(traces_dir),
-                         "--out", str(out_dir), "--jobs", jobs,
-                         "--plot", str(out_dir / "overlay.svg")])
-            assert code == 0
-            trees[jobs] = {p.name: p.read_bytes()
-                           for p in sorted(out_dir.iterdir())}
-        assert trees["1"] == trees["8"]
-
     def test_module_entry_point(self, tmp_path):
         frames_path, traces = _basic_inputs(tmp_path)
         # any warning fails the run, as in the test process; an unraisable

@@ -659,6 +659,22 @@ class TestParseGpx:
         assert warnings == ["track point with non-numeric lat/lon skipped"]
 
 
+# fromisoformat takes any character after a date as the date-time separator,
+# so a date followed by a UTC offset reads as a naive hour of that date
+@pytest.mark.xfail(strict=True, reason="a date with a UTC offset is read as a naive "
+                   "hour; the GPX time grammar of ROADMAP item 4 is to reject it")
+@pytest.mark.parametrize("text", ["2017-06-10+05:00", "2017-06-10-03:00"])
+def test_date_with_utc_offset_is_not_a_time(text):
+    warnings = []
+    doc = gpx_doc([(-37.84, 145.0, ts(5, 1))]).replace(
+        "</trkseg>", f'<trkpt lat="-37.85" lon="145.0"><time>{text}</time></trkpt></trkseg>')
+    trace = parse_gpx(doc, "t", on_warning=warnings.append)
+    assert list(trace.time_us) == [utc_us(ts(5, 1))]
+    assert warnings == [f"track point with unparsable time {text!r} skipped"]
+    with pytest.raises(MalformedInterval):
+        parse_interval(f"{text}/2017-06-11{text[10:]}")
+
+
 def _write_two_field_inputs(base):
     interval = "2017-06-10T05:00:00Z/2017-06-10T05:20:00Z"
     frames_path = base / "frames.geojson"
