@@ -1,4 +1,4 @@
-"""Parse GPX traces, GeoJSON frame files, and ISO 8601 intervals.
+"""Parse GPX traces, GeoJSON frame files, and time intervals.
 
 Format contracts
 ----------------
@@ -9,19 +9,21 @@ by this package's APIs. Event intervals come from an ``events`` property
 holding an array of interval strings, and/or from any other property whose
 string value parses as an interval (the property name becomes the label).
 
-Intervals are the two-datetime ISO 8601 form ``<start>/<end>``; duration
-forms such as ``PT20M`` are rejected. Datetimes without a UTC offset are
-interpreted as UTC, with a warning.
+Intervals are ``<start>/<end>``, two times. Every time, GPX's and an
+interval's, is an xsd:dateTime (XML Schema Part 2 §3.2.7), with XML white
+space around it: YYYY-MM-DDThh:mm:ss, an optional "." and ASCII digits, cut
+to the microsecond, and an optional Z or ±hh:mm. No offset means UTC (an
+interval warns); 24:00:00 and a leap second, 23:59:60, are rejected.
 
 Traces are GPX 1.0/1.1; only trk/trkseg/trkpt with lat/lon attributes and
-a <time> child are consumed, read in the root element's namespace. GPX
-times are UTC by that format's definition. Files in a canonical subset of
-XML (see _scan_fixes) are read by one regular expression over the text,
-every other file through ElementTree, with the same result. The scanner's
-expat pass, which every file takes first, judges every file: it rejects a
-DOCTYPE, and a file that does not decode or is not well-formed, so
-ElementTree reads only files that pass it. Bytes that expat rejects under
-their declared encoding are read again as UTF-8 text (see _read_fixes).
+a <time> child are consumed, read in the root element's namespace. Files
+in a canonical subset of XML (see _scan_fixes) are read by one regular
+expression over the text, every other file through ElementTree, with the
+same result. The scanner's expat pass, which every file takes first,
+judges every file: it rejects a DOCTYPE, and a file that does not decode
+or is not well-formed, so ElementTree reads only files that pass it. Bytes
+that expat rejects under their declared encoding are read again as UTF-8
+text (see _read_fixes).
 """
 
 from __future__ import annotations
@@ -63,22 +65,25 @@ _FIRST_US, _LAST_US = (utc_us(limit.replace(tzinfo=timezone.utc))
                        for limit in (datetime.min, datetime.max))
 
 
+# the rest of a time from its seconds: two ASCII digits, an optional "." and
+# ASCII digits, and an optional Z or ±hh:mm with minutes under 60
+_SECONDS_ON = re.compile(r"[0-9]{2}(?:\.[0-9]+)?(?:Z|[+-][0-9]{2}:[0-5][0-9])?")
+
+
 def _parse_instant(text: str) -> tuple[datetime, bool]:
-    """Parse one ISO 8601 datetime; returns (aware instant, was_naive).
-    The instant keeps its parsed offset; EventInterval converts it to UTC,
-    and a GPX fix's time becomes utc_us(instant)."""
+    """Parse one time (the module docstring's grammar); returns (aware
+    instant, was_naive). The instant keeps its parsed offset; EventInterval
+    converts it to UTC, and a GPX fix's time becomes utc_us(instant)."""
+    s = text.strip(" \t\r\n")
     try:
-        # a GPX time parses as it stands, at ~1/3 the cost of cleaning it; a
-        # text read as it stands gives the cleaned text's value (a test holds it)
-        parsed = datetime.fromisoformat(text)
+        # the five separators at their fixed places, then the seconds on;
+        # fromisoformat checks the other digits and every field's range
+        if s[4:17:3] != "--T::" or _SECONDS_ON.fullmatch(s, 17) is None:
+            raise ValueError
+        parsed = datetime.fromisoformat(s)
     except ValueError:
-        cleaned = text.strip()
-        if cleaned.endswith(("Z", "z")):
-            cleaned = cleaned[:-1] + "+00:00"
-        try:
-            parsed = datetime.fromisoformat(cleaned)
-        except ValueError as exc:
-            raise MalformedInterval(f"bad datetime {text!r}: {exc}") from None
+        raise MalformedInterval(f"bad datetime {text!r}: expected a valid "
+                                "YYYY-MM-DDThh:mm:ss[.s+][Z|±hh:mm]") from None
     if parsed.tzinfo is None:
         return parsed.replace(tzinfo=timezone.utc), True
     return parsed, False
@@ -94,14 +99,9 @@ def parse_interval(text: str, label: str = "e0",
     or an endpoint out of the datetime range in UTC, is a MalformedInterval.
     """
     parts = text.split("/")
-    if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
+    if len(parts) != 2:
         raise MalformedInterval(
             f"{text!r} is not a <start>/<end> interval with two datetimes")
-    for part in parts:
-        if part.strip().lstrip("+-").upper().startswith("P"):
-            raise MalformedInterval(
-                f"duration component {part.strip()!r} not supported; "
-                "give two explicit datetimes")
     begin, begin_naive = _parse_instant(parts[0])
     end, end_naive = _parse_instant(parts[1])
     try:

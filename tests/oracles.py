@@ -227,11 +227,13 @@ class _Undecided(Exception):
     """An input on which README.md does not decide the output."""
 
 
-# xsd:dateTime, as GPX 1.1 declares its times; no offset means UTC
-_DATETIME = re.compile(r"(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)(?:\.(\d+))?"
-                       r"(Z|[+-]\d\d:\d\d)?")
+# xsd:dateTime, as GPX 1.1 declares its times, with XML white space around
+# it; no offset means UTC. XML Schema's digits are ASCII only (re.ASCII).
+_DATETIME = re.compile(r"[ \t\r\n]*(\d{4})-(\d\d)-(\d\d)T(\d\d):(\d\d):(\d\d)"
+                       r"(?:\.(\d+))?(Z|[+-]\d\d:\d\d)?[ \t\r\n]*", re.ASCII)
 # an XML number: collapsed white space around a decimal, with an exponent
-_NUMBER = re.compile(r"[ \t\r\n]*[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?[ \t\r\n]*")
+_NUMBER = re.compile(r"[ \t\r\n]*[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?[ \t\r\n]*",
+                     re.ASCII)
 _SAFE = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-")
 _DAY_US = 86_400 * 10**6
 
@@ -266,12 +268,10 @@ def utc_microseconds(text: str) -> int | None:
     if not (year >= 1 and 1 <= month <= 12 and 1 <= day <= month_days[month - 1]
             and hour < 24 and minute < 60 and second < 60 and offset_h < 24 and offset_m < 60):
         return None
-    if match[7] is not None and len(match[7]) > 6:
-        # README states no grammar for fractions past the microsecond
-        raise _Undecided(text)
     offset_s = (-1 if offset[0] == "-" else 1) * (offset_h * 3600 + offset_m * 60)
     seconds = ((_days_since_1970(year, month, day) * 24 + hour) * 60 + minute) * 60 + second
-    us = (seconds - offset_s) * 10**6 + int((match[7] or "").ljust(6, "0"))
+    # a fraction past the microsecond is cut to it
+    us = (seconds - offset_s) * 10**6 + int((match[7] or "")[:6].ljust(6, "0"))
     return us if _FIRST_US <= us <= _LAST_US else None
 
 
@@ -385,10 +385,10 @@ def cli_outputs(frames_text: str, trace_files: dict[str, bytes]
     """What a command line run that exits 0 writes: each CSV's name and
     rows, with x, y from hom_reference_xy, and the count of empty
     permutations. trace_files maps each .gpx file name to its bytes. None
-    where README.md does not decide: a time with a fraction of more than
-    6 digits, or a fix in an interval within 1 degree of the 90-degree
-    arc at which the projection's domain ends. A permutation with no fix
-    in its interval, or none that the projection takes, is empty."""
+    where README.md does not decide: a fix in an interval within 1 degree
+    of the 90-degree arc at which the projection's domain ends. A
+    permutation with no fix in its interval, or none that the projection
+    takes, is empty."""
     try:
         return _cli_outputs(frames_text, trace_files)
     except _Undecided:

@@ -14,16 +14,21 @@ id may be the first's with its case swapped.
 A run that exits 0 on inputs drawn unmutated is also checked against a
 reader written from README.md alone (oracles.cli_outputs): the file set,
 every t bit for bit, x,y against hom_reference_xy and the summary's
-counts."""
+counts.
+
+The time-shift law: moving every fix time and every interval bound by one
+whole number of microseconds, each written with a drawn UTC offset and
+fraction length, leaves every CSV byte-identical and the summary equal."""
 
 import io
+import itertools
 import json
 import math
 import os
 import struct
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -40,9 +45,12 @@ TARGET = (-37.84, 145.001)
 INTERVAL = "2017-06-10T05:00:00Z/2017-06-10T05:20:00Z"
 # a time that parses, but lies past the year 9999 once converted to UTC
 LATE = "9999-12-31T23:59:59-01:00"
+# a date and a UTC offset: fromisoformat alone reads it as 05:00
+DATE_WITH_OFFSET = "2017-06-10+05:00"
 
+# "-３７.８５" in fullwidth digits: float() reads it, no XML number type does
 _WEIRD_NUMBERS = ["", "nan", "inf", "-inf", "1e400", "-0", "abc", " 1.5 ",
-                  "90.0000001", "-180", "540"]
+                  "90.0000001", "-180", "540", "-\uff13\uff17.\uff18\uff15"]
 
 
 def _mostly(usual: st.SearchStrategy, other: st.SearchStrategy) -> st.SearchStrategy:
@@ -63,7 +71,11 @@ _TIMES = _mostly(
                  timezones=st.just(timezone.utc)).map(iso),
     st.one_of(st.none(), st.sampled_from([
         "", "2017-06-10T05:01:00", "2017-06-10T15:01:00+10:00",
-        "2017-13-10T05:00:00Z", "yesterday", "2017-06-10T05:00:00.5Z", LATE])))
+        "2017-13-10T05:00:00Z", "yesterday", "2017-06-10T05:00:00.5Z", LATE,
+        "2017-06-10T05:00:00.1234567Z",
+        # ISO 8601 forms that are no xsd:dateTime: each is an unparsable time
+        DATE_WITH_OFFSET, "20170610T050000Z", "2017-06-10T05:00:00,5Z",
+        "2017-06-10t05:00:00z"])))
 
 # fixes the projection cannot take from a Melbourne origin: null island, the
 # far hemisphere, poleward of its latitude limit
@@ -201,6 +213,10 @@ _TWO_FIXES = gpx_doc([(*ORIGIN, ts(5, 1)), (*TARGET, ts(5, 2))]).encode()
 @example(gpx=[(b"t", gpx_doc([(*ORIGIN, ts(5)), (*TARGET, ts(5, 0, 0, 123457)),
                                (*ORIGIN, ts(5, 20)), (*TARGET, ts(5, 21))]).encode(), [])],
          frames=(_ONE_FRAME, ""), plot=False, swap_case=False)
+# a date with a UTC offset is no time: the fix is skipped, with a warning
+@example(gpx=[(b"t", _TWO_FIXES.replace(b"2017-06-10T05:02:00Z", DATE_WITH_OFFSET.encode()),
+               [])],
+         frames=(_ONE_FRAME, ""), plot=False, swap_case=False)
 # a trace of null-island glitches only: its permutation is empty, with a warning
 @example(gpx=[(b"t", gpx_doc([(0.0, 0.0, ts(5, 1))]).encode(), [])],
          frames=(_ONE_FRAME, ""), plot=True, swap_case=False)
@@ -282,3 +298,66 @@ def _check_against_the_readme(frames: bytes, trace_files: dict[str, bytes], out_
             # with the package's to about 1e-9 rad, which far fixes magnify
             tolerance = 1e-3 + 1e-8 * math.hypot(x_ref, y_ref)
             assert abs(x - x_ref) <= tolerance and abs(y - y_ref) <= tolerance
+
+
+_BEGIN = datetime(2017, 6, 10, 5, 0)  # UTC
+_MINUTE_US = 60 * 10**6
+_DAY = timedelta(days=1)
+_US = timedelta(microseconds=1)
+# shifts that keep every time of the scene, from a minute before _BEGIN to 31
+# minutes after it, a day inside the years 1-9999 in UTC, so that any offset
+# writes it in them too
+_SHIFTS = st.integers((datetime.min + _DAY - _BEGIN) // _US + _MINUTE_US,
+                      (datetime.max - _DAY - _BEGIN) // _US - 31 * _MINUTE_US)
+
+# (UTC offset in minutes or None for Z, least fraction digits)
+_FORMS = st.lists(st.tuples(st.none() | st.integers(-(24 * 60 - 1), 24 * 60 - 1),
+                            st.integers(0, 6)), min_size=1, max_size=6)
+
+
+def _written(us: int, form: tuple[int | None, int]) -> str:
+    """The instant us microseconds after _BEGIN as an xsd:dateTime in form:
+    Z or ±hh:mm, and 0-6 fraction digits, at least as many as it needs."""
+    minutes, digits = form
+    local = _BEGIN + timedelta(microseconds=us, minutes=minutes or 0)
+    fraction = f".{local.microsecond:06d}"
+    digits = max(digits, len(fraction.rstrip("0")) - 1)
+    hours, rest = divmod(abs(minutes or 0), 60)
+    zone = "Z" if minutes is None else f"{'-' if minutes < 0 else '+'}{hours:02d}:{rest:02d}"
+    return (local.replace(microsecond=0).isoformat()
+            + fraction[:digits + 1 if digits else 0] + zone)
+
+
+@given(shift=_SHIFTS, forms=_FORMS,
+       fixes=st.lists(st.integers(-_MINUTE_US, 31 * _MINUTE_US), min_size=1, max_size=8))
+@settings(deadline=None)
+def test_time_shift_leaves_every_csv_byte_identical(tmp_path_factory, shift, forms, fixes):
+    positions = (ORIGIN, TARGET, (-37.845, 145.0005))
+
+    def outputs(move: int, written_as: list) -> tuple[int, str, dict[str, bytes]]:
+        form = itertools.cycle(written_as)
+
+        def text(us: int) -> str:
+            return _written(us + move, next(form))
+
+        base = tmp_path_factory.mktemp("shift")
+        (base / "frames.geojson").write_bytes(frames_doc([frame_feature(
+            "f0", ORIGIN, TARGET,
+            {"events": [f"{text(0)}/{text(20 * _MINUTE_US)}"],
+             "round2": f"{text(10 * _MINUTE_US + 500_000)}/{text(30 * _MINUTE_US)}"})]).encode())
+        (base / "traces").mkdir()
+        rows = "".join(f'<trkpt lat="{lat!r}" lon="{lon!r}"><time>{text(us)}</time></trkpt>'
+                       for (lat, lon), us in zip(positions * len(fixes), fixes))
+        (base / "traces" / "t.gpx").write_bytes(
+            f'<gpx version="1.1" xmlns="http://www.topografix.com/GPX/1/1"><trk><trkseg>'
+            f"{rows}</trkseg></trk></gpx>".encode())
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()):
+            code = main(["--frames", str(base / "frames.geojson"),
+                         "--traces", str(base / "traces"), "--out", str(base / "out")])
+        return code, out.getvalue(), {path.name: path.read_bytes()
+                                      for path in (base / "out").iterdir()}
+
+    # unshifted, every time is written with Z and as few fraction digits as it needs
+    unshifted = outputs(0, [(None, 0)])
+    assert unshifted[0] == 0
+    assert outputs(shift, forms) == unshifted

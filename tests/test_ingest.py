@@ -3,12 +3,13 @@
 import json
 import math
 from array import array
-from datetime import datetime, timezone
+from datetime import timezone
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from fixtures import frame_feature, frames_doc, gpx_doc, ts
 from framelocal.errors import (
     BadLineString,
@@ -135,34 +136,55 @@ class TestParseInterval:
         assert text.count("Z") == 2
         assert parse_interval(text) == interval
 
-    @given(text=st.one_of(
-        st.datetimes(timezones=st.none() | st.timezones()).map(
-            lambda d: d.isoformat().replace("+00:00", "Z")),
-        st.text(st.sampled_from("0123456789-:T.,+Zz W\t\n"), max_size=30),
-        st.builds(lambda digits, tail: f"2017-06-10T{digits}{tail}",
-                  st.text(st.sampled_from("0123456789:.,"), max_size=12),
-                  st.sampled_from(["", "Z", "z", " Z", "Z ", "+00:00", "-0130"]))))
-    @settings(max_examples=300, deadline=None)
-    def test_instant_read_as_it_stands_or_cleaned_alike(self, text):
-        def cleaned(raw):  # strip, then a trailing Z/z read as +00:00
-            raw = raw.strip()
-            if raw.endswith(("Z", "z")):
-                raw = raw[:-1] + "+00:00"
-            parsed = datetime.fromisoformat(raw)
-            if parsed.tzinfo is None:
-                return parsed.replace(tzinfo=timezone.utc), True
-            return parsed, False
-
-        try:
-            expected = cleaned(text)
-        except ValueError as exc:
+    @pytest.mark.parametrize("text, expected", [
+        ("2017-06-10T05:00:00Z", (ts(5), False)),
+        ("2017-06-10T15:00:00+10:00", (ts(5), False)),
+        ("2017-06-10T05:00:00-00:00", (ts(5), False)),
+        ("2017-06-10T05:00:00", (ts(5), True)),  # no offset: UTC
+        (" \t\r\n2017-06-10T05:00:00.5Z\n ", (ts(5, 0, 0, 500000), False)),
+        # a fraction past the microsecond is cut to it
+        ("2017-06-10T05:00:00.1234567Z", (ts(5, 0, 0, 123456), False)),
+        ("2017-06-10T15:00:00.999999999+10:00", (ts(5, 0, 0, 999999), False)),
+        # ISO 8601 forms outside xsd:dateTime
+        ("20170610T050000Z", None),
+        ("2017-W23-6T05:00:00Z", None),
+        ("2017-161T05:00:00Z", None),
+        ("2017-06-10T05Z", None),
+        ("2017-06-10T05:00Z", None),
+        ("2017-06-10T05:00:00,5Z", None),
+        ("2017-06-10T05:00:00+0530", None),
+        ("2017-06-10", None),
+        ("2017-06-10+05:00", None),
+        ("PT20M", None),
+        # the end of a day and a leap second
+        ("2017-06-10T24:00:00Z", None),
+        ("2016-12-31T23:59:60Z", None),
+        # a fraction without digits, offsets of other lengths
+        ("2017-06-10T05:00:00.Z", None),
+        ("2017-06-10T05:00:00+05", None),
+        ("2017-06-10T05:00:00+05:00:00", None),
+        ("2017-06-10T05:00:00+05:60", None),
+        # the separator and the UTC designator in capitals only
+        ("2017-06-10t05:00:00Z", None),
+        ("2017-06-10T05:00:00z", None),
+        ("2017-06-10 05:00:00Z", None),
+        ("2017-06-10X05:00:00Z", None),
+        # white space other than XML's, and digits other than ASCII
+        ("\u00a02017-06-10T05:00:00Z", None),
+        ("2017-06-10T05:00:00Z\u00a0", None),
+        ("2017-06-10T05:00:0\u0663Z", None),
+        ("2017-06-10T05:00:00.\uff15Z", None),
+        ("", None),
+    ])
+    def test_time_grammar(self, text, expected):
+        if expected is None:
             with pytest.raises(MalformedInterval) as raised:
                 _parse_instant(text)
-            assert str(raised.value) == f"bad datetime {text!r}: {exc}"
+            assert str(raised.value) == (f"bad datetime {text!r}: expected a valid "
+                                         "YYYY-MM-DDThh:mm:ss[.s+][Z|±hh:mm]")
             return
         instant, naive = _parse_instant(text)
-        assert (instant, naive) == expected
-        assert instant.utcoffset() == expected[0].utcoffset()
+        assert (utc_us(instant), naive) == (utc_us(expected[0]), expected[1])
 
 
 class TestParseFrames:
@@ -660,9 +682,7 @@ class TestParseGpx:
 
 
 # fromisoformat takes any character after a date as the date-time separator,
-# so a date followed by a UTC offset reads as a naive hour of that date
-@pytest.mark.xfail(strict=True, reason="a date with a UTC offset is read as a naive "
-                   "hour; the GPX time grammar of ROADMAP item 4 is to reject it")
+# so it reads a date followed by a UTC offset as a naive hour of that date
 @pytest.mark.parametrize("text", ["2017-06-10+05:00", "2017-06-10-03:00"])
 def test_date_with_utc_offset_is_not_a_time(text):
     warnings = []
@@ -673,6 +693,44 @@ def test_date_with_utc_offset_is_not_a_time(text):
     assert warnings == [f"track point with unparsable time {text!r} skipped"]
     with pytest.raises(MalformedInterval):
         parse_interval(f"{text}/2017-06-11{text[10:]}")
+
+
+_TIME_MUTANTS = "0123456789:-+.TtZzXW,/ \t\n\u00a0\u0663\uff11"
+
+
+def _two_digits(high: int) -> st.SearchStrategy[str]:
+    return st.integers(0, high).map("{:02d}".format)
+
+
+@st.composite
+def _grammar_times(draw) -> str:
+    """A time in the xsd:dateTime grammar with XML white space around it,
+    its fields drawn a little past their ranges, and in about half the
+    draws one character replaced, inserted or deleted."""
+    text = (draw(st.text(" \t\r\n", max_size=2))
+            + f"{draw(st.integers(0, 9999)):04d}-{draw(_two_digits(13))}-"
+            + f"{draw(_two_digits(32))}T{draw(_two_digits(24))}:{draw(_two_digits(60))}:"
+            + draw(_two_digits(60))
+            + draw(st.one_of(st.just(""), st.text("0123456789", min_size=1, max_size=9)
+                             .map(".".__add__)))
+            + draw(st.one_of(st.sampled_from(["", "Z"]), st.builds(
+                "{}{}:{}".format, st.sampled_from("+-"), _two_digits(24), _two_digits(60))))
+            + draw(st.text(" \t\r\n", max_size=2)))
+    at = draw(st.integers(0, len(text)))
+    mutant = draw(st.sampled_from(_TIME_MUTANTS))
+    return draw(st.sampled_from([text, text, text[:at] + mutant + text[at + 1:],
+                                 text[:at] + mutant + text[at:], text[:at] + text[at + 1:]]))
+
+
+@given(text=_grammar_times())
+@settings(deadline=None)
+def test_gpx_time_kept_as_the_oracle_reads_it(text):
+    # max_examples comes from the active profile (tests/conftest.py)
+    us = oracles.utc_microseconds(text)
+    doc = gpx_doc([(-37.84, 145.0, ts(5, 1))]).replace(
+        "</trkseg>", f'<trkpt lat="-37.85" lon="145.0"><time>{text}</time></trkpt></trkseg>')
+    trace = parse_gpx(doc, "t")
+    assert sorted(trace.time_us) == sorted([utc_us(ts(5, 1))] + ([] if us is None else [us]))
 
 
 def _write_two_field_inputs(base):
